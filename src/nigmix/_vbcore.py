@@ -1,15 +1,20 @@
 """Machinery shared by the univariate and multivariate engines.
 
 Holds the result containers, the deterministic initial-partition helpers
-(one-hot random assignment and a small seeded Lloyd k-means), and the
-log-sum-exp row normalization with its uniform-row underflow fallback.
+(one-hot random assignment and a small seeded Lloyd k-means), the
+log-sum-exp row normalization with its uniform-row underflow fallback,
+``prune``, and ``run_sweep``, the variational sweep both engines run with
+their own update steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import FitConfig
 
 __all__ = [
     "DegenerateComponent",
@@ -19,6 +24,8 @@ __all__ = [
     "kmeans_labels",
     "normalize_log_scores",
     "one_hot",
+    "prune",
+    "run_sweep",
 ]
 
 
@@ -124,3 +131,121 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
     resp = np.exp(scores)
     resp /= resp.sum(axis=1, keepdims=True)
     return resp, flags
+
+
+def prune(resp: np.ndarray, hypers: list, threshold: float = 1.0):
+    """Drop components whose effective count falls below the threshold.
+
+    Rows are renormalized afterwards; removing every component raises
+    DegenerateFit.
+    """
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
+    col = resp.sum(axis=0)
+    keep = np.nonzero(col >= threshold)[0]
+    removed = [g for g in range(resp.shape[1]) if g not in set(keep.tolist())]
+    if keep.size == 0:
+        raise DegenerateFit("pruning removed every component")
+    if not removed:
+        return resp, list(hypers), []
+    resp = resp[:, keep]
+    row_sums = resp.sum(axis=1, keepdims=True)
+    dead_rows = row_sums[:, 0] <= 0.0
+    if dead_rows.any():
+        resp[dead_rows] = 1.0 / keep.size
+        row_sums = resp.sum(axis=1, keepdims=True)
+    resp = resp / row_sums
+    return resp, [hypers[g] for g in keep], removed
+
+
+def run_sweep(
+    model: str,
+    data: np.ndarray,
+    config: FitConfig,
+    init,
+    update_hypers,
+    expectations,
+    responsibilities,
+) -> FitResult:
+    """Run one engine's variational sweep to convergence.
+
+    Components whose ``expectations`` raise DegenerateComponent are dropped
+    before the responsibilities are updated.  Convergence means the largest
+    absolute responsibility change in a sweep without pruning fell below
+    ``config.tol``; hitting ``max_iter`` first flags the result instead of
+    raising.
+    """
+    resp, lat, priors = init(
+        data, config.g_init, config.init_mode, config.hyper_init, config.seed
+    )
+    ids = list(range(1, config.g_init + 1))
+    trace: list[dict] = []
+    all_flags: list[str] = []
+    converged = False
+    iterations = 0
+    hypers: list = []
+    bundles: list = []
+
+    for iterations in range(1, config.max_iter + 1):
+        hypers = update_hypers(priors, resp, lat, data)
+        total_mass = sum(h.a0 for h in hypers)
+        bundles = []
+        live = []
+        for g, h in enumerate(hypers):
+            try:
+                bundles.append(expectations(h, total_mass))
+                live.append(g)
+            except DegenerateComponent as exc:
+                all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
+        if not live:
+            raise DegenerateFit("all components degenerate")
+        if len(live) < len(hypers):
+            resp = resp[:, live]
+            resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
+            hypers = [hypers[g] for g in live]
+            priors = [priors[g] for g in live]
+            ids = [ids[g] for g in live]
+
+        new_resp, lat, flags = responsibilities(data, bundles)
+        all_flags.extend(flags)
+
+        pruned_resp, hypers, removed = prune(
+            new_resp, hypers, config.prune_threshold
+        )
+        same_shape = not removed and pruned_resp.shape == resp.shape
+        max_change = (
+            float(np.abs(pruned_resp - resp).max()) if same_shape else math.inf
+        )
+        if removed:
+            keep = [g for g in range(new_resp.shape[1]) if g not in removed]
+            priors = [priors[g] for g in keep]
+            bundles = [bundles[g] for g in keep]
+            ids = [ids[g] for g in keep]
+            lat = (lat[0][:, keep], lat[1][:, keep])
+        resp = pruned_resp
+        trace.append(
+            {
+                "iteration": iterations,
+                "g_alive": len(ids),
+                "max_resp_change": max_change,
+                "count_mass": total_mass,
+            }
+        )
+        if same_shape and max_change < config.tol:
+            converged = True
+            break
+
+    if not converged:
+        all_flags.append("non_convergence")
+    return FitResult(
+        model=model,
+        surviving=ids,
+        hypers=hypers,
+        bundles=bundles,
+        resp=resp,
+        labels=resp.argmax(axis=1) + 1,
+        iterations=iterations,
+        converged=converged,
+        trace=trace,
+        flags=all_flags,
+    )

@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
             raise CliError("either --preset or --spec is required")
         try:
             spec = mixture_spec_from_dict(read_json(args.spec))
-        except (FileNotFoundError, KeyError, ValueError) as exc:
+        except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"invalid mixture spec: {exc}") from exc
         counts = None
         n = args.n if args.n is not None else 300
@@ -182,7 +182,7 @@ def cmd_density_grid(args) -> int:
     try:
         record = read_json(args.model_path)
         result = result_from_dict(record["result"])
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load model: {exc}") from exc
     if not result.converged:
         raise CliError("model did not converge", EXIT_NONCONVERGENCE)

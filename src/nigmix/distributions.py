@@ -31,7 +31,6 @@ __all__ = [
     "MNIGParams",
     "MixtureSpec",
     "LabeledSample",
-    "ig_density",
     "gig_log_density",
     "gig_moments",
     "log_gig_normalizer",
@@ -134,23 +133,6 @@ class LabeledSample:
 # ---------------------------------------------------------------------------
 # Inverse Gaussian and generalized inverse Gaussian
 # ---------------------------------------------------------------------------
-
-def ig_density(u, delta: float, gamma: float):
-    """Inverse Gaussian density f(u) with E[U] = delta/gamma."""
-    if not (delta > 0.0 and gamma > 0.0):
-        raise ValueError("IG requires delta > 0 and gamma > 0")
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise ValueError("IG density requires u > 0")
-    logf = (
-        -0.5 * math.log(2.0 * math.pi)
-        + math.log(delta)
-        - 1.5 * np.log(u)
-        + delta * gamma
-        - 0.5 * (delta**2 / u + gamma**2 * u)
-    )
-    return np.exp(logf)
-
 
 def log_gig_normalizer(lam: float, chi: float, psi: float) -> float:
     """log of int_0^inf u^(lam-1) exp(-(chi/u + psi*u)/2) du."""

@@ -19,6 +19,8 @@ import numpy as np
 from ._vbcore import FitResult
 from .config import FitConfig
 from .distributions import LabeledSample, MixtureSpec, MNIGParams, UNIGParams
+from .vb_mnig import ComponentHyperM, ExpectationBundleM
+from .vb_unig import ComponentHyper, ExpectationBundle
 
 __all__ = [
     "ingest_csv",
@@ -106,57 +108,45 @@ def write_sample_csv(path, sample: LabeledSample) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
 
 
+# The dataclasses behind the ``type`` tag of a spec component and the
+# ``model`` tag of a fit result.
+_COMPONENT_TYPES = {"unig": UNIGParams, "mnig": MNIGParams}
+_RESULT_TYPES = {
+    "unig": (ComponentHyper, ExpectationBundle),
+    "mnig": (ComponentHyperM, ExpectationBundleM),
+}
+
+
+def _fields_to_dict(obj) -> dict:
+    d = asdict(obj)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
+
+
+def _fields_from_dict(cls, d: dict):
+    """Inverse of ``_fields_to_dict``: JSON lists become arrays again."""
+    return cls(**{k: np.array(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
 # ---------------------------------------------------------------------------
 # Mixture specifications
 # ---------------------------------------------------------------------------
 
 def mixture_spec_to_dict(spec: MixtureSpec) -> dict:
-    comps = []
-    for c in spec.components:
-        if isinstance(c, MNIGParams):
-            comps.append(
-                {
-                    "type": "mnig",
-                    "mu_t": c.mu_t.tolist(),
-                    "beta_t": c.beta_t.tolist(),
-                    "sigma_t": c.sigma_t.tolist(),
-                    "gamma_t": c.gamma_t,
-                }
-            )
-        else:
-            comps.append(
-                {
-                    "type": "unig",
-                    "mu": c.mu,
-                    "beta": c.beta,
-                    "delta": c.delta,
-                    "gamma": c.gamma,
-                }
-            )
+    comps = [
+        {"type": "mnig" if isinstance(c, MNIGParams) else "unig", **_fields_to_dict(c)}
+        for c in spec.components
+    ]
     return {"weights": spec.weights.tolist(), "components": comps}
 
 
 def mixture_spec_from_dict(d: dict) -> MixtureSpec:
     comps = []
     for c in d["components"]:
-        kind = c.get("type", "unig")
-        if kind == "mnig":
-            comps.append(
-                MNIGParams(
-                    mu_t=c["mu_t"],
-                    beta_t=c["beta_t"],
-                    sigma_t=c["sigma_t"],
-                    gamma_t=c["gamma_t"],
-                )
-            )
-        elif kind == "unig":
-            comps.append(
-                UNIGParams(
-                    mu=c["mu"], beta=c["beta"], delta=c["delta"], gamma=c["gamma"]
-                )
-            )
-        else:
+        fields = dict(c)
+        kind = fields.pop("type", "unig")
+        if kind not in _COMPONENT_TYPES:
             raise ValueError(f"unknown component type {kind!r}")
+        comps.append(_fields_from_dict(_COMPONENT_TYPES[kind], fields))
     return MixtureSpec(weights=d["weights"], components=comps)
 
 
@@ -164,17 +154,12 @@ def mixture_spec_from_dict(d: dict) -> MixtureSpec:
 # Fit results and run records
 # ---------------------------------------------------------------------------
 
-def _hyper_to_dict(h) -> dict:
-    d = asdict(h)
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
-
-
 def result_to_dict(result: FitResult) -> dict:
     return {
         "model": result.model,
         "surviving": list(result.surviving),
-        "hypers": [_hyper_to_dict(h) for h in result.hypers],
-        "bundles": [_hyper_to_dict(b) for b in result.bundles],
+        "hypers": [_fields_to_dict(h) for h in result.hypers],
+        "bundles": [_fields_to_dict(b) for b in result.bundles],
         "resp": result.resp.tolist(),
         "labels": result.labels.tolist(),
         "iterations": result.iterations,
@@ -185,45 +170,12 @@ def result_to_dict(result: FitResult) -> dict:
 
 
 def result_from_dict(d: dict) -> FitResult:
-    if d["model"] == "unig":
-        from .vb_unig import ComponentHyper, ExpectationBundle
-
-        hypers = [ComponentHyper(**h) for h in d["hypers"]]
-        bundles = [ExpectationBundle(**b) for b in d["bundles"]]
-    else:
-        from .vb_mnig import ComponentHyperM, ExpectationBundleM
-
-        hypers = [
-            ComponentHyperM(
-                a0=h["a0"],
-                a1=np.array(h["a1"]),
-                a2=np.array(h["a2"]),
-                a3=h["a3"],
-                a4=h["a4"],
-                V=np.array(h["V"]),
-            )
-            for h in d["hypers"]
-        ]
-        bundles = [
-            ExpectationBundleM(
-                log_pi=b["log_pi"],
-                elog_det_prec=b["elog_det_prec"],
-                e_prec=np.array(b["e_prec"]),
-                mu_bar=np.array(b["mu_bar"]),
-                beta_bar=np.array(b["beta_bar"]),
-                c_mu=b["c_mu"],
-                c_beta=b["c_beta"],
-                c_cross=b["c_cross"],
-                gamma_t=b["gamma_t"],
-                gamma_t_sq=b["gamma_t_sq"],
-            )
-            for b in d["bundles"]
-        ]
+    hyper_cls, bundle_cls = _RESULT_TYPES[d["model"]]
     return FitResult(
         model=d["model"],
         surviving=list(d["surviving"]),
-        hypers=hypers,
-        bundles=bundles,
+        hypers=[_fields_from_dict(hyper_cls, h) for h in d["hypers"]],
+        bundles=[_fields_from_dict(bundle_cls, b) for b in d["bundles"]],
         resp=np.array(d["resp"]),
         labels=np.array(d["labels"], dtype=int),
         iterations=d["iterations"],

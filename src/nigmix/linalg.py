@@ -18,8 +18,6 @@ __all__ = [
     "cholesky",
     "spd_inverse_logdet",
     "spd_inverse_logdet_jittered",
-    "quad_form",
-    "trace_product",
 ]
 
 
@@ -92,21 +90,3 @@ def spd_inverse_logdet_jittered(m) -> tuple[np.ndarray, float]:
         if not eps > 0.0:
             eps = 1e-12
         return spd_inverse_logdet(m + eps * np.eye(m.shape[0]))
-
-
-def quad_form(v, m) -> float:
-    """v.T @ m @ v."""
-    v = np.asarray(v, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if v.shape[-1] != m.shape[0]:
-        raise ValueError("dimension mismatch in quad_form")
-    return float(v @ m @ v)
-
-
-def trace_product(a, b) -> float:
-    """tr(a @ b) without forming the product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch in trace_product")
-    return float(np.sum(a * b.T))

@@ -17,7 +17,6 @@ from scipy.special import erfcx, gammaln, kve, psi
 
 __all__ = [
     "log_bessel_k",
-    "bessel_k_ratio",
     "digamma",
     "trunc_normal_moments",
     "sqrt_gamma_moment",
@@ -72,11 +71,6 @@ def _log_k_mpmath(nu: float, x: float) -> float:
 
     with mp.workdps(40):
         return float(mp.log(mp.besselk(nu, x)))
-
-
-def bessel_k_ratio(nu_num: float, nu_den: float, x) -> float:
-    """K_{nu_num}(x) / K_{nu_den}(x), evaluated as exp of a log difference."""
-    return np.exp(log_bessel_k(nu_num, x) - log_bessel_k(nu_den, x))
 
 
 def digamma(x):

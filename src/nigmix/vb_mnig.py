@@ -1,10 +1,11 @@
 """Variational engine for multivariate NIG mixtures.
 
-Mirrors the univariate sweep with the multivariate conjugate families:
-Dirichlet weights, a Wishart posterior on each component precision, a joint
-conditional normal on (location, drift) whose covariance blocks are scalar
-multiples of the component scale, and a truncated normal on the tail
-weight.  The latent subordinator posterior is GIG of order -(d+1)/2.
+Runs the sweep of ``_vbcore.run_sweep``, as the univariate engine does,
+with the multivariate conjugate families: Dirichlet weights, a Wishart
+posterior on each component precision, a joint conditional normal on
+(location, drift) whose covariance blocks are scalar multiples of the
+component scale, and a truncated normal on the tail weight.  The latent
+subordinator posterior is GIG of order -(d+1)/2.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -31,6 +32,7 @@ from ._vbcore import (
     FitResult,
     initial_partition,
     normalize_log_scores,
+    run_sweep,
 )
 from .config import FitConfig
 from .distributions import MNIGParams, gig_moments, mnig_log_density
@@ -284,85 +286,16 @@ def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM
 
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
-    """Full multivariate variational sweep; contract identical to the
-    univariate ``fit``."""
-    from .vb_unig import prune  # shared pruning semantics
-
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    resp, lat, priors = init_fit_m(
-        data, config.g_init, config.init_mode, config.hyper_init, config.seed
-    )
-    ids = list(range(1, config.g_init + 1))
-    trace: list[dict] = []
-    all_flags: list[str] = []
-    converged = False
-    iterations = 0
-    hypers: list[ComponentHyperM] = []
-    bundles: list[ExpectationBundleM] = []
-
-    for iterations in range(1, config.max_iter + 1):
-        hypers = update_hypers_m(priors, resp, lat, data)
-        total_mass = sum(h.a0 for h in hypers)
-        bundles = []
-        live = []
-        for g, h in enumerate(hypers):
-            try:
-                bundles.append(expectations_from_hypers_m(h, total_mass))
-                live.append(g)
-            except DegenerateComponent as exc:
-                all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
-        if not live:
-            raise DegenerateFit("all components degenerate")
-        if len(live) < len(hypers):
-            resp = resp[:, live]
-            resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
-            hypers = [hypers[g] for g in live]
-            priors = [priors[g] for g in live]
-            ids = [ids[g] for g in live]
-
-        new_resp, lat, flags = update_responsibilities_m(data, bundles)
-        all_flags.extend(flags)
-
-        pruned_resp, hypers, removed = prune(
-            new_resp, hypers, config.prune_threshold
-        )
-        same_shape = not removed and pruned_resp.shape == resp.shape
-        max_change = (
-            float(np.abs(pruned_resp - resp).max()) if same_shape else math.inf
-        )
-        if removed:
-            keep = [g for g in range(new_resp.shape[1]) if g not in removed]
-            priors = [priors[g] for g in keep]
-            bundles = [bundles[g] for g in keep]
-            ids = [ids[g] for g in keep]
-            lat = (lat[0][:, keep], lat[1][:, keep])
-        resp = pruned_resp
-        trace.append(
-            {
-                "iteration": iterations,
-                "g_alive": len(ids),
-                "max_resp_change": max_change,
-                "count_mass": total_mass,
-            }
-        )
-        if same_shape and max_change < config.tol:
-            converged = True
-            break
-
-    if not converged:
-        all_flags.append("non_convergence")
-    labels = resp.argmax(axis=1) + 1
-    return FitResult(
-        model="mnig",
-        surviving=ids,
-        hypers=hypers,
-        bundles=bundles,
-        resp=resp,
-        labels=labels,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        flags=all_flags,
+    """Run the multivariate variational sweep (``_vbcore.run_sweep``) on
+    (n, d) data; contract identical to the univariate ``fit``."""
+    return run_sweep(
+        "mnig",
+        np.atleast_2d(np.asarray(data, dtype=float)),
+        config,
+        init_fit_m,
+        update_hypers_m,
+        expectations_from_hypers_m,
+        update_responsibilities_m,
     )
 
 

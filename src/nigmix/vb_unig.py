@@ -1,6 +1,7 @@
 """Variational engine for univariate NIG mixtures.
 
-One sweep alternates three moves until the responsibilities stop moving:
+One sweep (``_vbcore.run_sweep``, shared with the multivariate engine)
+alternates three moves until the responsibilities stop moving:
 
 1. conjugate hyperparameter updates from the current responsibilities and
    latent moments,
@@ -28,6 +29,8 @@ from ._vbcore import (
     FitResult,
     initial_partition,
     normalize_log_scores,
+    prune,
+    run_sweep,
 )
 from .config import FitConfig
 from .distributions import UNIGParams, gig_moments, unig_density
@@ -271,113 +274,17 @@ def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
     return resp, (e_u, e_uinv), flags
 
 
-def prune(resp: np.ndarray, hypers: list, threshold: float = 1.0):
-    """Drop components whose effective count falls below the threshold.
-
-    Rows are renormalized afterwards; removing every component raises
-    DegenerateFit.
-    """
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    col = resp.sum(axis=0)
-    keep = np.nonzero(col >= threshold)[0]
-    removed = [g for g in range(resp.shape[1]) if g not in set(keep.tolist())]
-    if keep.size == 0:
-        raise DegenerateFit("pruning removed every component")
-    if not removed:
-        return resp, list(hypers), []
-    resp = resp[:, keep]
-    row_sums = resp.sum(axis=1, keepdims=True)
-    dead_rows = row_sums[:, 0] <= 0.0
-    if dead_rows.any():
-        resp[dead_rows] = 1.0 / keep.size
-        row_sums = resp.sum(axis=1, keepdims=True)
-    resp = resp / row_sums
-    return resp, [hypers[g] for g in keep], removed
-
-
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:
-    """Run the full variational sweep to convergence.
-
-    Convergence means the largest absolute responsibility change in a sweep
-    without pruning fell below ``config.tol``; hitting ``max_iter`` first
-    flags the result instead of raising.
-    """
-    data = np.asarray(data, dtype=float).reshape(-1)
-    resp, lat, priors = init_fit(
-        data, config.g_init, config.init_mode, config.hyper_init, config.seed
-    )
-    ids = list(range(1, config.g_init + 1))
-    trace: list[dict] = []
-    all_flags: list[str] = []
-    converged = False
-    iterations = 0
-    hypers: list[ComponentHyper] = []
-    bundles: list[ExpectationBundle] = []
-
-    for iterations in range(1, config.max_iter + 1):
-        hypers = update_hypers(priors, resp, lat, data)
-        total_mass = sum(h.a0 for h in hypers)
-        bundles = []
-        live = []
-        for g, h in enumerate(hypers):
-            try:
-                bundles.append(expectations_from_hypers(h, total_mass))
-                live.append(g)
-            except DegenerateComponent as exc:
-                all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
-        if not live:
-            raise DegenerateFit("all components degenerate")
-        if len(live) < len(hypers):
-            resp = resp[:, live]
-            resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
-            hypers = [hypers[g] for g in live]
-            priors = [priors[g] for g in live]
-            ids = [ids[g] for g in live]
-
-        new_resp, lat, flags = update_responsibilities(data, bundles)
-        all_flags.extend(flags)
-
-        pruned_resp, hypers, removed = prune(
-            new_resp, hypers, config.prune_threshold
-        )
-        same_shape = not removed and pruned_resp.shape == resp.shape
-        max_change = (
-            float(np.abs(pruned_resp - resp).max()) if same_shape else math.inf
-        )
-        if removed:
-            keep = [g for g in range(new_resp.shape[1]) if g not in removed]
-            priors = [priors[g] for g in keep]
-            bundles = [bundles[g] for g in keep]
-            ids = [ids[g] for g in keep]
-            lat = (lat[0][:, keep], lat[1][:, keep])
-        resp = pruned_resp
-        trace.append(
-            {
-                "iteration": iterations,
-                "g_alive": len(ids),
-                "max_resp_change": max_change,
-                "count_mass": total_mass,
-            }
-        )
-        if same_shape and max_change < config.tol:
-            converged = True
-            break
-
-    if not converged:
-        all_flags.append("non_convergence")
-    labels = resp.argmax(axis=1) + 1
-    return FitResult(
-        model="unig",
-        surviving=ids,
-        hypers=hypers,
-        bundles=bundles,
-        resp=resp,
-        labels=labels,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        flags=all_flags,
+    """Run the univariate variational sweep (``_vbcore.run_sweep``) to
+    convergence."""
+    return run_sweep(
+        "unig",
+        np.asarray(data, dtype=float).reshape(-1),
+        config,
+        init_fit,
+        update_hypers,
+        expectations_from_hypers,
+        update_responsibilities,
     )
 
 

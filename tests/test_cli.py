@@ -22,6 +22,7 @@ from nigmix.io import (
     write_sample_csv,
 )
 from nigmix.presets import simulation_preset
+from nigmix.vb_mnig import fit_m
 from nigmix.vb_unig import fit
 
 
@@ -74,16 +75,25 @@ class TestSerialization:
             assert np.allclose(a.sigma_t, b.sigma_t)
 
     def test_result_roundtrip(self, study1_csv):
-        path, sample = study1_csv
-        res = fit(
-            sample.observations, FitConfig(model="unig", g_init=5, seed=0)
-        )
-        back = result_from_dict(result_to_dict(res))
-        assert back.model == res.model
-        assert back.surviving == res.surviving
-        assert np.allclose(back.resp, res.resp)
-        assert back.hypers[0].a3 == pytest.approx(res.hypers[0].a3)
-        assert back.bundles[0].delta_sq == pytest.approx(res.bundles[0].delta_sq)
+        _, sample = study1_csv
+        spec, counts = simulation_preset("study5")
+        sample5 = sample_mixture(spec, sum(counts), seed=1002, counts=counts)
+        cases = [
+            (fit, sample.observations, FitConfig(model="unig", g_init=5, seed=0)),
+            (fit_m, sample5.observations, FitConfig(model="mnig", g_init=10, seed=2)),
+        ]
+        for engine, data, config in cases:
+            d = result_to_dict(engine(data, config))
+            back = result_from_dict(d)
+            assert back.model == config.model
+            assert result_to_dict(back) == d
+            assert isinstance(back.resp, np.ndarray)
+            assert isinstance(back.labels, np.ndarray)
+            objs = back.hypers + back.bundles
+            for obj, fields in zip(objs, d["hypers"] + d["bundles"]):
+                for name, value in fields.items():
+                    if isinstance(value, list):
+                        assert isinstance(getattr(obj, name), np.ndarray), name
 
     def test_run_record_hash_ignores_timings(self, study1_csv):
         path, sample = study1_csv

@@ -13,7 +13,6 @@ from nigmix.distributions import (
     UNIGParams,
     gig_log_density,
     gig_moments,
-    ig_density,
     mnig_log_density,
     sample_ig,
     sample_mixture,
@@ -22,6 +21,7 @@ from nigmix.distributions import (
     unig_log_density,
     unig_to_tilde,
 )
+from tests_support_naive import ig_density
 
 UNIG_CASES = [
     UNIGParams(mu=0.0, beta=0.0, delta=1.0, gamma=1.0),

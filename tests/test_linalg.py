@@ -7,10 +7,8 @@ from nigmix.linalg import (
     NotPositiveDefinite,
     as_spd,
     cholesky,
-    quad_form,
     spd_inverse_logdet,
     spd_inverse_logdet_jittered,
-    trace_product,
 )
 
 
@@ -59,18 +57,6 @@ class TestInverseLogdet:
 
 
 class TestSmallHelpers:
-    def test_quad_form(self):
-        m = random_spd(4, 7)
-        v = np.arange(4.0)
-        assert quad_form(v, m) == pytest.approx(float(v @ m @ v), rel=1e-12)
-
-    def test_trace_product(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((2, 5, 5))
-        assert trace_product(a, b) == pytest.approx(
-            float(np.trace(a @ b)), rel=1e-12
-        )
-
     def test_as_spd_symmetrizes(self):
         m = random_spd(3, 11)
         skewed = m + 1e-14 * np.triu(np.ones((3, 3)))

@@ -9,7 +9,6 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from nigmix.special import (
-    bessel_k_ratio,
     digamma,
     log_bessel_k,
     sqrt_gamma_moment,
@@ -94,13 +93,6 @@ class TestLogBesselK:
             log_bessel_k(1.0, math.nan)
         with pytest.raises(ValueError):
             log_bessel_k(100.0, 1.0)
-
-    def test_ratio(self):
-        from scipy.special import kv
-
-        assert bessel_k_ratio(2.0, 1.0, 3.0) == pytest.approx(
-            kv(2.0, 3.0) / kv(1.0, 3.0), rel=1e-12
-        )
 
 
 class TestDigamma:

@@ -1,6 +1,7 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, pair-enumeration agreement index, set-partition
-enumeration, and the expectation-level tilde map."""
+enumeration, the expectation-level tilde map, and the inverse Gaussian
+density."""
 
 import itertools
 import math
@@ -123,3 +124,20 @@ def unig_bundle_to_mnig(b) -> ExpectationBundleM:
         gamma_t=b.delta_gamma,
         gamma_t_sq=s * b.gamma_sq,
     )
+
+
+def ig_density(u, delta: float, gamma: float):
+    """Inverse Gaussian density f(u) with E[U] = delta/gamma."""
+    if not (delta > 0.0 and gamma > 0.0):
+        raise ValueError("IG requires delta > 0 and gamma > 0")
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0.0):
+        raise ValueError("IG density requires u > 0")
+    logf = (
+        -0.5 * math.log(2.0 * math.pi)
+        + math.log(delta)
+        - 1.5 * np.log(u)
+        + delta * gamma
+        - 0.5 * (delta**2 / u + gamma**2 * u)
+    )
+    return np.exp(logf)
