@@ -31,6 +31,7 @@ from .io import (
     write_json,
     write_sample_csv,
 )
+from .linalg import NotPositiveDefinite
 from .presets import FISH_MERGE_GROUPS, FISH_VARIABLES, simulation_preset
 
 EXIT_OK = 0
@@ -127,7 +128,9 @@ def cmd_simulate(args) -> int:
             raise CliError("either --preset or --spec is required")
         try:
             spec = mixture_spec_from_dict(read_json(args.spec))
-        except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+        except (
+            FileNotFoundError, KeyError, NotPositiveDefinite, TypeError, ValueError
+        ) as exc:
             raise CliError(f"invalid mixture spec: {exc}") from exc
         counts = None
         n = args.n if args.n is not None else 300

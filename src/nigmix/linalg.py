@@ -1,16 +1,17 @@
 """Small dense symmetric-positive-definite matrix kernel.
 
 All component scale matrices in the multivariate engine are tiny (d <= 64,
-and d <= 10 in every experiment), so the kernel favours clarity over
-blocking: dense row-major arrays, explicit symmetrization on construction,
-and a Cholesky that reports the offending pivot when positive definiteness
-fails so the caller can jitter or prune the component.
+and d <= 10 in every experiment): dense arrays, explicit symmetrization on
+construction, and a LAPACK Cholesky that reports the offending pivot when
+positive definiteness fails so the caller can jitter or prune the
+component.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefinite",
@@ -45,23 +46,22 @@ def as_spd(m, rtol: float = 1e-12) -> np.ndarray:
 
 
 def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = m.
+    """Lower-triangular L with L @ L.T = m, from LAPACK ``dpotrf``.
 
     Raises
     ------
     NotPositiveDefinite
         With the index of the first non-positive pivot.
     """
-    m = np.asarray(m, dtype=float)
-    d = m.shape[0]
-    L = np.zeros_like(m)
-    for j in range(d):
-        pivot = m[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > 0.0:
-            raise NotPositiveDefinite(j)
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            L[j + 1 :, j] = (m[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    L, info = dpotrf(np.asarray(m, dtype=float), lower=True, clean=True)
+    # dpotrf stops at the first non-positive pivot (info is its 1-based
+    # index) but lets a NaN pivot through with info = 0, so the diagonal of
+    # the factor before the reported pivot is checked as well.
+    ok = np.diag(L)[: info - 1 if info > 0 else None] > 0.0
+    if not ok.all():
+        raise NotPositiveDefinite(int(ok.argmin()))
+    if info > 0:
+        raise NotPositiveDefinite(info - 1)
     return L
 
 

@@ -157,6 +157,20 @@ class TestCliCommands:
         assert data.shape == (50, 1)
         assert set(np.unique(labels)) <= {1, 2}
 
+    def test_simulate_invalid_spec_exits_3(self, tmp_path):
+        mnig = {"type": "mnig", "mu_t": [0.0, 0.0], "beta_t": [0.0, 0.0],
+                "gamma_t": 1.0}
+        components = [
+            {**mnig, "sigma_t": [[1.0, 2.0], [2.0, 1.0]]},
+            {**mnig, "sigma_t": [[float("nan"), 0.0], [0.0, 1.0]]},
+            mnig,  # no sigma_t
+        ]
+        spec_path = tmp_path / "spec.json"
+        for comp in components:
+            write_json(spec_path, {"weights": [1.0], "components": [comp]})
+            assert main(["simulate", str(tmp_path / "x.csv"),
+                         "--spec", str(spec_path)]) == 3
+
     def test_simulate_requires_source(self, tmp_path):
         assert main(["simulate", str(tmp_path / "x.csv")]) == 3
 

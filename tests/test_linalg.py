@@ -25,10 +25,16 @@ class TestCholesky:
         assert np.allclose(cholesky(m), np.linalg.cholesky(m), atol=1e-10)
 
     def test_reports_pivot(self):
-        m = np.diag([1.0, 1.0, -1.0, 1.0])
-        with pytest.raises(NotPositiveDefinite) as exc:
-            cholesky(m)
-        assert exc.value.pivot_index == 2
+        cases = [
+            (np.diag([1.0, 1.0, -1.0, 1.0]), 2),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), 0),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
+            (np.diag([1.0, 1.0, np.nan]), 2),
+        ]
+        for m, pivot in cases:
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky(m)
+            assert exc.value.pivot_index == pivot
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
