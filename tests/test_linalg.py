@@ -1,4 +1,5 @@
-"""Dense SPD helpers, checked against numpy's native factorizations."""
+"""Dense SPD helpers, checked against numpy's native factorizations and a
+column-by-column Cholesky."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nigmix.linalg import (
     spd_inverse_logdet,
     spd_inverse_logdet_jittered,
 )
+from tests_support_naive import cholesky_loop
 
 
 def random_spd(d, seed):
@@ -23,6 +25,7 @@ class TestCholesky:
     def test_matches_numpy(self, d):
         m = random_spd(d, d)
         assert np.allclose(cholesky(m), np.linalg.cholesky(m), atol=1e-10)
+        assert np.allclose(cholesky(m), cholesky_loop(m), rtol=1e-13, atol=1e-13)
 
     def test_reports_pivot(self):
         cases = [
@@ -32,9 +35,10 @@ class TestCholesky:
             (np.diag([1.0, 1.0, np.nan]), 2),
         ]
         for m, pivot in cases:
-            with pytest.raises(NotPositiveDefinite) as exc:
-                cholesky(m)
-            assert exc.value.pivot_index == pivot
+            for factor in (cholesky, cholesky_loop):
+                with pytest.raises(NotPositiveDefinite) as exc:
+                    factor(m)
+                assert exc.value.pivot_index == pivot
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):

@@ -1,13 +1,14 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, pair-enumeration agreement index, set-partition
-enumeration, the expectation-level tilde map, and the inverse Gaussian
-density."""
+enumeration, the expectation-level tilde map, the inverse Gaussian
+density, and a column-by-column Cholesky."""
 
 import itertools
 import math
 
 import numpy as np
 
+from nigmix.linalg import NotPositiveDefinite
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
 from nigmix.vb_unig import ComponentHyper, flat_priors
 
@@ -141,3 +142,18 @@ def ig_density(u, delta: float, gamma: float):
         - 0.5 * (delta**2 / u + gamma**2 * u)
     )
     return np.exp(logf)
+
+
+def cholesky_loop(m):
+    """Lower Cholesky factor, one column at a time; raises
+    NotPositiveDefinite at the first pivot that is not > 0, NaN included."""
+    m = np.asarray(m, dtype=float)
+    d = m.shape[0]
+    L = np.zeros_like(m)
+    for j in range(d):
+        pivot = m[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > 0.0:
+            raise NotPositiveDefinite(j)
+        L[j, j] = math.sqrt(pivot)
+        L[j + 1 :, j] = (m[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
