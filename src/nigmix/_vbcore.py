@@ -9,7 +9,6 @@ their own update steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,9 +211,11 @@ def run_sweep(
         pruned_resp, hypers, removed = prune(
             new_resp, hypers, config.prune_threshold
         )
+        # A sweep whose pruning removed components has no change to report;
+        # None keeps the run record strict JSON, where inf would not.
         same_shape = not removed and pruned_resp.shape == resp.shape
         max_change = (
-            float(np.abs(pruned_resp - resp).max()) if same_shape else math.inf
+            float(np.abs(pruned_resp - resp).max()) if same_shape else None
         )
         if removed:
             keep = [g for g in range(new_resp.shape[1]) if g not in removed]

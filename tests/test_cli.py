@@ -125,6 +125,23 @@ class TestCliCommands:
         assert labels[0] == "label"
         assert len(labels) == 301
 
+    def test_fit_record_is_strict_json(self, tmp_path):
+        # study5 at seed 4 prunes during the fit, so the trace holds entries
+        # without a responsibility change.
+        csv_path = tmp_path / "sim.csv"
+        out_path = tmp_path / "fit.json"
+        assert main(["simulate", str(csv_path), "--preset", "study5",
+                     "--seed", "4"]) == 0
+        assert main(["fit", str(csv_path), str(out_path), "--model", "mnig",
+                     "--label-column", "label", "--seed", "0"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        record = json.loads(out_path.read_text(), parse_constant=reject)
+        changes = [e["max_resp_change"] for e in record["result"]["trace"]]
+        assert None in changes
+
     def test_fit_missing_input_exits_3(self, tmp_path):
         code = main(["fit", str(tmp_path / "none.csv"), str(tmp_path / "o.json")])
         assert code == 3
