@@ -170,9 +170,9 @@ def run_sweep(
 
     Components whose ``expectations`` raise DegenerateComponent are dropped
     before the responsibilities are updated.  Convergence means the largest
-    absolute responsibility change in a sweep without pruning fell below
-    ``config.tol``; hitting ``max_iter`` first flags the result instead of
-    raising.
+    absolute responsibility change in a sweep that neither dropped nor
+    pruned a component fell below ``config.tol``; hitting ``max_iter`` first
+    flags the result instead of raising.
     """
     resp, lat, priors = init(
         data, config.g_init, config.init_mode, config.hyper_init, config.seed
@@ -198,7 +198,8 @@ def run_sweep(
                 all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
         if not live:
             raise DegenerateFit("all components degenerate")
-        if len(live) < len(hypers):
+        dropped = len(live) < len(hypers)
+        if dropped:
             resp = resp[:, live]
             resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
             hypers = [hypers[g] for g in live]
@@ -211,9 +212,10 @@ def run_sweep(
         pruned_resp, hypers, removed = prune(
             new_resp, hypers, config.prune_threshold
         )
-        # A sweep whose pruning removed components has no change to report;
-        # None keeps the run record strict JSON, where inf would not.
-        same_shape = not removed and pruned_resp.shape == resp.shape
+        # A sweep that dropped or pruned components has no change to report:
+        # the drop re-slices ``resp`` before it is compared.  None keeps the
+        # run record strict JSON, where inf would not.
+        same_shape = not (dropped or removed)
         max_change = (
             float(np.abs(pruned_resp - resp).max()) if same_shape else None
         )

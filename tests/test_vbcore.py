@@ -31,3 +31,10 @@ def test_degenerate_component_drop(engine, model, preset, rep):
     assert 1 <= res.labels.min() and res.labels.max() <= g
     alive = [entry["g_alive"] for entry in res.trace]
     assert all(later <= earlier for earlier, later in zip(alive, alive[1:]))
+    # A sweep that loses a component reports no change and cannot converge.
+    for earlier, later in zip(res.trace, res.trace[1:]):
+        if later["g_alive"] < earlier["g_alive"]:
+            assert later["max_resp_change"] is None
+    assert res.converged
+    assert res.trace[-1]["max_resp_change"] is not None
+    assert res.trace[-1]["g_alive"] == res.trace[-2]["g_alive"]
