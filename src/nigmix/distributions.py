@@ -163,15 +163,19 @@ def gig_log_density(u, lam: float, chi: float, psi: float):
     )
 
 
-def gig_moments(lam: float, chi, psi):
+def gig_moments(lam: float, chi, psi, log_k=None):
     """First moment and inverse moment of GIG(lam, chi, psi).
 
     E[U]     = sqrt(chi/psi) K_{lam+1}(w) / K_lam(w),
     E[1/U]   = sqrt(psi/chi) K_{lam-1}(w) / K_lam(w),   w = sqrt(chi*psi).
 
-    Ratios are formed from log-scale Bessel values, so arguments deep in the
-    underflow region of the raw function are fine.  ``chi`` and ``psi``
-    broadcast elementwise.
+    With nu = |lam|, the two ratios are K_{|nu-1|}/K_nu and, through the
+    recurrence K_{nu+1} = K_{nu-1} + (2 nu / w) K_nu, the same ratio plus
+    2 nu / w; which moment takes which depends on the sign of lam.  Every
+    term is positive, and only the orders nu and |nu-1| are evaluated, on
+    the log scale, so arguments deep in the underflow region of the raw
+    function are fine.  ``chi`` and ``psi`` broadcast elementwise.
+    ``log_k``, when given, is log K_lam(w) already evaluated by the caller.
 
     Returns
     -------
@@ -181,12 +185,16 @@ def gig_moments(lam: float, chi, psi):
     psi = np.asarray(psi, dtype=float)
     if np.any(chi <= 0.0) or np.any(psi <= 0.0):
         raise ValueError("GIG moments require chi > 0 and psi > 0")
+    nu = abs(lam)
     omega = np.sqrt(chi * psi)
-    log_k0 = log_bessel_k(lam, omega)
-    half_log_ratio = 0.5 * (np.log(chi) - np.log(psi))
-    e_u = np.exp(half_log_ratio + log_bessel_k(lam + 1.0, omega) - log_k0)
-    e_uinv = np.exp(-half_log_ratio + log_bessel_k(lam - 1.0, omega) - log_k0)
-    return e_u, e_uinv
+    if log_k is None:
+        log_k = log_bessel_k(nu, omega)
+    down = np.exp(log_bessel_k(abs(nu - 1.0), omega) - log_k)
+    up = down + 2.0 * nu / omega
+    if lam < 0.0:
+        down, up = up, down
+    scale = np.sqrt(chi / psi)
+    return scale * up, down / scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,21 @@
 Everything Bessel-related is kept on the log scale: the inference loops
 multiply quantities whose product argument can push ``K_nu`` far below the
 smallest representable double, so the raw function value is never
-materialized.  ``scipy.special.kve`` (exponentially scaled) covers the bulk
-of the domain; an arbitrary-precision fallback handles the small-argument /
-large-order corner where even the scaled value overflows.
+materialized.  ``log_bessel_k`` works from the exponentially scaled
+``K_nu(x) e^x`` and dispatches on the order:
+
+* integer orders recurse upward from ``k0e`` / ``k1e``;
+* half-integer orders recurse upward from the closed form
+  ``K_{1/2}(x) e^x = sqrt(pi / (2x))``;
+* any other order goes through the generic ``kve``.
+
+Upward recurrence ``K_{m+1} = K_{m-1} + (2m/x) K_m`` is the stable direction
+for ``K`` and only adds positive terms.  Both the unig engine (order 1) and
+the mnig engine (order (d+1)/2) take one of the first two paths, which stay
+finite for every argument a double can hold, whereas ``kve`` gives NaN above
+x of about 1e9.  Every value that still comes out non-finite, which is the
+small-argument / large-order corner where even the scaled function
+overflows, is recomputed in arbitrary precision.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, gammaln, kve, psi
+from scipy.special import erfcx, gammaln, k0e, k1e, kve, psi
 
 __all__ = [
     "log_bessel_k",
@@ -53,7 +65,7 @@ def log_bessel_k(nu: float, x):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.asarray(np.log(kve(nu, x)) - x)
+        out = np.asarray(np.log(_scaled_k(nu, x)) - x)
 
     bad = ~np.isfinite(out)
     if np.any(bad):
@@ -64,9 +76,29 @@ def log_bessel_k(nu: float, x):
     return float(out) if scalar else out
 
 
+def _scaled_k(nu: float, x: np.ndarray):
+    """K_nu(x) e^x for nu >= 0, by order (see the module docstring)."""
+    if nu == 0.0:
+        return k0e(x)
+    if nu == 1.0:
+        return k1e(x)
+    if nu.is_integer():
+        m, lower, k = 1.0, k0e(x), k1e(x)
+    elif (nu - 0.5).is_integer():
+        # K_{-1/2} = K_{1/2}
+        m, lower = 0.5, np.sqrt(math.pi / (2.0 * x))
+        k = lower
+    else:
+        return kve(nu, x)
+    while m < nu:
+        lower, k = k, lower + (2.0 * m / x) * k
+        m += 1.0
+    return k
+
+
 def _log_k_mpmath(nu: float, x: float) -> float:
-    # kve overflowed: tiny x with large order.  Arbitrary precision is slow
-    # but this corner is never hit inside the fitting loops.
+    # The scaled value overflowed: tiny x with a large order.  Arbitrary
+    # precision is slow, so only the elements that need it come here.
     import mpmath as mp
 
     with mp.workdps(40):

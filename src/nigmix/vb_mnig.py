@@ -237,10 +237,9 @@ def expectations_from_hypers_m(
     )
 
 
-def component_log_scores_m(data: np.ndarray, b: ExpectationBundleM):
-    """Per-observation log marginal score of one component and the GIG
-    parameters of its latent posterior."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+def _log_score_terms_m(data: np.ndarray, b: ExpectationBundleM):
+    """Every term of ``component_log_scores_m`` but log K_lam(omega), plus
+    the GIG parameters (e_a, e_b) of the latent posterior."""
     d = data.shape[1]
     lam = -(d + 1) / 2.0
     centered = data - b.mu_bar
@@ -255,33 +254,45 @@ def component_log_scores_m(data: np.ndarray, b: ExpectationBundleM):
         + d * b.c_beta
     )
     e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
-    omega = np.sqrt(e_a * e_b)
-    scores = (
+    terms = (
         b.log_pi
         + 0.5 * b.elog_det_prec
         + e_c
         + math.log(2.0)
         + 0.5 * lam * (np.log(e_a) - math.log(e_b))
-        + log_bessel_k(lam, omega)
     )
-    return scores, e_a, e_b
+    return terms, e_a, e_b
+
+
+def component_log_scores_m(data: np.ndarray, b: ExpectationBundleM):
+    """Per-observation log marginal score of one component and the GIG
+    parameters of its latent posterior."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    lam = -(data.shape[1] + 1) / 2.0
+    terms, e_a, e_b = _log_score_terms_m(data, b)
+    return terms + log_bessel_k(lam, np.sqrt(e_a * e_b)), e_a, e_b
 
 
 def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM]):
-    """New responsibilities and order -(d+1)/2 GIG latent moments."""
+    """New responsibilities and order -(d+1)/2 GIG latent moments.
+
+    log K_lam is evaluated once over the whole (n, k) matrix and serves both
+    the scores and the latent moments.
+    """
     if not bundles:
         raise DegenerateFit("no live components")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
     lam = -(d + 1) / 2.0
     k = len(bundles)
-    log_scores = np.empty((n, k))
+    terms = np.empty((n, k))
     chi = np.empty((n, k))
     psi = np.empty(k)
     for g, b in enumerate(bundles):
-        log_scores[:, g], chi[:, g], psi[g] = component_log_scores_m(data, b)
-    resp, flags = normalize_log_scores(log_scores)
-    e_u, e_uinv = gig_moments(lam, chi, psi[None, :])
+        terms[:, g], chi[:, g], psi[g] = _log_score_terms_m(data, b)
+    log_k = log_bessel_k(lam, np.sqrt(chi * psi))
+    resp, flags = normalize_log_scores(terms + log_k)
+    e_u, e_uinv = gig_moments(lam, chi, psi[None, :], log_k)
     return resp, (e_u, e_uinv), flags
 
 

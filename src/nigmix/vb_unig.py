@@ -239,38 +239,48 @@ def expectations_from_hypers(
     )
 
 
-def component_log_scores(data: np.ndarray, b: ExpectationBundle):
-    """Log marginal score of one component at every observation, plus the
-    GIG parameters of the latent posterior."""
-    y = np.asarray(data, dtype=float).reshape(-1)
+def _log_score_terms(y: np.ndarray, b: ExpectationBundle):
+    """Every term of ``component_log_scores`` but log K_{-1}(omega), plus the
+    GIG parameters (e_a, e_b) of the latent posterior."""
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
     e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
-    omega = np.sqrt(e_a * e_b)
-    scores = (
+    terms = (
         b.log_pi
         + 0.5 * b.log_delta_sq
         + e_c
         + math.log(2.0)
         - 0.5 * (np.log(e_a) - math.log(e_b))
-        + log_bessel_k(-1.0, omega)
     )
-    return scores, e_a, e_b
+    return terms, e_a, e_b
+
+
+def component_log_scores(data: np.ndarray, b: ExpectationBundle):
+    """Log marginal score of one component at every observation, plus the
+    GIG parameters of the latent posterior."""
+    y = np.asarray(data, dtype=float).reshape(-1)
+    terms, e_a, e_b = _log_score_terms(y, b)
+    return terms + log_bessel_k(-1.0, np.sqrt(e_a * e_b)), e_a, e_b
 
 
 def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
-    """New responsibilities and latent GIG moments from the current bundles."""
+    """New responsibilities and latent GIG moments from the current bundles.
+
+    log K_{-1} is evaluated once over the whole (n, k) matrix and serves
+    both the scores and the latent moments.
+    """
     if not bundles:
         raise DegenerateFit("no live components")
     y = np.asarray(data, dtype=float).reshape(-1)
     n, k = y.shape[0], len(bundles)
-    log_scores = np.empty((n, k))
+    terms = np.empty((n, k))
     chi = np.empty((n, k))
     psi = np.empty(k)
     for g, b in enumerate(bundles):
-        log_scores[:, g], chi[:, g], psi[g] = component_log_scores(y, b)
-    resp, flags = normalize_log_scores(log_scores)
-    e_u, e_uinv = gig_moments(-1.0, chi, psi[None, :])
+        terms[:, g], chi[:, g], psi[g] = _log_score_terms(y, b)
+    log_k = log_bessel_k(-1.0, np.sqrt(chi * psi))
+    resp, flags = normalize_log_scores(terms + log_k)
+    e_u, e_uinv = gig_moments(-1.0, chi, psi[None, :], log_k)
     return resp, (e_u, e_uinv), flags
 
 

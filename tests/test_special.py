@@ -8,18 +8,20 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
+from nigmix import special
 from nigmix.special import (
     digamma,
     log_bessel_k,
     sqrt_gamma_moment,
     trunc_normal_moments,
 )
+from tests_support_naive import log_bessel_k_kve
 
 XS = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0]
 
 
 def log_k_half(x):
-    return 0.5 * math.log(math.pi / (2.0 * x)) - x
+    return 0.5 * np.log(np.pi / (2.0 * x)) - x
 
 
 class TestLogBesselK:
@@ -76,6 +78,35 @@ class TestLogBesselK:
         nu, x = 64.0, 1e-8
         expected = gammaln(nu) - math.log(2.0) + nu * math.log(2.0 / x)
         assert log_bessel_k(nu, x) == pytest.approx(expected, rel=1e-10)
+
+    def test_matches_kve(self):
+        # Integer and half-integer orders take the upward recurrence; the
+        # grid stops where kve still holds (x <= 1e9).
+        x = np.logspace(-3, 9, 400)
+        for nu in np.arange(0.0, 11.0, 0.5):
+            ref = log_bessel_k_kve(nu, x)
+            for order in (nu, -nu):
+                err = np.abs(log_bessel_k(order, x) - ref)
+                assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(ref))), order
+
+    def test_large_argument_without_fallback(self, monkeypatch):
+        # kve is NaN above x of about 1.07e9; the recurrence orders must not
+        # need the arbitrary-precision fallback there.  Reference: the
+        # Hankel expansion K_nu(x) e^x ~ sqrt(pi/(2x)) (1 + (4 nu^2 - 1)/(8x)).
+        def no_fallback(nu, x):
+            raise AssertionError(f"fallback reached at nu={nu}, x={x}")
+
+        monkeypatch.setattr(special, "_log_k_mpmath", no_fallback)
+        x = np.array([1.1e9, 1e10, 1e12])
+        for nu in (0.0, 1.0, 2.0, 1.5, 5.5, 6.5):
+            got = log_bessel_k(nu, x)
+            ref = (
+                log_k_half(x)
+                + np.log1p((4.0 * nu * nu - 1.0) / (8.0 * x))
+            )
+            assert np.all(np.isfinite(got))
+            # Resolution of a log value near -x is a few ulps of x.
+            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(x))
 
     def test_vectorized(self):
         xs = np.array(XS)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nigmix._vbcore import DegenerateComponent
+from nigmix import vb_mnig
+from nigmix._vbcore import DegenerateComponent, normalize_log_scores
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments, sample_mixture
 from nigmix.evaluation import adjusted_rand_index
@@ -30,6 +31,7 @@ from nigmix.vb_unig import (
     update_hypers,
     update_responsibilities,
 )
+from tests_support_naive import gig_moments_kve, log_bessel_k_kve, random_m
 
 
 def random_state(seed, n=20, k=2, d=3):
@@ -203,6 +205,25 @@ class TestScores:
         ref_u, ref_uinv = gig_moments(lam, ea0, eb0)
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
+
+    def test_one_sweep_matches_kve_reference(self, monkeypatch):
+        data, resp0, lat, priors = random_m(7)
+        hypers = update_hypers_m(priors, resp0, lat, data)
+        total = sum(h.a0 for h in hypers)
+        bundles = [expectations_from_hypers_m(h, total) for h in hypers]
+        resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
+        # Reference: log K through kve in every score, moments from three
+        # kve orders.
+        monkeypatch.setattr(vb_mnig, "log_bessel_k", log_bessel_k_kve)
+        cols = [component_log_scores_m(data, b) for b in bundles]
+        ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+        ref_u, ref_uinv = gig_moments_kve(
+            -(data.shape[1] + 1) / 2.0,
+            np.column_stack([c[1] for c in cols]),
+            np.array([c[2] for c in cols]),
+        )
+        for got, ref in ((resp, ref_resp), (e_u, ref_u), (e_uinv, ref_uinv)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def unig_bundle_to_mnig(b) -> ExpectationBundleM:

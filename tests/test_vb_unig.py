@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from nigmix._vbcore import DegenerateComponent, DegenerateFit
+from nigmix import special, vb_unig
+from nigmix._vbcore import DegenerateComponent, DegenerateFit, normalize_log_scores
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments
 from nigmix.evaluation import adjusted_rand_index
@@ -26,6 +27,7 @@ from nigmix.vb_unig import (
     update_hypers,
     update_responsibilities,
 )
+from tests_support_naive import gig_moments_kve, log_bessel_k_kve, random_u
 
 
 def random_state(seed, n=25, k=3):
@@ -215,6 +217,23 @@ class TestScoresAndResponsibilities:
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
 
+    def test_one_sweep_matches_kve_reference(self, monkeypatch):
+        data, resp0, lat, priors = random_u(4)
+        hypers = update_hypers(priors, resp0, lat, data)
+        total = sum(h.a0 for h in hypers)
+        bundles = [expectations_from_hypers(h, total) for h in hypers]
+        resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
+        # Reference: log K through kve in every score, moments from three
+        # kve orders.
+        monkeypatch.setattr(vb_unig, "log_bessel_k", log_bessel_k_kve)
+        cols = [component_log_scores(data, b) for b in bundles]
+        ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+        ref_u, ref_uinv = gig_moments_kve(
+            -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
+        )
+        for got, ref in ((resp, ref_resp), (e_u, ref_u), (e_uinv, ref_uinv)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
     def test_component_permutation_equivariance(self):
         data, resp0, lat, priors = random_state(6)
         hypers = update_hypers(priors, resp0, lat, data)
@@ -259,6 +278,19 @@ class TestFit:
         assert res.n_components == 2
         assert res.converged
         assert adjusted_rand_index(s.labels, res.labels) > 0.95
+
+    def test_large_bessel_argument_needs_no_fallback(self, monkeypatch):
+        # study2 replicate 7 drives the Bessel argument past 1e9, where kve
+        # gives NaN and every element used to go through mpmath.
+        def no_fallback(nu, x):
+            raise AssertionError(f"fallback reached at nu={nu}, x={x}")
+
+        monkeypatch.setattr(special, "_log_k_mpmath", no_fallback)
+        spec, counts = simulation_preset("study2")
+        s = sample_mixture(spec, sum(counts), seed=1007, counts=counts)
+        res = fit(s.observations, FitConfig(model="unig", g_init=10, seed=7))
+        assert np.all(np.isfinite(res.resp))
+        assert np.abs(res.resp.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_determinism(self):
         spec, counts = simulation_preset("study1")

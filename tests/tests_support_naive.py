@@ -1,12 +1,14 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, pair-enumeration agreement index, set-partition
 enumeration, the expectation-level tilde map, the inverse Gaussian
-density, and a column-by-column Cholesky."""
+density, a column-by-column Cholesky, and log-scale Bessel K and GIG
+moments through the generic ``kve`` at three orders."""
 
 import itertools
 import math
 
 import numpy as np
+from scipy.special import kve
 
 from nigmix.linalg import NotPositiveDefinite
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
@@ -157,3 +159,21 @@ def cholesky_loop(m):
         L[j, j] = math.sqrt(pivot)
         L[j + 1 :, j] = (m[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
     return L
+
+
+def log_bessel_k_kve(nu, x):
+    """log K_nu(x) from the exponentially scaled generic ``kve``; NaN where
+    ``kve`` is (above x of about 1e9) and inf where it overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.log(kve(abs(nu), np.asarray(x, dtype=float))) - x
+
+
+def gig_moments_kve(lam, chi, psi):
+    """E[U] and E[1/U] of GIG(lam, chi, psi) from K at orders lam - 1, lam
+    and lam + 1, each through ``kve``."""
+    omega = np.sqrt(chi * psi)
+    log_k = log_bessel_k_kve(lam, omega)
+    half_log_ratio = 0.5 * (np.log(chi) - np.log(psi))
+    e_u = np.exp(half_log_ratio + log_bessel_k_kve(lam + 1.0, omega) - log_k)
+    e_uinv = np.exp(-half_log_ratio + log_bessel_k_kve(lam - 1.0, omega) - log_k)
+    return e_u, e_uinv
