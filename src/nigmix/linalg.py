@@ -10,8 +10,7 @@ component.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 __all__ = [
     "NotPositiveDefinite",
@@ -66,14 +65,15 @@ def cholesky(m) -> np.ndarray:
 
 
 def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix via Cholesky."""
-    m = np.asarray(m, dtype=float)
+    """Inverse and log-determinant of an SPD matrix via Cholesky; LAPACK
+    ``dpotri`` forms the inverse from the factor."""
     L = cholesky(m)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    eye = np.eye(m.shape[0])
-    linv = solve_triangular(L, eye, lower=True)
-    inv = linv.T @ linv
-    return 0.5 * (inv + inv.T), logdet
+    inv, info = dpotri(L, lower=True)
+    if info > 0:
+        raise NotPositiveDefinite(info - 1)
+    # dpotri writes the lower triangle only.
+    return np.tril(inv) + np.tril(inv, -1).T, logdet
 
 
 def spd_inverse_logdet_jittered(m) -> tuple[np.ndarray, float]:

@@ -51,7 +51,17 @@ class TestInverseLogdet:
         m = random_spd(d, 100 + d)
         inv, logdet = spd_inverse_logdet(m)
         assert np.allclose(inv, np.linalg.inv(m), atol=1e-9)
+        assert np.array_equal(inv, inv.T)
         assert logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
+
+    def test_reports_pivot(self):
+        for m, pivot in [
+            (np.diag([1.0, 1.0, -1.0, 1.0]), 2),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
+        ]:
+            with pytest.raises(NotPositiveDefinite) as exc:
+                spd_inverse_logdet(m)
+            assert exc.value.pivot_index == pivot
 
     def test_jitter_recovers_near_singular(self):
         # Rank-deficient up to rounding; the scaled jitter must rescue it.
