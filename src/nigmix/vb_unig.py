@@ -17,6 +17,7 @@ ones until pruning removes them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,15 @@ def _posterior_mu_beta(h: ComponentHyper):
     return mu_bar, beta_bar, s2_mu, s2_beta, cov
 
 
+@functools.cache
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``_gamma_moments``, built on
+    first use and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gamma_moments(h: ComponentHyper, e_delta: float, e_delta_sq: float):
     """E[gamma], E[gamma^2], E[delta*gamma] under the conditional
     truncated-normal posterior of the tail weight.
@@ -196,7 +206,7 @@ def _gamma_moments(h: ComponentHyper, e_delta: float, e_delta_sq: float):
     rate = h.gamma_rate
     lo = gamma_dist.ppf(1e-10, shape, scale=1.0 / rate)
     hi = gamma_dist.ppf(1.0 - 1e-10, shape, scale=1.0 / rate)
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, weights = _legendre_nodes()
     t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = weights * 0.5 * (hi - lo) * gamma_dist.pdf(t, shape, scale=1.0 / rate)
     w /= w.sum()
