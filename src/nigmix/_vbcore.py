@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FitConfig
+from .special import log_bessel_k
 
 __all__ = [
     "DegenerateComponent",
     "DegenerateFit",
     "FitResult",
+    "gig_log_k",
     "initial_partition",
     "kmeans_labels",
     "normalize_log_scores",
@@ -33,7 +35,7 @@ class DegenerateComponent(Exception):
 
 
 class DegenerateFit(Exception):
-    """Every component was pruned; no usable fit exists."""
+    """Every component was pruned, or a score lost its Bessel argument."""
 
 
 @dataclass
@@ -132,6 +134,20 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
     return resp, flags
 
 
+def gig_log_k(lam: float, chi: np.ndarray, psi) -> np.ndarray:
+    """log K_lam(sqrt(chi * psi)) over a sweep's (n, k) latent posteriors.
+
+    Cancellation at a far outlier can leave an argument that is zero or not
+    finite: the first such column raises DegenerateComponent(column, reason).
+    """
+    omega = np.sqrt(chi * psi)
+    try:
+        return log_bessel_k(lam, omega)
+    except ValueError as exc:
+        column = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=0)))
+        raise DegenerateComponent(column, str(exc)) from None
+
+
 def prune(resp: np.ndarray, hypers: list, threshold: float = 1.0):
     """Drop components whose effective count falls below the threshold.
 
@@ -169,7 +185,8 @@ def run_sweep(
     """Run one engine's variational sweep to convergence.
 
     Components whose ``expectations`` raise DegenerateComponent are dropped
-    before the responsibilities are updated.  Convergence means the largest
+    before the responsibilities are updated; ``responsibilities`` raising
+    DegenerateComponent(column, reason) ends the fit with DegenerateFit.  Convergence means the largest
     absolute responsibility change in a sweep that neither dropped nor
     pruned a component fell below ``config.tol``; hitting ``max_iter`` first
     flags the result instead of raising.
@@ -206,7 +223,11 @@ def run_sweep(
             priors = [priors[g] for g in live]
             ids = [ids[g] for g in live]
 
-        new_resp, lat, flags = responsibilities(data, bundles)
+        try:
+            new_resp, lat, flags = responsibilities(data, bundles)
+        except DegenerateComponent as exc:
+            column, reason = exc.args
+            raise DegenerateFit(f"component {ids[column]}: {reason}") from exc
         all_flags.extend(flags)
 
         pruned_resp, hypers, removed = prune(

@@ -183,7 +183,7 @@ def gig_moments(lam: float, chi, psi, log_k=None):
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if np.any(chi <= 0.0) or np.any(psi <= 0.0):
+    if not (chi.min() > 0.0 and psi.min() > 0.0):
         raise ValueError("GIG moments require chi > 0 and psi > 0")
     nu = abs(lam)
     omega = np.sqrt(chi * psi)
@@ -236,7 +236,7 @@ def mnig_log_density(y, p: MNIGParams):
     siginv, logdet = spd_inverse_logdet(p.sigma_t)
     lam = -(d + 1) / 2.0
     centered = y - p.mu_t
-    mahal = np.einsum("ij,jk,ik->i", centered, siginv, centered)
+    mahal = np.einsum("ij,ij->i", centered @ siginv, centered)
     chi = 1.0 + mahal
     psi = p.gamma_t**2 + float(p.beta_t @ siginv @ p.beta_t)
     omega = np.sqrt(chi * psi)

@@ -61,7 +61,8 @@ def log_bessel_k(nu: float, x):
         raise ValueError(f"order out of range: {nu}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    # The minimum is NaN when any element is, so NaN fails here too.
+    if not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
     with np.errstate(over="ignore", divide="ignore"):
@@ -106,7 +107,10 @@ def _log_k_mpmath(nu: float, x: float) -> float:
 
 
 def digamma(x):
-    """Digamma function Psi(x) for x > 0."""
+    """Digamma function Psi(x) for x > 0; a float (``np.float64`` too) skips
+    the array checks, which cost far more than ``psi`` on a scalar."""
+    if isinstance(x, float) and math.isfinite(x) and x > 0.0:
+        return float(psi(x))
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
         raise ValueError("digamma requires x > 0")

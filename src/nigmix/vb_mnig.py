@@ -30,6 +30,7 @@ from ._vbcore import (
     DegenerateComponent,
     DegenerateFit,
     FitResult,
+    gig_log_k,
     initial_partition,
     normalize_log_scores,
     run_sweep,
@@ -159,7 +160,7 @@ def init_fit_m(
             prec, _ = spd_inverse_logdet_jittered(cov)
         except NotPositiveDefinite:
             prec = np.eye(d) / (np.trace(cov) / d)
-        chi[:, g] = 1.0 + np.einsum("ij,jk,ik->i", centered, prec, centered)
+        chi[:, g] = 1.0 + np.einsum("ij,ij->i", centered @ prec, centered)
     e_u, e_uinv = gig_moments(lam, chi, np.ones_like(chi))
     cov_trace = float(np.trace(np.atleast_2d(np.cov(data.T))))
     priors = flat_priors_m(g_init, d, hyper_init, cov_trace)
@@ -245,7 +246,7 @@ def _log_score_terms_m(data: np.ndarray, b: ExpectationBundleM):
     centered = data - b.mu_bar
     e_a = (
         1.0
-        + np.einsum("ij,jk,ik->i", centered, b.e_prec, centered)
+        + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
         + d * b.c_mu
     )
     e_b = (
@@ -290,7 +291,7 @@ def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM
     psi = np.empty(k)
     for g, b in enumerate(bundles):
         terms[:, g], chi[:, g], psi[g] = _log_score_terms_m(data, b)
-    log_k = log_bessel_k(lam, np.sqrt(chi * psi))
+    log_k = gig_log_k(lam, chi, psi)
     resp, flags = normalize_log_scores(terms + log_k)
     e_u, e_uinv = gig_moments(lam, chi, psi[None, :], log_k)
     return resp, (e_u, e_uinv), flags

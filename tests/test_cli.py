@@ -157,6 +157,22 @@ class TestCliCommands:
         assert main(["fit", str(p), str(tmp_path / "o.json"),
                      "--model", "unig"]) == 3
 
+    def test_fit_far_outlier_exits_4(self, tmp_path, capsys):
+        # At 1e8 the score's e_a cancels to zero, so the latent posterior
+        # of one component has no valid Bessel argument.
+        csv_path = tmp_path / "sim.csv"
+        assert main(["simulate", str(csv_path), "--preset", "study1",
+                     "--seed", "4"]) == 0
+        with open(csv_path, "a", encoding="utf-8") as fh:
+            fh.write("100000000.0,1\n")
+        capsys.readouterr()
+        code = main(["fit", str(csv_path), str(tmp_path / "fit.json"),
+                     "--label-column", "label"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: degenerate fit: component ")
+
     def test_simulate_custom_spec(self, tmp_path):
         spec = MixtureSpec(
             weights=[0.4, 0.6],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import psi
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -122,6 +123,9 @@ class TestLogBesselK:
             log_bessel_k(1.0, -1.0)
         with pytest.raises(ValueError):
             log_bessel_k(1.0, math.nan)
+        for bad in (math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
+            with pytest.raises(ValueError):
+                log_bessel_k(1.0, bad)
         with pytest.raises(ValueError):
             log_bessel_k(100.0, 1.0)
 
@@ -138,10 +142,21 @@ class TestDigamma:
         assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-2.0)
+        for bad in (0.0, -2.0, math.nan, math.inf, -math.inf):
+            for x in (bad, np.float64(bad), np.array(bad)):
+                with pytest.raises(ValueError):
+                    digamma(x)
+
+    def test_scalar_and_array_inputs_agree_with_psi(self):
+        for x in (1e-3, 0.5, 1.0, 3.7, 1e6):
+            ref = psi(x)
+            for arg in (x, np.float64(x)):
+                got = digamma(arg)
+                assert type(got) is float
+                assert got == ref
+            assert digamma(np.array(x)) == ref
+        xs = np.array([0.25, 2.0, 40.0])
+        assert np.array_equal(digamma(xs), psi(xs))
 
 
 class TestTruncNormalMoments:

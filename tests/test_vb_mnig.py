@@ -15,11 +15,9 @@ from nigmix.evaluation import adjusted_rand_index
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import (
     ComponentHyperM,
-    ExpectationBundleM,
     component_log_scores_m,
     expectations_from_hypers_m,
     fit_m,
-    flat_priors_m,
     init_fit_m,
     posterior_means,
     update_hypers_m,
@@ -31,60 +29,21 @@ from nigmix.vb_unig import (
     update_hypers,
     update_responsibilities,
 )
-from tests_support_naive import gig_moments_kve, log_bessel_k_kve, random_m
-
-
-def random_state(seed, n=20, k=2, d=3):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(0.0, 2.0, (n, d))
-    resp = rng.dirichlet(np.ones(k), size=n)
-    e_u = rng.uniform(0.3, 2.5, (n, k))
-    e_uinv = 1.0 / e_u + rng.uniform(0.05, 0.8, (n, k))
-    priors = flat_priors_m(k, d, 1e-8, float(np.trace(np.cov(data.T))))
-    return data, resp, (e_u, e_uinv), priors
-
-
-def naive_update(priors, resp, lat, data):
-    """Literal summation mirror of the conjugate updates (no 1/2 factors on
-    the scalar latent accumulators, unlike the univariate engine)."""
-    e_u, e_uinv = lat
-    n, d = data.shape
-    out = []
-    for g, p in enumerate(priors):
-        a0, a3, a4 = p.a0, p.a3, p.a4
-        a1 = p.a1.copy()
-        a2 = p.a2.copy()
-        scatter = np.zeros((d, d))
-        for i in range(n):
-            z = resp[i, g]
-            a0 += z
-            a1 = a1 + z * data[i]
-            a2 = a2 + z * e_uinv[i, g] * data[i]
-            a3 += z * e_u[i, g]
-            a4 += z * e_uinv[i, g]
-            scatter += z * e_uinv[i, g] * np.outer(data[i], data[i])
-        D = a3 * a4 - a0**2
-        mu = (a3 * a2 - a0 * a1) / D
-        beta = (a4 * a1 - a0 * a2) / D
-        V = (
-            p.V
-            + scatter
-            - np.outer(a2, mu) - np.outer(mu, a2)
-            + a4 * np.outer(mu, mu)
-            - np.outer(beta, a1) - np.outer(a1, beta)
-            + a0 * (np.outer(beta, mu) + np.outer(mu, beta))
-            + a3 * np.outer(beta, beta)
-        )
-        out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
-    return out
+from tests_support_naive import (
+    gig_moments_kve,
+    log_bessel_k_kve,
+    naive_update_m,
+    random_m,
+    unig_bundle_to_mnig,
+)
 
 
 class TestUpdateHypers:
     def test_matches_naive_summation(self):
         for seed in range(20):
-            data, resp, lat, priors = random_state(seed)
+            data, resp, lat, priors = random_m(seed)
             fast = update_hypers_m(priors, resp, lat, data)
-            slow = naive_update(priors, resp, lat, data)
+            slow = naive_update_m(priors, resp, lat, data)
             for f, s in zip(fast, slow):
                 assert f.a0 == pytest.approx(s.a0, rel=1e-12)
                 assert f.a3 == pytest.approx(s.a3, rel=1e-12)
@@ -94,12 +53,12 @@ class TestUpdateHypers:
                 assert np.allclose(f.V, s.V, rtol=1e-10, atol=1e-10)
 
     def test_scale_accumulator_symmetric(self):
-        data, resp, lat, priors = random_state(3)
+        data, resp, lat, priors = random_m(3)
         for h in update_hypers_m(priors, resp, lat, data):
             assert np.array_equal(h.V, h.V.T)
 
     def test_count_mass(self):
-        data, resp, lat, priors = random_state(0)
+        data, resp, lat, priors = random_m(0)
         hypers = update_hypers_m(priors, resp, lat, data)
         total = sum(h.a0 for h in hypers)
         assert total == pytest.approx(
@@ -108,7 +67,7 @@ class TestUpdateHypers:
 
 
 def example_hyper(seed=1):
-    data, resp, lat, priors = random_state(seed)
+    data, resp, lat, priors = random_m(seed)
     return update_hypers_m(priors, resp, lat, data)[0]
 
 
@@ -193,7 +152,7 @@ class TestScores:
             assert sc == pytest.approx(ref, rel=1e-9)
 
     def test_responsibility_normalization_and_latents(self):
-        data, resp0, lat, priors = random_state(7)
+        data, resp0, lat, priors = random_m(7)
         hypers = update_hypers_m(priors, resp0, lat, data)
         total = sum(h.a0 for h in hypers)
         bundles = [expectations_from_hypers_m(h, total) for h in hypers]
@@ -224,23 +183,6 @@ class TestScores:
         )
         for got, ref in ((resp, ref_resp), (e_u, ref_u), (e_uinv, ref_uinv)):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-
-
-def unig_bundle_to_mnig(b) -> ExpectationBundleM:
-    """Tilde map at the expectation level: scale = exp(E[log delta^2])."""
-    s = math.exp(b.log_delta_sq)
-    return ExpectationBundleM(
-        log_pi=b.log_pi,
-        elog_det_prec=-b.log_delta_sq,
-        e_prec=np.array([[1.0 / s]]),
-        mu_bar=np.array([b.mu]),
-        beta_bar=np.array([s * b.beta]),
-        c_mu=(b.delta_sq - s + b.var_mu) / s,
-        c_beta=s * b.var_beta,
-        c_cross=-b.cov_mu_beta,
-        gamma_t=b.delta_gamma,
-        gamma_t_sq=s * b.gamma_sq,
-    )
 
 
 class TestCrossEngine:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from nigmix import special, vb_unig
+from nigmix import _vbcore, special
 from nigmix._vbcore import DegenerateComponent, DegenerateFit, normalize_log_scores
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments
@@ -27,42 +27,21 @@ from nigmix.vb_unig import (
     update_hypers,
     update_responsibilities,
 )
-from tests_support_naive import gig_moments_kve, log_bessel_k_kve, random_u
-
-
-def random_state(seed, n=25, k=3):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(0.0, 3.0, n)
-    resp = rng.dirichlet(np.ones(k), size=n)
-    e_u = rng.uniform(0.2, 3.0, (n, k))
-    e_uinv = 1.0 / e_u + rng.uniform(0.05, 1.0, (n, k))
-    priors = flat_priors(k, 1e-8)
-    return data, resp, (e_u, e_uinv), priors
-
-
-def naive_update(priors, resp, lat, data):
-    """Literal per-observation summation, kept deliberately loop-based."""
-    e_u, e_uinv = lat
-    out = []
-    for g, p in enumerate(priors):
-        a0, a1, a2, a3, a4 = p.a0, p.a1, p.a2, p.a3, p.a4
-        for i in range(len(data)):
-            z = resp[i, g]
-            a0 += z
-            a1 += z * data[i]
-            a2 += z * e_uinv[i, g] * data[i]
-            a3 += 0.5 * z * e_u[i, g]
-            a4 += 0.5 * z * e_uinv[i, g]
-        out.append(ComponentHyper(a0, a1, a2, a3, a4))
-    return out
+from tests_support_naive import (
+    gig_moments_kve,
+    log_bessel_k_kve,
+    log_score_u,
+    naive_update_u,
+    random_u,
+)
 
 
 class TestUpdateHypers:
     def test_matches_naive_summation(self):
         for seed in range(20):
-            data, resp, lat, priors = random_state(seed)
+            data, resp, lat, priors = random_u(seed)
             fast = update_hypers(priors, resp, lat, data)
-            slow = naive_update(priors, resp, lat, data)
+            slow = naive_update_u(priors, resp, lat, data)
             for f, s in zip(fast, slow):
                 for name in ("a0", "a1", "a2", "a3", "a4"):
                     assert getattr(f, name) == pytest.approx(
@@ -70,7 +49,7 @@ class TestUpdateHypers:
                     )
 
     def test_count_mass(self):
-        data, resp, lat, priors = random_state(0)
+        data, resp, lat, priors = random_u(0)
         hypers = update_hypers(priors, resp, lat, data)
         total = sum(h.a0 for h in hypers)
         assert total == pytest.approx(
@@ -79,7 +58,7 @@ class TestUpdateHypers:
 
 
 def example_hyper():
-    data, resp, lat, priors = random_state(1)
+    data, resp, lat, priors = random_u(1)
     return update_hypers(priors, resp, lat, data)[0]
 
 
@@ -198,7 +177,7 @@ class TestScoresAndResponsibilities:
             assert sc == pytest.approx(ref, rel=1e-9)
 
     def test_responsibilities_softmax_and_latents(self):
-        data, resp0, lat, priors = random_state(4)
+        data, resp0, lat, priors = random_u(4)
         hypers = update_hypers(priors, resp0, lat, data)
         total = sum(h.a0 for h in hypers)
         bundles = [expectations_from_hypers(h, total) for h in hypers]
@@ -217,6 +196,28 @@ class TestScoresAndResponsibilities:
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
 
+    def test_responsibilities_equal_stacked_component_scores(self):
+        # The sweep scores all components in one broadcast.  Each column
+        # must be bit for bit the score of that component alone, which is
+        # the one-bundle formula evaluated term by term.
+        for seed in (4, 6):
+            data, resp0, lat, priors = random_u(seed)
+            hypers = update_hypers(priors, resp0, lat, data)
+            total = sum(h.a0 for h in hypers)
+            bundles = [expectations_from_hypers(h, total) for h in hypers]
+            resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
+            cols = [component_log_scores(data, b) for b in bundles]
+            for col, b in zip(cols, bundles):
+                for got, ref in zip(col, log_score_u(data, b)):
+                    assert np.array_equal(got, ref)
+            ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+            ref_u, ref_uinv = gig_moments(
+                -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
+            )
+            assert np.array_equal(resp, ref_resp)
+            assert np.array_equal(e_u, ref_u)
+            assert np.array_equal(e_uinv, ref_uinv)
+
     def test_one_sweep_matches_kve_reference(self, monkeypatch):
         data, resp0, lat, priors = random_u(4)
         hypers = update_hypers(priors, resp0, lat, data)
@@ -225,7 +226,7 @@ class TestScoresAndResponsibilities:
         resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
         # Reference: log K through kve in every score, moments from three
         # kve orders.
-        monkeypatch.setattr(vb_unig, "log_bessel_k", log_bessel_k_kve)
+        monkeypatch.setattr(_vbcore, "log_bessel_k", log_bessel_k_kve)
         cols = [component_log_scores(data, b) for b in bundles]
         ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
@@ -235,7 +236,7 @@ class TestScoresAndResponsibilities:
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_component_permutation_equivariance(self):
-        data, resp0, lat, priors = random_state(6)
+        data, resp0, lat, priors = random_u(6)
         hypers = update_hypers(priors, resp0, lat, data)
         total = sum(h.a0 for h in hypers)
         bundles = [expectations_from_hypers(h, total) for h in hypers]

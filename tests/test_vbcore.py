@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nigmix._vbcore import DegenerateComponent, gig_log_k
 from nigmix.config import FitConfig
 from nigmix.distributions import sample_mixture
 from nigmix.presets import simulation_preset
@@ -38,3 +39,13 @@ def test_degenerate_component_drop(engine, model, preset, rep):
     assert res.converged
     assert res.trace[-1]["max_resp_change"] is not None
     assert res.trace[-1]["g_alive"] == res.trace[-2]["g_alive"]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_gig_log_k_names_the_column(bad):
+    chi = np.full((4, 3), 2.0)
+    chi[1, 2] = bad
+    with pytest.raises(DegenerateComponent) as info:
+        gig_log_k(-1.5, chi, np.array([1.0, 2.0, 3.0]))
+    assert info.value.args[0] == 2

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import kve
 
 from nigmix.linalg import NotPositiveDefinite
+from nigmix.special import log_bessel_k
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
 from nigmix.vb_unig import ComponentHyper, flat_priors
 
@@ -48,6 +49,23 @@ def naive_update_u(priors, resp, lat, data):
             a4 += 0.5 * z * e_uinv[i, g]
         out.append(ComponentHyper(a0, a1, a2, a3, a4))
     return out
+
+
+def log_score_u(y, b):
+    """One component's univariate log score and GIG parameters (e_a, e_b),
+    written out for a single bundle in the order the engine evaluates it."""
+    e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
+    e_b = b.gamma_sq + b.beta_sq
+    e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
+    score = (
+        b.log_pi
+        + 0.5 * b.log_delta_sq
+        + e_c
+        + math.log(2.0)
+        - 0.5 * (np.log(e_a) - math.log(e_b))
+        + log_bessel_k(-1.0, np.sqrt(e_a * e_b))
+    )
+    return score, e_a, e_b
 
 
 def naive_update_m(priors, resp, lat, data):
