@@ -135,17 +135,18 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
 
 
 def gig_log_k(lam: float, chi: np.ndarray, psi) -> np.ndarray:
-    """log K_lam(sqrt(chi * psi)) over a sweep's (n, k) latent posteriors.
+    """log K_lam(sqrt(chi * psi)) over a sweep's latent posteriors, one row
+    per component: chi is (k, n) and psi (k, 1).
 
     Cancellation at a far outlier can leave an argument that is zero or not
-    finite: the first such column raises DegenerateComponent(column, reason).
+    finite: the first such row raises DegenerateComponent(row, reason).
     """
     omega = np.sqrt(chi * psi)
     try:
         return log_bessel_k(lam, omega)
     except ValueError as exc:
-        column = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=0)))
-        raise DegenerateComponent(column, str(exc)) from None
+        row = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=1)))
+        raise DegenerateComponent(row, str(exc)) from None
 
 
 def prune(resp: np.ndarray, hypers: list, threshold: float = 1.0):
@@ -186,7 +187,8 @@ def run_sweep(
 
     Components whose ``expectations`` raise DegenerateComponent are dropped
     before the responsibilities are updated; ``responsibilities`` raising
-    DegenerateComponent(column, reason) ends the fit with DegenerateFit.  Convergence means the largest
+    DegenerateComponent(g, reason) for component g ends the fit with
+    DegenerateFit.  Convergence means the largest
     absolute responsibility change in a sweep that neither dropped nor
     pruned a component fell below ``config.tol``; hitting ``max_iter`` first
     flags the result instead of raising.
@@ -226,8 +228,8 @@ def run_sweep(
         try:
             new_resp, lat, flags = responsibilities(data, bundles)
         except DegenerateComponent as exc:
-            column, reason = exc.args
-            raise DegenerateFit(f"component {ids[column]}: {reason}") from exc
+            g, reason = exc.args
+            raise DegenerateFit(f"component {ids[g]}: {reason}") from exc
         all_flags.extend(flags)
 
         pruned_resp, hypers, removed = prune(

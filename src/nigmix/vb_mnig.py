@@ -277,8 +277,8 @@ def component_log_scores_m(data: np.ndarray, b: ExpectationBundleM):
 def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM]):
     """New responsibilities and order -(d+1)/2 GIG latent moments.
 
-    log K_lam is evaluated once over the whole (n, k) matrix and serves both
-    the scores and the latent moments.
+    log K_lam is evaluated once over all (component, observation) pairs and
+    serves both the scores and the latent moments.
     """
     if not bundles:
         raise DegenerateFit("no live components")
@@ -286,15 +286,16 @@ def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM
     n, d = data.shape
     lam = -(d + 1) / 2.0
     k = len(bundles)
-    terms = np.empty((n, k))
-    chi = np.empty((n, k))
-    psi = np.empty(k)
+    # One row per component, as in the univariate engine.
+    terms = np.empty((k, n))
+    chi = np.empty((k, n))
+    psi = np.empty((k, 1))
     for g, b in enumerate(bundles):
-        terms[:, g], chi[:, g], psi[g] = _log_score_terms_m(data, b)
+        terms[g], chi[g], psi[g] = _log_score_terms_m(data, b)
     log_k = gig_log_k(lam, chi, psi)
-    resp, flags = normalize_log_scores(terms + log_k)
-    e_u, e_uinv = gig_moments(lam, chi, psi[None, :], log_k)
-    return resp, (e_u, e_uinv), flags
+    resp, flags = normalize_log_scores((terms + log_k).T.copy())
+    e_u, e_uinv = gig_moments(lam, chi, psi, log_k)
+    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
 
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:

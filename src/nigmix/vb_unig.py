@@ -253,11 +253,14 @@ def expectations_from_hypers(
 
 
 def _log_scores(y: np.ndarray, bundles: list[ExpectationBundle]):
-    """Log scores (n, k), latent GIG parameters chi (n, k) and psi (k,), and
-    log K_{-1}(omega); each column takes the floating-point steps of one
-    bundle alone, so it does not depend on the other bundles."""
-    b = ExpectationBundle(*np.array([list(vars(b).values()) for b in bundles]).T)
-    y = y[:, None]
+    """Log scores, latent GIG parameters chi and psi, and log K_{-1}(omega),
+    one row per bundle: (k, n), (k, n), (k, 1) and (k, n).  Each row takes
+    the floating-point steps of one bundle alone, so it does not depend on
+    the other bundles."""
+    # One bundle whose fields are (k, 1) columns: every broadcast then runs
+    # along n, where a (k,) inner axis would cost a loop turn per row.
+    fields = np.array([list(vars(c).values()) for c in bundles]).T
+    b = ExpectationBundle(*fields[..., None])
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
     # Checked before np.log(e_a), which would warn on a cancelled e_a.
@@ -265,7 +268,7 @@ def _log_scores(y: np.ndarray, bundles: list[ExpectationBundle]):
     e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
     # math.log, not np.log, which differs from it in the last bit on about
     # 1e-4 of arguments: study2 responsibilities would move by up to 5e-11.
-    log_e_b = np.array([math.log(v) for v in e_b])
+    log_e_b = np.array([math.log(v) for v in e_b.flat])[:, None]
     scores = (
         b.log_pi
         + 0.5 * b.log_delta_sq
@@ -282,22 +285,22 @@ def component_log_scores(data: np.ndarray, b: ExpectationBundle):
     GIG parameters of the latent posterior."""
     y = np.asarray(data, dtype=float).reshape(-1)
     scores, e_a, e_b, _ = _log_scores(y, [b])
-    return scores[:, 0], e_a[:, 0], e_b[0]
+    return scores[0], e_a[0], e_b[0, 0]
 
 
 def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
     """New responsibilities and latent GIG moments from the current bundles.
 
-    log K_{-1} is evaluated once over the whole (n, k) matrix and serves
-    both the scores and the latent moments.
+    log K_{-1} is evaluated once over all (component, observation) pairs
+    and serves both the scores and the latent moments.
     """
     if not bundles:
         raise DegenerateFit("no live components")
     y = np.asarray(data, dtype=float).reshape(-1)
     scores, chi, psi, log_k = _log_scores(y, bundles)
-    resp, flags = normalize_log_scores(scores)
+    resp, flags = normalize_log_scores(scores.T.copy())
     e_u, e_uinv = gig_moments(-1.0, chi, psi, log_k)
-    return resp, (e_u, e_uinv), flags
+    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
 
 
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:

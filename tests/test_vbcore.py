@@ -43,9 +43,9 @@ def test_degenerate_component_drop(engine, model, preset, rep):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-def test_gig_log_k_names_the_column(bad):
-    chi = np.full((4, 3), 2.0)
-    chi[1, 2] = bad
+def test_gig_log_k_names_the_component(bad):
+    chi = np.full((3, 4), 2.0)
+    chi[2, 1] = bad
     with pytest.raises(DegenerateComponent) as info:
-        gig_log_k(-1.5, chi, np.array([1.0, 2.0, 3.0]))
+        gig_log_k(-1.5, chi, np.array([[1.0], [2.0], [3.0]]))
     assert info.value.args[0] == 2
