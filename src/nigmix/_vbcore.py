@@ -188,10 +188,10 @@ def run_sweep(
     Components whose ``expectations`` raise DegenerateComponent are dropped
     before the responsibilities are updated; ``responsibilities`` raising
     DegenerateComponent(g, reason) for component g ends the fit with
-    DegenerateFit.  Convergence means the largest
-    absolute responsibility change in a sweep that neither dropped nor
-    pruned a component fell below ``config.tol``; hitting ``max_iter`` first
-    flags the result instead of raising.
+    DegenerateFit.  Convergence means the largest absolute responsibility
+    change in a sweep that neither dropped nor pruned a component fell below
+    ``config.tol``; hitting ``max_iter`` first flags the result instead of
+    raising.
     """
     resp, lat, priors = init(
         data, config.g_init, config.init_mode, config.hyper_init, config.seed

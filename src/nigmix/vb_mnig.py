@@ -286,7 +286,6 @@ def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM
     n, d = data.shape
     lam = -(d + 1) / 2.0
     k = len(bundles)
-    # One row per component, as in the univariate engine.
     terms = np.empty((k, n))
     chi = np.empty((k, n))
     psi = np.empty((k, 1))

@@ -298,6 +298,8 @@ def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
         raise DegenerateFit("no live components")
     y = np.asarray(data, dtype=float).reshape(-1)
     scores, chi, psi, log_k = _log_scores(y, bundles)
+    # C-ordered (n, k) copies: update_hypers' dot products over strided
+    # columns would sum in another order and move the answers.
     resp, flags = normalize_log_scores(scores.T.copy())
     e_u, e_uinv = gig_moments(-1.0, chi, psi, log_k)
     return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
