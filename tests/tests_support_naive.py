@@ -1,8 +1,9 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, pair-enumeration agreement index, set-partition
 enumeration, the expectation-level tilde map, the inverse Gaussian
-density, a column-by-column Cholesky, and log-scale Bessel K and GIG
-moments through the generic ``kve`` at three orders."""
+density, a column-by-column Cholesky, log-scale Bessel K and GIG moments
+through the generic ``kve`` at three orders, and the univariate log score
+of one bundle written out term by term."""
 
 import itertools
 import math
