@@ -3,24 +3,27 @@
 Holds the result containers, the deterministic initial-partition helpers
 (one-hot random assignment and a small seeded Lloyd k-means), the
 log-sum-exp row normalization with its uniform-row underflow fallback,
-``prune``, and ``run_sweep``, the variational sweep both engines run with
-their own update steps.
+``gig_responsibilities``, the responsibilities step both engines finish
+with, ``prune``, and ``run_sweep``, the variational sweep both engines run
+with their own update steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import FitConfig
+from .distributions import gig_moments
 from .special import log_bessel_k
 
 __all__ = [
     "DegenerateComponent",
     "DegenerateFit",
     "FitResult",
-    "gig_log_k",
+    "gig_responsibilities",
     "initial_partition",
     "kmeans_labels",
     "normalize_log_scores",
@@ -134,44 +137,59 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
     return resp, flags
 
 
-def gig_log_k(lam: float, chi: np.ndarray, psi) -> np.ndarray:
-    """log K_lam(sqrt(chi * psi)) over a sweep's latent posteriors, one row
-    per component: chi is (k, n) and psi (k, 1).
+def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
+    """New responsibilities and latent GIG moments from each engine's score
+    head: the engines' shared responsibilities step.
 
-    Cancellation at a far outlier can leave an argument that is zero or not
-    finite: the first such row raises DegenerateComponent(row, reason).
+    A component's log score at an observation is its ``head`` plus the log
+    normalizer of the latent GIG(lam, chi, psi) posterior,
+    log 2 + (lam/2) log(chi/psi) + log K_lam(sqrt(chi psi)).  ``head`` and
+    ``chi`` are (k, n), one row per component, and ``psi`` is (k, 1).
+    log K_lam is evaluated once and serves both the scores and the latent
+    moments.  Cancellation at a far outlier can leave an argument that is
+    zero or not finite: the first such row raises
+    DegenerateComponent(row, reason).
     """
+    if head.shape[0] == 0:
+        raise DegenerateFit("no live components")
     omega = np.sqrt(chi * psi)
+    # Checked before np.log(chi), which would warn on a cancelled chi.
     try:
-        return log_bessel_k(lam, omega)
+        log_k = log_bessel_k(lam, omega)
     except ValueError as exc:
         row = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=1)))
         raise DegenerateComponent(row, str(exc)) from None
+    # math.log, not np.log, which differs from it in the last bit on about
+    # 1e-4 of arguments: study2 responsibilities would move by up to 5e-11.
+    log_psi = np.array([math.log(v) for v in psi.flat])[:, None]
+    scores = head + math.log(2.0) + 0.5 * lam * (np.log(chi) - log_psi) + log_k
+    # C-ordered (n, k) copies: update_hypers' dot products over strided
+    # columns would sum in another order and move the answers.
+    resp, flags = normalize_log_scores(scores.T.copy())
+    e_u, e_uinv = gig_moments(lam, chi, psi, log_k)
+    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
 
 
-def prune(resp: np.ndarray, hypers: list, threshold: float = 1.0):
+def prune(resp: np.ndarray, threshold: float = 1.0):
     """Drop components whose effective count falls below the threshold.
 
-    Rows are renormalized afterwards; removing every component raises
-    DegenerateFit.
+    Returns the renormalized responsibilities and the indices of the kept
+    components; removing every component raises DegenerateFit.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    col = resp.sum(axis=0)
-    keep = np.nonzero(col >= threshold)[0]
-    removed = [g for g in range(resp.shape[1]) if g not in set(keep.tolist())]
-    if keep.size == 0:
+    keep = np.nonzero(resp.sum(axis=0) >= threshold)[0].tolist()
+    if not keep:
         raise DegenerateFit("pruning removed every component")
-    if not removed:
-        return resp, list(hypers), []
+    if len(keep) == resp.shape[1]:
+        return resp, keep
     resp = resp[:, keep]
     row_sums = resp.sum(axis=1, keepdims=True)
     dead_rows = row_sums[:, 0] <= 0.0
     if dead_rows.any():
-        resp[dead_rows] = 1.0 / keep.size
+        resp[dead_rows] = 1.0 / len(keep)
         row_sums = resp.sum(axis=1, keepdims=True)
-    resp = resp / row_sums
-    return resp, [hypers[g] for g in keep], removed
+    return resp / row_sums, keep
 
 
 def run_sweep(
@@ -217,38 +235,27 @@ def run_sweep(
                 all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
         if not live:
             raise DegenerateFit("all components degenerate")
-        dropped = len(live) < len(hypers)
-        if dropped:
-            resp = resp[:, live]
-            resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
-            hypers = [hypers[g] for g in live]
-            priors = [priors[g] for g in live]
-            ids = [ids[g] for g in live]
 
         try:
             new_resp, lat, flags = responsibilities(data, bundles)
         except DegenerateComponent as exc:
             g, reason = exc.args
-            raise DegenerateFit(f"component {ids[g]}: {reason}") from exc
+            raise DegenerateFit(f"component {ids[live[g]]}: {reason}") from exc
         all_flags.extend(flags)
 
-        pruned_resp, hypers, removed = prune(
-            new_resp, hypers, config.prune_threshold
-        )
-        # A sweep that dropped or pruned components has no change to report:
-        # the drop re-slices ``resp`` before it is compared.  None keeps the
-        # run record strict JSON, where inf would not.
-        same_shape = not (dropped or removed)
-        max_change = (
-            float(np.abs(pruned_resp - resp).max()) if same_shape else None
-        )
-        if removed:
-            keep = [g for g in range(new_resp.shape[1]) if g not in removed]
-            priors = [priors[g] for g in keep]
+        new_resp, keep = prune(new_resp, config.prune_threshold)
+        # A sweep that dropped or pruned components has no change to report;
+        # None keeps the run record strict JSON, where inf would not.
+        same_shape = len(keep) == len(hypers)
+        max_change = float(np.abs(new_resp - resp).max()) if same_shape else None
+        if not same_shape:
+            kept = [live[g] for g in keep]
+            hypers = [hypers[g] for g in kept]
+            priors = [priors[g] for g in kept]
+            ids = [ids[g] for g in kept]
             bundles = [bundles[g] for g in keep]
-            ids = [ids[g] for g in keep]
             lat = (lat[0][:, keep], lat[1][:, keep])
-        resp = pruned_resp
+        resp = new_resp
         trace.append(
             {
                 "iteration": iterations,

@@ -151,14 +151,12 @@ def cmd_simulate(args) -> int:
 
 def _read_labels(path) -> np.ndarray:
     try:
-        data, labels = ingest_csv(path)
+        data, _ = ingest_csv(path)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(f"cannot read labels from {path}: {exc}") from exc
-    if labels is None:
-        if data.shape[1] != 1:
-            raise CliError(f"{path}: expected a single label column")
-        labels = data[:, 0].astype(int)
-    return labels
+    if data.shape[1] != 1:
+        raise CliError(f"{path}: expected a single label column")
+    return data[:, 0].astype(int)
 
 
 def cmd_evaluate(args) -> int:
@@ -327,7 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage; --help exits 0, a usage error 3.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except CliError as exc:

@@ -28,17 +28,15 @@ import numpy as np
 
 from ._vbcore import (
     DegenerateComponent,
-    DegenerateFit,
     FitResult,
-    gig_log_k,
+    gig_responsibilities,
     initial_partition,
-    normalize_log_scores,
     run_sweep,
 )
 from .config import FitConfig
 from .distributions import MNIGParams, gig_moments, mnig_log_density
 from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
-from .special import digamma, log_bessel_k, trunc_normal_moments
+from .special import digamma, trunc_normal_moments
 
 __all__ = [
     "ComponentHyperM",
@@ -95,10 +93,6 @@ class ExpectationBundleM:
     c_cross: float
     gamma_t: float
     gamma_t_sq: float
-
-    @property
-    def var_gamma_t(self) -> float:
-        return self.gamma_t_sq - self.gamma_t**2
 
 
 def posterior_means(h: ComponentHyperM) -> tuple[np.ndarray, np.ndarray]:
@@ -238,63 +232,30 @@ def expectations_from_hypers_m(
     )
 
 
-def _log_score_terms_m(data: np.ndarray, b: ExpectationBundleM):
-    """Every term of ``component_log_scores_m`` but log K_lam(omega), plus
-    the GIG parameters (e_a, e_b) of the latent posterior."""
-    d = data.shape[1]
-    lam = -(d + 1) / 2.0
-    centered = data - b.mu_bar
-    e_a = (
-        1.0
-        + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
-        + d * b.c_mu
-    )
-    e_b = (
-        b.gamma_t_sq
-        + float(b.beta_bar @ b.e_prec @ b.beta_bar)
-        + d * b.c_beta
-    )
-    e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
-    terms = (
-        b.log_pi
-        + 0.5 * b.elog_det_prec
-        + e_c
-        + math.log(2.0)
-        + 0.5 * lam * (np.log(e_a) - math.log(e_b))
-    )
-    return terms, e_a, e_b
-
-
-def component_log_scores_m(data: np.ndarray, b: ExpectationBundleM):
-    """Per-observation log marginal score of one component and the GIG
-    parameters of its latent posterior."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    lam = -(data.shape[1] + 1) / 2.0
-    terms, e_a, e_b = _log_score_terms_m(data, b)
-    return terms + log_bessel_k(lam, np.sqrt(e_a * e_b)), e_a, e_b
-
-
 def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM]):
-    """New responsibilities and order -(d+1)/2 GIG latent moments.
-
-    log K_lam is evaluated once over all (component, observation) pairs and
-    serves both the scores and the latent moments.
-    """
-    if not bundles:
-        raise DegenerateFit("no live components")
+    """New responsibilities and latent GIG moments from the current bundles,
+    through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
-    lam = -(d + 1) / 2.0
     k = len(bundles)
-    terms = np.empty((k, n))
+    head = np.empty((k, n))
     chi = np.empty((k, n))
     psi = np.empty((k, 1))
     for g, b in enumerate(bundles):
-        terms[g], chi[g], psi[g] = _log_score_terms_m(data, b)
-    log_k = gig_log_k(lam, chi, psi)
-    resp, flags = normalize_log_scores((terms + log_k).T.copy())
-    e_u, e_uinv = gig_moments(lam, chi, psi, log_k)
-    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
+        centered = data - b.mu_bar
+        chi[g] = (
+            1.0
+            + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
+            + d * b.c_mu
+        )
+        psi[g] = (
+            b.gamma_t_sq
+            + float(b.beta_bar @ b.e_prec @ b.beta_bar)
+            + d * b.c_beta
+        )
+        e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
+        head[g] = b.log_pi + 0.5 * b.elog_det_prec + e_c
+    return gig_responsibilities(-(d + 1) / 2.0, head, chi, psi)
 
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
 from ._vbcore import (
     DegenerateComponent,
-    DegenerateFit,
     FitResult,
-    gig_log_k,
+    gig_responsibilities,
     initial_partition,
-    normalize_log_scores,
     prune,
     run_sweep,
 )
@@ -102,10 +100,6 @@ class ExpectationBundle:
     @property
     def var_beta(self) -> float:
         return self.beta_sq - self.beta**2
-
-    @property
-    def var_gamma(self) -> float:
-        return self.gamma_sq - self.gamma**2
 
 
 def flat_priors(g: int, hyper_init: float) -> list[ComponentHyper]:
@@ -252,57 +246,26 @@ def expectations_from_hypers(
     )
 
 
-def _log_scores(y: np.ndarray, bundles: list[ExpectationBundle]):
-    """Log scores, latent GIG parameters chi and psi, and log K_{-1}(omega),
-    one row per bundle: (k, n), (k, n), (k, 1) and (k, n).  Each row takes
-    the floating-point steps of one bundle alone, so it does not depend on
-    the other bundles."""
+def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
+    """New responsibilities and latent GIG moments from the current bundles,
+    through the shared ``_vbcore.gig_responsibilities`` at order -1.
+
+    Each row of the score head and of the latent GIG parameters takes the
+    floating-point steps of one bundle alone, so it does not depend on the
+    other bundles.
+    """
+    y = np.asarray(data, dtype=float).reshape(-1)
     # One bundle whose fields are (k, 1) columns: every broadcast then runs
     # along n, where a (k,) inner axis would cost a loop turn per row.
-    fields = np.array([list(vars(c).values()) for c in bundles]).T
-    b = ExpectationBundle(*fields[..., None])
+    columns = np.array(
+        [[getattr(c, f.name) for c in bundles] for f in fields(ExpectationBundle)]
+    )
+    b = ExpectationBundle(*columns[..., None])
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
-    # Checked before np.log(e_a), which would warn on a cancelled e_a.
-    log_k = gig_log_k(-1.0, e_a, e_b)
     e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
-    # math.log, not np.log, which differs from it in the last bit on about
-    # 1e-4 of arguments: study2 responsibilities would move by up to 5e-11.
-    log_e_b = np.array([math.log(v) for v in e_b.flat])[:, None]
-    scores = (
-        b.log_pi
-        + 0.5 * b.log_delta_sq
-        + e_c
-        + math.log(2.0)
-        - 0.5 * (np.log(e_a) - log_e_b)
-        + log_k
-    )
-    return scores, e_a, e_b, log_k
-
-
-def component_log_scores(data: np.ndarray, b: ExpectationBundle):
-    """Log marginal score of one component at every observation, plus the
-    GIG parameters of the latent posterior."""
-    y = np.asarray(data, dtype=float).reshape(-1)
-    scores, e_a, e_b, _ = _log_scores(y, [b])
-    return scores[0], e_a[0], e_b[0, 0]
-
-
-def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
-    """New responsibilities and latent GIG moments from the current bundles.
-
-    log K_{-1} is evaluated once over all (component, observation) pairs
-    and serves both the scores and the latent moments.
-    """
-    if not bundles:
-        raise DegenerateFit("no live components")
-    y = np.asarray(data, dtype=float).reshape(-1)
-    scores, chi, psi, log_k = _log_scores(y, bundles)
-    # C-ordered (n, k) copies: update_hypers' dot products over strided
-    # columns would sum in another order and move the answers.
-    resp, flags = normalize_log_scores(scores.T.copy())
-    e_u, e_uinv = gig_moments(-1.0, chi, psi, log_k)
-    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
+    head = b.log_pi + 0.5 * b.log_delta_sq + e_c
+    return gig_responsibilities(-1.0, head, e_a, e_b)
 
 
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:

@@ -1,6 +1,8 @@
 """CSV ingestion, JSON persistence, and the command-line surface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,18 @@ class TestCliCommands:
         dens = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(dens >= 0.0)
 
+    def test_density_grid_without_range_exits_3(self, tmp_path):
+        assert main(["density-grid", str(tmp_path / "no.json"),
+                     str(tmp_path / "g.csv")]) == 3
+
+    def test_unknown_flag_exits_3(self, tmp_path):
+        assert main(["fit", str(tmp_path / "x.csv"), str(tmp_path / "o.json"),
+                     "--bogus"]) == 3
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: nigmix" in capsys.readouterr().out
+
     def test_density_grid_missing_model(self, tmp_path):
         assert main(["density-grid", str(tmp_path / "no.json"),
                      str(tmp_path / "g.csv"), "--range", "0", "1"]) == 3
@@ -258,3 +272,24 @@ class TestCliCommands:
         assert main(["reproduce", "study1", "--replicates", "2"]) == 0
         out = capsys.readouterr().out
         assert "study1: G=2 in 2/2 runs" in out
+
+
+def readme_commands():
+    """The ``nigmix ...`` lines of the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("nigmix ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Each line runs as written, in order, in an empty directory.
+    commands = readme_commands()
+    assert {c[0] for c in commands} == {
+        "simulate", "fit", "evaluate", "density-grid", "reproduce"
+    }
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv)
+        assert code in ((0, 2) if argv[0] == "fit" else (0,)), (argv, code)

@@ -1,5 +1,6 @@
-"""Multivariate engine: update exactness, Wishart expectations, fit, and
-the one-dimensional agreement with the univariate engine."""
+"""Multivariate engine: update exactness, Wishart expectations, scores and
+fit.  The one-dimensional agreement with the univariate engine is
+``test_acceptance.py::test_12_cross_engine_identity``."""
 
 import math
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nigmix import vb_mnig
 from nigmix._vbcore import DegenerateComponent, normalize_log_scores
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments, sample_mixture
@@ -15,7 +15,6 @@ from nigmix.evaluation import adjusted_rand_index
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import (
     ComponentHyperM,
-    component_log_scores_m,
     expectations_from_hypers_m,
     fit_m,
     init_fit_m,
@@ -23,18 +22,13 @@ from nigmix.vb_mnig import (
     update_hypers_m,
     update_responsibilities_m,
 )
-from nigmix.vb_unig import (
-    expectations_from_hypers,
-    init_fit,
-    update_hypers,
-    update_responsibilities,
-)
+import tests_support_naive
 from tests_support_naive import (
     gig_moments_kve,
     log_bessel_k_kve,
+    log_score_m,
     naive_update_m,
     random_m,
-    unig_bundle_to_mnig,
 )
 
 
@@ -133,7 +127,7 @@ class TestScores:
         d = h.dim
         lam = -(d + 1) / 2.0
         ys = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
-        scores, e_a, e_b = component_log_scores_m(ys, b)
+        scores, e_a, e_b = log_score_m(ys, b)
         for y, sc, ea in zip(ys, scores, e_a):
             centered = y - b.mu_bar
             ec = (
@@ -160,10 +154,34 @@ class TestScores:
         assert not flags
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         lam = -(data.shape[1] + 1) / 2.0
-        _, ea0, eb0 = component_log_scores_m(data, bundles[0])
+        raw = np.column_stack([log_score_m(data, b)[0] for b in bundles])
+        manual = np.exp(raw - raw.max(axis=1, keepdims=True))
+        manual /= manual.sum(axis=1, keepdims=True)
+        assert np.allclose(resp, manual, atol=1e-13)
+        _, ea0, eb0 = log_score_m(data, bundles[0])
         ref_u, ref_uinv = gig_moments(lam, ea0, eb0)
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
+
+    def test_responsibilities_equal_stacked_component_scores(self):
+        # Each column of the sweep's scores must be bit for bit the score of
+        # that component alone, the one-bundle formula evaluated term by term.
+        for seed in (7, 8):
+            data, resp0, lat, priors = random_m(seed, k=3)
+            hypers = update_hypers_m(priors, resp0, lat, data)
+            total = sum(h.a0 for h in hypers)
+            bundles = [expectations_from_hypers_m(h, total) for h in hypers]
+            resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
+            cols = [log_score_m(data, b) for b in bundles]
+            ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+            ref_u, ref_uinv = gig_moments(
+                -(data.shape[1] + 1) / 2.0,
+                np.column_stack([c[1] for c in cols]),
+                np.array([c[2] for c in cols]),
+            )
+            assert np.array_equal(resp, ref_resp)
+            assert np.array_equal(e_u, ref_u)
+            assert np.array_equal(e_uinv, ref_uinv)
 
     def test_one_sweep_matches_kve_reference(self, monkeypatch):
         data, resp0, lat, priors = random_m(7)
@@ -173,8 +191,8 @@ class TestScores:
         resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
         # Reference: log K through kve in every score, moments from three
         # kve orders.
-        monkeypatch.setattr(vb_mnig, "log_bessel_k", log_bessel_k_kve)
-        cols = [component_log_scores_m(data, b) for b in bundles]
+        monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
+        cols = [log_score_m(data, b) for b in bundles]
         ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -(data.shape[1] + 1) / 2.0,
@@ -183,24 +201,6 @@ class TestScores:
         )
         for got, ref in ((resp, ref_resp), (e_u, ref_u), (e_uinv, ref_uinv)):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-
-
-class TestCrossEngine:
-    def test_d1_responsibilities_agree(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            y = np.concatenate(
-                [rng.normal(0, 1, 30), rng.normal(5, 1.5, 30)]
-            )
-            resp, lat, priors = init_fit(y, 3, "kmeans", 1e-8, seed)
-            hypers = update_hypers(priors, resp, lat, y)
-            total = sum(h.a0 for h in hypers)
-            bundles = [expectations_from_hypers(h, total) for h in hypers]
-            r_uni, _, _ = update_responsibilities(y, bundles)
-            r_multi, _, _ = update_responsibilities_m(
-                y.reshape(-1, 1), [unig_bundle_to_mnig(b) for b in bundles]
-            )
-            assert np.abs(r_uni - r_multi).max() < 1e-8
 
 
 class TestFit:

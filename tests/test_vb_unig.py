@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from nigmix import _vbcore, special
+from nigmix import special
 from nigmix._vbcore import DegenerateComponent, DegenerateFit, normalize_log_scores
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments
@@ -17,16 +17,15 @@ from nigmix.presets import simulation_preset
 from nigmix.distributions import sample_mixture
 from nigmix.vb_unig import (
     ComponentHyper,
-    component_log_scores,
     expectations_from_hypers,
     fit,
     fitted_density,
-    flat_priors,
     init_fit,
     prune,
     update_hypers,
     update_responsibilities,
 )
+import tests_support_naive
 from tests_support_naive import (
     gig_moments_kve,
     log_bessel_k_kve,
@@ -164,7 +163,7 @@ class TestScoresAndResponsibilities:
         h = example_hyper()
         b = expectations_from_hypers(h, 3 * h.a0)
         ys = np.array([-2.0, 0.5, 3.0])
-        scores, e_a, e_b = component_log_scores(ys, b)
+        scores, e_a, e_b = log_score_u(ys, b)
         for y, sc, ea in zip(ys, scores, e_a):
             ec = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
             integral, _ = quad(
@@ -184,14 +183,12 @@ class TestScoresAndResponsibilities:
         resp, (e_u, e_uinv), flags = update_responsibilities(data, bundles)
         assert not flags
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-        raw = np.column_stack(
-            [component_log_scores(data, b)[0] for b in bundles]
-        )
+        raw = np.column_stack([log_score_u(data, b)[0] for b in bundles])
         manual = np.exp(raw - raw.max(axis=1, keepdims=True))
         manual /= manual.sum(axis=1, keepdims=True)
         assert np.allclose(resp, manual, atol=1e-13)
         # latent moments come from the per-pair GIG posterior
-        _, ea0, eb0 = component_log_scores(data, bundles[0])
+        _, ea0, eb0 = log_score_u(data, bundles[0])
         ref_u, ref_uinv = gig_moments(-1.0, ea0, eb0)
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
@@ -206,10 +203,7 @@ class TestScoresAndResponsibilities:
             total = sum(h.a0 for h in hypers)
             bundles = [expectations_from_hypers(h, total) for h in hypers]
             resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
-            cols = [component_log_scores(data, b) for b in bundles]
-            for col, b in zip(cols, bundles):
-                for got, ref in zip(col, log_score_u(data, b)):
-                    assert np.array_equal(got, ref)
+            cols = [log_score_u(data, b) for b in bundles]
             ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
             ref_u, ref_uinv = gig_moments(
                 -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
@@ -226,8 +220,8 @@ class TestScoresAndResponsibilities:
         resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
         # Reference: log K through kve in every score, moments from three
         # kve orders.
-        monkeypatch.setattr(_vbcore, "log_bessel_k", log_bessel_k_kve)
-        cols = [component_log_scores(data, b) for b in bundles]
+        monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
+        cols = [log_score_u(data, b) for b in bundles]
         ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
@@ -249,26 +243,25 @@ class TestScoresAndResponsibilities:
 class TestPrune:
     def test_drops_light_components(self):
         resp = np.array([[0.9, 0.08, 0.02]] * 30)
-        hypers = flat_priors(3, 1e-8)
-        out, kept, removed = prune(resp, hypers, 1.0)
-        assert removed == [2]
-        assert len(kept) == 2
+        out, keep = prune(resp, 1.0)
+        assert keep == [0, 1]
+        assert out.shape == (30, 2)
         assert np.allclose(out.sum(axis=1), 1.0)
 
     def test_keeps_everything_above_threshold(self):
         resp = np.full((10, 2), 0.5)
-        out, kept, removed = prune(resp, flat_priors(2, 1e-8), 1.0)
-        assert removed == []
+        out, keep = prune(resp, 1.0)
+        assert keep == [0, 1]
         assert out is resp
 
     def test_all_pruned_raises(self):
         resp = np.full((3, 2), 0.1)
         with pytest.raises(DegenerateFit):
-            prune(resp, flat_priors(2, 1e-8), 5.0)
+            prune(resp, 5.0)
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            prune(np.ones((3, 1)), flat_priors(1, 1e-8), 0.0)
+            prune(np.ones((3, 1)), 0.0)
 
 
 class TestFit:

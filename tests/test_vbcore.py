@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from nigmix._vbcore import DegenerateComponent, gig_log_k
+from nigmix._vbcore import DegenerateComponent, DegenerateFit, gig_responsibilities
 from nigmix.config import FitConfig
 from nigmix.distributions import sample_mixture
 from nigmix.presets import simulation_preset
-from nigmix.vb_mnig import fit_m
-from nigmix.vb_unig import fit
+from nigmix.vb_mnig import fit_m, update_responsibilities_m
+from nigmix.vb_unig import fit, update_responsibilities
 
 
 # Replicates (sample seed 1000 + r, fit seed r, g_init 10) whose sweeps drop
@@ -44,8 +44,25 @@ def test_degenerate_component_drop(engine, model, preset, rep):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_gig_log_k_names_the_component(bad):
+    # The log K of the latent GIG posterior rejects the argument, and the
+    # shared responsibilities step names the first row that holds it.
     chi = np.full((3, 4), 2.0)
     chi[2, 1] = bad
     with pytest.raises(DegenerateComponent) as info:
-        gig_log_k(-1.5, chi, np.array([[1.0], [2.0], [3.0]]))
+        gig_responsibilities(
+            -1.5, np.zeros((3, 4)), chi, np.array([[1.0], [2.0], [3.0]])
+        )
     assert info.value.args[0] == 2
+
+
+@pytest.mark.parametrize(
+    "step, data",
+    [
+        (update_responsibilities, np.ones(4)),
+        (update_responsibilities_m, np.ones((4, 2))),
+    ],
+)
+def test_no_live_components(step, data):
+    # Both engines reach the one guard in the shared step.
+    with pytest.raises(DegenerateFit, match="no live components"):
+        step(data, [])

@@ -2,8 +2,8 @@
 conjugate updates, pair-enumeration agreement index, set-partition
 enumeration, the expectation-level tilde map, the inverse Gaussian
 density, a column-by-column Cholesky, log-scale Bessel K and GIG moments
-through the generic ``kve`` at three orders, and the univariate log score
-of one bundle written out term by term."""
+through the generic ``kve`` at three orders, and the univariate and
+multivariate log scores of one bundle written out term by term."""
 
 import itertools
 import math
@@ -65,6 +65,27 @@ def log_score_u(y, b):
         + math.log(2.0)
         - 0.5 * (np.log(e_a) - math.log(e_b))
         + log_bessel_k(-1.0, np.sqrt(e_a * e_b))
+    )
+    return score, e_a, e_b
+
+
+def log_score_m(data, b):
+    """One component's multivariate log score and GIG parameters (e_a, e_b)
+    at the rows of (n, d) ``data``, written out for a single bundle in the
+    order the engine evaluates it."""
+    d = data.shape[1]
+    lam = -(d + 1) / 2.0
+    centered = data - b.mu_bar
+    e_a = 1.0 + np.einsum("ij,ij->i", centered @ b.e_prec, centered) + d * b.c_mu
+    e_b = b.gamma_t_sq + float(b.beta_bar @ b.e_prec @ b.beta_bar) + d * b.c_beta
+    e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
+    score = (
+        b.log_pi
+        + 0.5 * b.elog_det_prec
+        + e_c
+        + math.log(2.0)
+        + 0.5 * lam * (np.log(e_a) - math.log(e_b))
+        + log_bessel_k(lam, np.sqrt(e_a * e_b))
     )
     return score, e_a, e_b
 
