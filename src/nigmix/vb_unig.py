@@ -256,10 +256,10 @@ def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
     """
     y = np.asarray(data, dtype=float).reshape(-1)
     # One bundle whose fields are (k, 1) columns: every broadcast then runs
-    # along n, where a (k,) inner axis would cost a loop turn per row.
-    columns = np.array(
-        [[getattr(c, f.name) for c in bundles] for f in fields(ExpectationBundle)]
-    )
+    # along n, where a (k,) inner axis would cost a loop turn per row.  The
+    # reshape keeps k = 0 at the right shape for the shared empty check.
+    rows = np.array([list(vars(c).values()) for c in bundles])
+    columns = rows.reshape(len(bundles), len(fields(ExpectationBundle))).T
     b = ExpectationBundle(*columns[..., None])
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
