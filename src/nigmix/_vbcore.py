@@ -145,10 +145,11 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     normalizer of the latent GIG(lam, chi, psi) posterior,
     log 2 + (lam/2) log(chi/psi) + log K_lam(sqrt(chi psi)).  ``head`` and
     ``chi`` are (k, n), one row per component, and ``psi`` is (k, 1).
-    log K_lam is evaluated once and serves both the scores and the latent
-    moments.  Cancellation at a far outlier can leave an argument that is
-    zero or not finite: the first such row raises
-    DegenerateComponent(row, reason).
+    The argument sqrt(chi psi) and log K_lam are formed once and serve both
+    the scores and the latent moments.  Both engines build ``psi`` positive,
+    so the one check that the argument is positive and finite is a check of
+    ``chi``: cancellation at a far outlier can leave it zero or not finite,
+    and the first such row raises DegenerateComponent(row, reason).
     """
     if head.shape[0] == 0:
         raise DegenerateFit("no live components")
@@ -166,11 +167,11 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     # C-ordered (n, k) copies: update_hypers' dot products over strided
     # columns would sum in another order and move the answers.
     resp, flags = normalize_log_scores(scores.T.copy())
-    e_u, e_uinv = gig_moments(lam, chi, psi, log_k)
+    e_u, e_uinv = gig_moments(lam, chi, psi, omega, log_k)
     return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
 
 
-def prune(resp: np.ndarray, threshold: float = 1.0):
+def prune(resp: np.ndarray, threshold: float):
     """Drop components whose effective count falls below the threshold.
 
     Returns the renormalized responsibilities and the indices of the kept

@@ -37,7 +37,3 @@ class FitConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitConfig":
-        return cls(**d)

@@ -1,4 +1,4 @@
-"""Densities and random generation for IG, GIG, UNIG, and MNIG laws.
+"""Moments of the latent GIG law, UNIG and MNIG densities, and sampling.
 
 The univariate normal inverse Gaussian (UNIG) arises as the normal
 mean-variance mixture
@@ -31,16 +31,12 @@ __all__ = [
     "MNIGParams",
     "MixtureSpec",
     "LabeledSample",
-    "gig_log_density",
     "gig_moments",
-    "log_gig_normalizer",
     "unig_log_density",
     "unig_density",
     "mnig_log_density",
     "sample_ig",
     "sample_mixture",
-    "unig_to_tilde",
-    "tilde_to_unig",
 ]
 
 
@@ -131,40 +127,12 @@ class LabeledSample:
 
 
 # ---------------------------------------------------------------------------
-# Inverse Gaussian and generalized inverse Gaussian
+# Generalized inverse Gaussian moments
 # ---------------------------------------------------------------------------
 
-def log_gig_normalizer(lam: float, chi: float, psi: float) -> float:
-    """log of int_0^inf u^(lam-1) exp(-(chi/u + psi*u)/2) du."""
-    omega = math.sqrt(chi * psi)
-    return (
-        math.log(2.0)
-        + 0.5 * lam * (math.log(chi) - math.log(psi))
-        + log_bessel_k(lam, omega)
-    )
-
-
-def gig_log_density(u, lam: float, chi: float, psi: float):
-    """Log density of GIG with order lam and parameters (chi, psi).
-
-    Convention: the density is proportional to
-    ``u^(lam-1) exp(-(chi/u + psi*u)/2)``, matching the three-argument form
-    GIG(u | lam, sqrt(chi), sqrt(psi)) used at the inference call sites.
-    """
-    if not (chi > 0.0 and psi > 0.0):
-        raise ValueError("GIG requires chi > 0 and psi > 0")
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise ValueError("GIG density requires u > 0")
-    return (
-        -log_gig_normalizer(lam, chi, psi)
-        + (lam - 1.0) * np.log(u)
-        - 0.5 * (chi / u + psi * u)
-    )
-
-
-def gig_moments(lam: float, chi, psi, log_k=None):
-    """First moment and inverse moment of GIG(lam, chi, psi).
+def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
+    """First moment and inverse moment of GIG(lam, chi, psi), the law with
+    density proportional to u^(lam-1) exp(-(chi/u + psi*u)/2).
 
     E[U]     = sqrt(chi/psi) K_{lam+1}(w) / K_lam(w),
     E[1/U]   = sqrt(psi/chi) K_{lam-1}(w) / K_lam(w),   w = sqrt(chi*psi).
@@ -175,7 +143,9 @@ def gig_moments(lam: float, chi, psi, log_k=None):
     term is positive, and only the orders nu and |nu-1| are evaluated, on
     the log scale, so arguments deep in the underflow region of the raw
     function are fine.  ``chi`` and ``psi`` broadcast elementwise.
-    ``log_k``, when given, is log K_lam(w) already evaluated by the caller.
+    ``omega`` and ``log_k``, given together, are w and log K_lam(w) as the
+    caller has already formed and checked them; without them chi and psi
+    are checked here.
 
     Returns
     -------
@@ -183,11 +153,11 @@ def gig_moments(lam: float, chi, psi, log_k=None):
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if not (chi.min() > 0.0 and psi.min() > 0.0):
-        raise ValueError("GIG moments require chi > 0 and psi > 0")
     nu = abs(lam)
-    omega = np.sqrt(chi * psi)
-    if log_k is None:
+    if omega is None:
+        if not (chi.min() > 0.0 and psi.min() > 0.0):
+            raise ValueError("GIG moments require chi > 0 and psi > 0")
+        omega = np.sqrt(chi * psi)
         log_k = log_bessel_k(nu, omega)
     down = np.exp(log_bessel_k(abs(nu - 1.0), omega) - log_k)
     up = down + 2.0 * nu / omega
@@ -226,7 +196,9 @@ def mnig_log_density(y, p: MNIGParams):
 
     Derived by integrating the latent subordinator out of the generative
     definition; at d = 1 it coincides with ``unig_log_density`` under the
-    inverse tilde map.  ``y`` may be a single d-vector or an (n, d) array.
+    tilde map mu_t = mu, beta_t = beta delta^2, sigma_t = delta^2,
+    gamma_t = gamma delta.  ``y`` may be a single d-vector or an (n, d)
+    array.
     """
     y_in = np.asarray(y, dtype=float)
     y = np.atleast_2d(y_in)
@@ -250,35 +222,6 @@ def mnig_log_density(y, p: MNIGParams):
         + log_bessel_k(lam, omega)
     )
     return float(out[0]) if y_in.ndim == 1 else out
-
-
-# ---------------------------------------------------------------------------
-# Tilde reparameterization at d = 1
-# ---------------------------------------------------------------------------
-
-def unig_to_tilde(p: UNIGParams) -> MNIGParams:
-    """Map (mu, beta, delta, gamma) to the d=1 tilde parameterization."""
-    sigma = p.delta**2
-    return MNIGParams(
-        mu_t=np.array([p.mu]),
-        beta_t=np.array([p.beta * sigma]),
-        sigma_t=np.array([[sigma]]),
-        gamma_t=p.gamma * p.delta,
-    )
-
-
-def tilde_to_unig(p: MNIGParams) -> UNIGParams:
-    """Inverse of :func:`unig_to_tilde` (requires d = 1)."""
-    if p.dim != 1:
-        raise ValueError("tilde_to_unig requires d = 1")
-    sigma = float(p.sigma_t[0, 0])
-    delta = math.sqrt(sigma)
-    return UNIGParams(
-        mu=float(p.mu_t[0]),
-        beta=float(p.beta_t[0]) / sigma,
-        delta=delta,
-        gamma=p.gamma_t / delta,
-    )
 
 
 # ---------------------------------------------------------------------------

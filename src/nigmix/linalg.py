@@ -33,13 +33,17 @@ class NotPositiveDefinite(Exception):
         super().__init__(f"pivot {pivot_index} is not positive")
 
 
-def as_spd(m, rtol: float = 1e-12) -> np.ndarray:
+# Largest asymmetry as_spd accepts, relative to the matrix scale and size.
+_SYMMETRY_RTOL = 1e-12
+
+
+def as_spd(m) -> np.ndarray:
     """Validate symmetry and return the symmetrized copy (m + m.T) / 2."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > rtol * scale * m.shape[0]:
+    if np.abs(m - m.T).max() > _SYMMETRY_RTOL * scale * m.shape[0]:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (m + m.T)
 

@@ -120,11 +120,7 @@ def flat_priors_m(
 
 
 def init_fit_m(
-    data: np.ndarray,
-    g_init: int,
-    init_mode: str = "kmeans",
-    hyper_init: float = 1e-8,
-    seed: int = 0,
+    data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
 ):
     """Initial responsibilities, latent moments, and priors for (n, d) data.
 

@@ -93,14 +93,6 @@ class ExpectationBundle:
     gamma_sq: float
     delta_gamma: float
 
-    @property
-    def var_mu(self) -> float:
-        return self.mu_sq - self.mu**2
-
-    @property
-    def var_beta(self) -> float:
-        return self.beta_sq - self.beta**2
-
 
 def flat_priors(g: int, hyper_init: float) -> list[ComponentHyper]:
     h = float(hyper_init)
@@ -108,11 +100,7 @@ def flat_priors(g: int, hyper_init: float) -> list[ComponentHyper]:
 
 
 def init_fit(
-    data: np.ndarray,
-    g_init: int,
-    init_mode: str = "kmeans",
-    hyper_init: float = 1e-8,
-    seed: int = 0,
+    data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
 ):
     """Initial responsibilities, latent moments, and flat priors.
 

@@ -11,17 +11,14 @@ from nigmix.distributions import (
     MixtureSpec,
     MNIGParams,
     UNIGParams,
-    gig_log_density,
     gig_moments,
     mnig_log_density,
     sample_ig,
     sample_mixture,
-    tilde_to_unig,
     unig_density,
     unig_log_density,
-    unig_to_tilde,
 )
-from tests_support_naive import ig_density
+from tests_support_naive import gig_log_density, ig_density, unig_to_tilde
 
 UNIG_CASES = [
     UNIGParams(mu=0.0, beta=0.0, delta=1.0, gamma=1.0),
@@ -174,16 +171,6 @@ class TestMNIGDensity:
         assert batch.shape == (3,)
         with pytest.raises(ValueError):
             mnig_log_density(np.zeros((3, 4)), p)
-
-
-class TestTildeMap:
-    def test_roundtrip(self):
-        for p in UNIG_CASES:
-            back = tilde_to_unig(unig_to_tilde(p))
-            assert back.mu == pytest.approx(p.mu, rel=1e-14)
-            assert back.beta == pytest.approx(p.beta, rel=1e-14)
-            assert back.delta == pytest.approx(p.delta, rel=1e-14)
-            assert back.gamma == pytest.approx(p.gamma, rel=1e-14)
 
 
 class TestSampling:

@@ -94,8 +94,8 @@ class TestExpectations:
                 - h.a3 * beta**2 - h.a4 * mu**2
             )
 
-        s_mu = math.sqrt(b.var_mu)
-        s_be = math.sqrt(b.var_beta)
+        s_mu = math.sqrt(b.mu_sq - b.mu**2)
+        s_be = math.sqrt(b.beta_sq - b.beta**2)
         lims = (
             b.mu - 8 * s_mu, b.mu + 8 * s_mu,
             lambda _: b.beta - 8 * s_be, lambda _: b.beta + 8 * s_be,
@@ -337,6 +337,6 @@ class TestFit:
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
         assert len(priors) == 4
         with pytest.raises(ValueError):
-            init_fit(np.array([]), 2)
+            init_fit(np.array([]), 2, "kmeans", 1e-8, 0)
         with pytest.raises(ValueError):
-            init_fit(data, 40)
+            init_fit(data, 40, "kmeans", 1e-8, 0)

@@ -1,9 +1,10 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, pair-enumeration agreement index, set-partition
-enumeration, the expectation-level tilde map, the inverse Gaussian
-density, a column-by-column Cholesky, log-scale Bessel K and GIG moments
-through the generic ``kve`` at three orders, and the univariate and
-multivariate log scores of one bundle written out term by term."""
+enumeration, the d = 1 tilde map of parameters and of expectations, the
+inverse Gaussian and GIG densities, a column-by-column Cholesky, log-scale
+Bessel K and GIG moments through the generic ``kve`` at three orders, and
+the univariate and multivariate log scores of one bundle written out term
+by term."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 from scipy.special import kve
 
+from nigmix.distributions import MNIGParams, UNIGParams
 from nigmix.linalg import NotPositiveDefinite
 from nigmix.special import log_bessel_k
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
@@ -161,11 +163,47 @@ def unig_bundle_to_mnig(b) -> ExpectationBundleM:
         e_prec=np.array([[1.0 / s]]),
         mu_bar=np.array([b.mu]),
         beta_bar=np.array([s * b.beta]),
-        c_mu=(b.delta_sq - s + b.var_mu) / s,
-        c_beta=s * b.var_beta,
+        c_mu=(b.delta_sq - s + b.mu_sq - b.mu**2) / s,
+        c_beta=s * (b.beta_sq - b.beta**2),
         c_cross=-b.cov_mu_beta,
         gamma_t=b.delta_gamma,
         gamma_t_sq=s * b.gamma_sq,
+    )
+
+
+def unig_to_tilde(p: UNIGParams) -> MNIGParams:
+    """Map (mu, beta, delta, gamma) to the d = 1 tilde parameterization."""
+    sigma = p.delta**2
+    return MNIGParams(
+        mu_t=np.array([p.mu]),
+        beta_t=np.array([p.beta * sigma]),
+        sigma_t=np.array([[sigma]]),
+        gamma_t=p.gamma * p.delta,
+    )
+
+
+def log_gig_normalizer(lam: float, chi: float, psi: float) -> float:
+    """log of int_0^inf u^(lam-1) exp(-(chi/u + psi*u)/2) du."""
+    omega = math.sqrt(chi * psi)
+    return (
+        math.log(2.0)
+        + 0.5 * lam * (math.log(chi) - math.log(psi))
+        + log_bessel_k(lam, omega)
+    )
+
+
+def gig_log_density(u, lam: float, chi: float, psi: float):
+    """Log density of GIG with order lam and parameters (chi, psi),
+    proportional to ``u^(lam-1) exp(-(chi/u + psi*u)/2)``."""
+    if not (chi > 0.0 and psi > 0.0):
+        raise ValueError("GIG requires chi > 0 and psi > 0")
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0.0):
+        raise ValueError("GIG density requires u > 0")
+    return (
+        -log_gig_normalizer(lam, chi, psi)
+        + (lam - 1.0) * np.log(u)
+        - 0.5 * (chi / u + psi * u)
     )
 
 
