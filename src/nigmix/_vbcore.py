@@ -1,8 +1,9 @@
 """Machinery shared by the univariate and multivariate engines.
 
 Holds the result containers, the deterministic initial-partition helpers
-(one-hot random assignment and a small seeded Lloyd k-means), the
-log-sum-exp row normalization with its uniform-row underflow fallback,
+(one-hot random assignment and a small seeded Lloyd k-means) and the
+initial latent moments, both checked for squared distances that overflow,
+the log-sum-exp row normalization with its uniform-row underflow fallback,
 ``gig_responsibilities``, the responsibilities step both engines finish
 with, ``prune``, and ``run_sweep``, the variational sweep both engines run
 with their own update steps.
@@ -24,6 +25,7 @@ __all__ = [
     "DegenerateFit",
     "FitResult",
     "gig_responsibilities",
+    "initial_latent_moments",
     "initial_partition",
     "kmeans_labels",
     "normalize_log_scores",
@@ -83,6 +85,10 @@ def kmeans_labels(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(n)]
     d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    # The seeding draws in proportion to d2, which an overflow in the squared
+    # distances or in their sum leaves undefined.
+    if not d2.sum() < math.inf:
+        raise DegenerateFit("squared distances between observations overflow")
     for j in range(1, k):
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[j] = data[rng.choice(n, p=probs)]
@@ -115,6 +121,15 @@ def initial_partition(
     else:
         raise ValueError(f"unknown init_mode {init_mode!r}")
     return one_hot(labels, g_init)
+
+
+def initial_latent_moments(lam: float, chi: np.ndarray):
+    """Latent GIG(lam, chi, 1) moments of the initial partition, where
+    ``chi`` is one plus each squared distance to a component centre; a
+    distance that overflowed leaves no moments."""
+    if not chi.max() < math.inf:
+        raise DegenerateFit("squared distances to the initial centres overflow")
+    return gig_moments(lam, chi, np.ones_like(chi))
 
 
 def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -212,9 +227,12 @@ def run_sweep(
     ``config.tol``; hitting ``max_iter`` first flags the result instead of
     raising.
     """
-    resp, lat, priors = init(
-        data, config.g_init, config.init_mode, config.hyper_init, config.seed
-    )
+    # Squared distances that overflow while the initial state is formed end
+    # the fit through the checks on them, so numpy's warnings are not shown.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resp, lat, priors = init(
+            data, config.g_init, config.init_mode, config.hyper_init, config.seed
+        )
     ids = list(range(1, config.g_init + 1))
     trace: list[dict] = []
     all_flags: list[str] = []

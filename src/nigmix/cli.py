@@ -61,18 +61,21 @@ def _add_fit_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> FitConfig:
-    return FitConfig(
-        model=args.model,
-        g_init=args.g_init,
-        init_mode=args.init_mode,
-        hyper_init=args.hyper_init,
-        prune_threshold=args.prune_threshold,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        columns=args.columns.split(",") if args.columns else None,
-        label_column=args.label_column,
-    )
+    try:
+        return FitConfig(
+            model=args.model,
+            g_init=args.g_init,
+            init_mode=args.init_mode,
+            hyper_init=args.hyper_init,
+            prune_threshold=args.prune_threshold,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            seed=args.seed,
+            columns=args.columns.split(",") if args.columns else None,
+            label_column=args.label_column,
+        )
+    except ValueError as exc:
+        raise CliError(f"invalid settings: {exc}") from exc
 
 
 def run_fit(config: FitConfig, data: np.ndarray):
@@ -92,6 +95,11 @@ def cmd_fit(args) -> int:
         data, _ = ingest_csv(args.input, config.columns, config.label_column)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(f"ingestion failed: {exc}") from exc
+    if data.shape[0] <= config.g_init:
+        raise CliError(
+            f"{args.input}: {data.shape[0]} rows, but a fit needs more rows "
+            f"than --g-init ({config.g_init})"
+        )
     t0 = time.perf_counter()
     try:
         result = run_fit(config, data)
@@ -134,7 +142,10 @@ def cmd_simulate(args) -> int:
             raise CliError(f"invalid mixture spec: {exc}") from exc
         counts = None
         n = args.n if args.n is not None else 300
-    sample = sample_mixture(spec, n, args.seed, counts=counts)
+    try:
+        sample = sample_mixture(spec, n, args.seed, counts=counts)
+    except ValueError as exc:
+        raise CliError(f"invalid settings: {exc}") from exc
     out = Path(args.output)
     write_sample_csv(out, sample)
     sidecar = {
@@ -221,6 +232,8 @@ def cmd_density_grid(args) -> int:
 def cmd_reproduce(args) -> int:
     """Run a named study end to end and print its headline numbers."""
     name = args.study
+    if args.replicates < 1:
+        raise CliError("--replicates must be >= 1")
     if name in ("study1", "study2"):
         spec, counts = simulation_preset(name)
         aris = []

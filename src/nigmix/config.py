@@ -32,6 +32,10 @@ class FitConfig:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.g_init < 2:
             raise ValueError("g_init must be >= 2")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (self.hyper_init > 0.0 and self.prune_threshold > 0.0):
             raise ValueError("hyper_init and prune_threshold must be positive")
 

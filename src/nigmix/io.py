@@ -45,9 +45,10 @@ def ingest_csv(
     """Read a headered CSV into a row-major float matrix.
 
     ``columns`` selects and orders the numeric columns (default: all except
-    the label column).  Non-numeric cells in selected columns are rejected
-    with the offending row index.  Label columns may be non-numeric; string
-    labels are coded 1..k in order of first appearance.
+    the label column).  Non-numeric and non-finite cells in selected
+    columns are rejected with the offending row index.  Label columns may
+    be non-numeric; string labels are coded 1..k in order of first
+    appearance.
     """
     path = Path(path)
     if not path.exists():
@@ -84,6 +85,12 @@ def ingest_csv(
                 ) from None
         if lab_idx is not None:
             raw_labels.append(row[lab_idx].strip())
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: non-finite cell in row {i + 2}, column {columns[j]!r}"
+        )
 
     labels = None
     if lab_idx is not None:

@@ -30,11 +30,12 @@ from ._vbcore import (
     DegenerateComponent,
     FitResult,
     gig_responsibilities,
+    initial_latent_moments,
     initial_partition,
     run_sweep,
 )
 from .config import FitConfig
-from .distributions import MNIGParams, gig_moments, mnig_log_density
+from .distributions import MNIGParams, mnig_log_density
 from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
 from .special import digamma, trunc_normal_moments
 
@@ -151,10 +152,9 @@ def init_fit_m(
         except NotPositiveDefinite:
             prec = np.eye(d) / (np.trace(cov) / d)
         chi[:, g] = 1.0 + np.einsum("ij,ij->i", centered @ prec, centered)
-    e_u, e_uinv = gig_moments(lam, chi, np.ones_like(chi))
+    lat = initial_latent_moments(lam, chi)
     cov_trace = float(np.trace(np.atleast_2d(np.cov(data.T))))
-    priors = flat_priors_m(g_init, d, hyper_init, cov_trace)
-    return resp, (e_u, e_uinv), priors
+    return resp, lat, flat_priors_m(g_init, d, hyper_init, cov_trace)
 
 
 def update_hypers_m(

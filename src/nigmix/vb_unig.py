@@ -28,12 +28,13 @@ from ._vbcore import (
     DegenerateComponent,
     FitResult,
     gig_responsibilities,
+    initial_latent_moments,
     initial_partition,
     prune,
     run_sweep,
 )
 from .config import FitConfig
-from .distributions import UNIGParams, gig_moments, unig_density
+from .distributions import UNIGParams, unig_density
 from .special import digamma, sqrt_gamma_moment, trunc_normal_moments
 
 __all__ = [
@@ -119,8 +120,7 @@ def init_fit(
     )
     # delta = gamma = 1, beta = 0: A_ig = 1 + (y_i - mu_g)^2, B_g = 1.
     chi = 1.0 + (data[:, None] - mus[None, :]) ** 2
-    e_u, e_uinv = gig_moments(-1.0, chi, np.ones_like(chi))
-    return resp, (e_u, e_uinv), flat_priors(g_init, hyper_init)
+    return resp, initial_latent_moments(-1.0, chi), flat_priors(g_init, hyper_init)
 
 
 def update_hypers(

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,3 +294,60 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code = main(argv)
         assert code in ((0, 2) if argv[0] == "fit" else (0,)), (argv, code)
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A study1 and a study5 sample, and CSVs made bad in one way each."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    for preset in ("study1", "study5"):
+        spec, counts = simulation_preset(preset)
+        write_sample_csv(root / f"{preset}.csv",
+                         sample_mixture(spec, sum(counts), seed=4, counts=counts))
+    study1 = (root / "study1.csv").read_text()
+    study5 = (root / "study5.csv").read_text()
+    lines = study1.splitlines(keepends=True)
+    (root / "header.csv").write_text(lines[0])
+    (root / "few.csv").write_text("".join(lines[:4]))
+    for cell in ("nan", "inf"):
+        bad_row = cell + "," + lines[4].split(",", 1)[1]
+        (root / f"{cell}.csv").write_text("".join(lines[:4] + [bad_row] + lines[5:]))
+    (root / "huge1.csv").write_text(study1 + "1e200,1\n-1e200,2\n")
+    (root / "huge5.csv").write_text(
+        study5 + ",".join(["1e200"] * 10) + ",1\n"
+        + ",".join(["-1e200"] * 10) + ",2\n"
+    )
+    return root
+
+
+def fit_argv(csv, *flags):
+    return ["fit", "{}/" + csv, "{}/out.json", "--label-column", "label", *flags]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (fit_argv("study1.csv", "--g-init", "1"), 3),
+    (fit_argv("study1.csv", "--hyper-init", "0"), 3),
+    (fit_argv("study1.csv", "--prune-threshold", "nan"), 3),
+    (fit_argv("study1.csv", "--max-iter", "0"), 3),
+    (fit_argv("study1.csv", "--seed", "-1"), 3),
+    (["simulate", "{}/sim.csv", "--preset", "study1", "--n", "0"], 3),
+    (["simulate", "{}/sim.csv", "--preset", "study1", "--seed", "-1"], 3),
+    (["reproduce", "study1", "--replicates", "0"], 3),
+    (fit_argv("header.csv"), 3),
+    (fit_argv("few.csv", "--g-init", "3"), 3),
+    (fit_argv("nan.csv"), 3),
+    (fit_argv("inf.csv"), 3),
+    (fit_argv("huge1.csv", "--init-mode", "kmeans"), 4),
+    (fit_argv("huge1.csv", "--init-mode", "random"), 4),
+    (fit_argv("huge5.csv", "--model", "mnig", "--init-mode", "kmeans"), 4),
+    (fit_argv("huge5.csv", "--model", "mnig", "--init-mode", "random"), 4),
+])
+def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
+    # One error line on stderr and no warning, which numpy would print there.
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(bad_inputs) for a in argv]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
