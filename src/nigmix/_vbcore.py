@@ -227,12 +227,9 @@ def run_sweep(
     ``config.tol``; hitting ``max_iter`` first flags the result instead of
     raising.
     """
-    # Squared distances that overflow while the initial state is formed end
-    # the fit through the checks on them, so numpy's warnings are not shown.
-    with np.errstate(over="ignore", invalid="ignore"):
-        resp, lat, priors = init(
-            data, config.g_init, config.init_mode, config.hyper_init, config.seed
-        )
+    resp, lat, priors = init(
+        data, config.g_init, config.init_mode, config.hyper_init, config.seed
+    )
     ids = list(range(1, config.g_init + 1))
     trace: list[dict] = []
     all_flags: list[str] = []

@@ -344,7 +344,10 @@ def main(argv=None) -> int:
         # argparse has printed the usage; --help exits 0, a usage error 3.
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        return args.func(args)
+        # Numerical trouble ends a command through its exit code and one
+        # error line; numpy's floating-point warnings would only add lines.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

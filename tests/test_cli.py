@@ -312,6 +312,7 @@ def bad_inputs(tmp_path_factory):
     for cell in ("nan", "inf"):
         bad_row = cell + "," + lines[4].split(",", 1)[1]
         (root / f"{cell}.csv").write_text("".join(lines[:4] + [bad_row] + lines[5:]))
+    (root / "far1.csv").write_text(study1 + "1e100,1\n")
     (root / "huge1.csv").write_text(study1 + "1e200,1\n-1e200,2\n")
     (root / "huge5.csv").write_text(
         study5 + ",".join(["1e200"] * 10) + ",1\n"
@@ -337,6 +338,7 @@ def fit_argv(csv, *flags):
     (fit_argv("few.csv", "--g-init", "3"), 3),
     (fit_argv("nan.csv"), 3),
     (fit_argv("inf.csv"), 3),
+    (fit_argv("far1.csv"), 4),
     (fit_argv("huge1.csv", "--init-mode", "kmeans"), 4),
     (fit_argv("huge1.csv", "--init-mode", "random"), 4),
     (fit_argv("huge5.csv", "--model", "mnig", "--init-mode", "kmeans"), 4),
