@@ -133,21 +133,24 @@ def initial_latent_moments(lam: float, chi: np.ndarray):
 
 
 def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Row-wise softmax of log scores with a uniform fallback.
+    """Softmax over the components of (k, n) log scores, returned as (n, k)
+    C-ordered responsibilities, with a uniform fallback.
 
-    Rows where every score is non-finite (transient underflow at far
-    outliers) become uniform and are reported in the returned flags.
+    Observations where every score is non-finite (transient underflow at
+    far outliers) become uniform and are reported in the returned flags.
+    The result is bit for bit the row-wise softmax of the (n, k) scores.
     """
-    n, k = log_scores.shape
-    flags: list[str] = []
-    scores = np.array(log_scores, dtype=float)
-    finite_row = np.isfinite(scores).any(axis=1)
-    if not finite_row.all():
-        for i in np.nonzero(~finite_row)[0]:
-            flags.append(f"underflow_row:{i}")
-        scores[~finite_row] = 0.0
-    scores -= scores.max(axis=1, keepdims=True)
-    resp = np.exp(scores)
+    finite = np.isfinite(log_scores).any(axis=0)
+    flags = [f"underflow_row:{i}" for i in np.nonzero(~finite)[0]]
+    if flags:
+        log_scores = np.where(finite, log_scores, 0.0)
+    resp = np.exp(log_scores - log_scores.max(axis=0))
+    # numpy sums a contiguous row of k values in turn below 8 and pairwise
+    # from 8 on; only the second needs the row-major copy.
+    if resp.shape[0] < 8:
+        resp /= resp.sum(axis=0)
+        return resp.T.copy(), flags
+    resp = resp.T.copy()
     resp /= resp.sum(axis=1, keepdims=True)
     return resp, flags
 
@@ -171,18 +174,18 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     omega = np.sqrt(chi * psi)
     # Checked before np.log(chi), which would warn on a cancelled chi.
     try:
-        log_k = log_bessel_k(lam, omega)
+        log_k = log_bessel_k(lam, omega, pair=True)
     except ValueError as exc:
         row = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=1)))
         raise DegenerateComponent(row, str(exc)) from None
     # math.log, not np.log, which differs from it in the last bit on about
     # 1e-4 of arguments: study2 responsibilities would move by up to 5e-11.
     log_psi = np.array([math.log(v) for v in psi.flat])[:, None]
-    scores = head + math.log(2.0) + 0.5 * lam * (np.log(chi) - log_psi) + log_k
+    scores = head + math.log(2.0) + 0.5 * lam * (np.log(chi) - log_psi) + log_k[0]
+    resp, flags = normalize_log_scores(scores)
+    e_u, e_uinv = gig_moments(lam, chi, psi, omega, log_k)
     # C-ordered (n, k) copies: update_hypers' dot products over strided
     # columns would sum in another order and move the answers.
-    resp, flags = normalize_log_scores(scores.T.copy())
-    e_u, e_uinv = gig_moments(lam, chi, psi, omega, log_k)
     return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
 
 

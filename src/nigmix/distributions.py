@@ -143,9 +143,9 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
     term is positive, and only the orders nu and |nu-1| are evaluated, on
     the log scale, so arguments deep in the underflow region of the raw
     function are fine.  ``chi`` and ``psi`` broadcast elementwise.
-    ``omega`` and ``log_k``, given together, are w and log K_lam(w) as the
-    caller has already formed and checked them; without them chi and psi
-    are checked here.
+    ``omega`` and ``log_k``, given together, are w and the pair
+    (log K_nu(w), log K_|nu-1|(w)) as the caller has already formed and
+    checked them; without them chi and psi are checked here.
 
     Returns
     -------
@@ -158,8 +158,9 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
         if not (chi.min() > 0.0 and psi.min() > 0.0):
             raise ValueError("GIG moments require chi > 0 and psi > 0")
         omega = np.sqrt(chi * psi)
-        log_k = log_bessel_k(nu, omega)
-    down = np.exp(log_bessel_k(abs(nu - 1.0), omega) - log_k)
+        log_k = log_bessel_k(nu, omega, pair=True)
+    log_k_nu, log_k_down = log_k
+    down = np.exp(log_k_down - log_k_nu)
     up = down + 2.0 * nu / omega
     if lam < 0.0:
         down, up = up, down

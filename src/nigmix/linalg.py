@@ -76,8 +76,12 @@ def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
     inv, info = dpotri(L, lower=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
-    # dpotri writes the lower triangle only.
-    return np.tril(inv) + np.tril(inv, -1).T, logdet
+    # dpotri writes the lower triangle only, over zeros: the sum with the
+    # transpose fills the upper one and doubles the diagonal, put back after.
+    # C order: callers' BLAS products are pinned to its summation order.
+    full = np.add(inv.T, inv, order="C")
+    full.flat[:: full.shape[0] + 1] = inv.diagonal()
+    return full, logdet
 
 
 def spd_inverse_logdet_jittered(m) -> tuple[np.ndarray, float]:

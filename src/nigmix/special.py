@@ -38,7 +38,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_ORDER = 64.0
 
 
-def log_bessel_k(nu: float, x):
+def log_bessel_k(nu: float, x, pair: bool = False):
     """log K_nu(x), the modified Bessel function of the third kind.
 
     Symmetric in the order (``K_{-nu} = K_{nu}``) and safe for arguments
@@ -51,10 +51,13 @@ def log_bessel_k(nu: float, x):
         Order, ``|nu| <= 64``.
     x : float or ndarray
         Argument, strictly positive.
+    pair : bool
+        Also return log K at the order ``||nu| - 1|``, which the GIG moments
+        need and the upward recurrence to ``nu`` passes through.
 
     Returns
     -------
-    float or ndarray
+    float or ndarray, or a tuple of two with ``pair``
     """
     nu = abs(float(nu))
     if not math.isfinite(nu) or nu > _MAX_ORDER:
@@ -66,35 +69,34 @@ def log_bessel_k(nu: float, x):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.asarray(np.log(_scaled_k(nu, x)) - x)
-
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        flat = out.reshape(-1)
-        xf = x.reshape(-1)
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            flat[i] = _log_k_mpmath(nu, float(xf[i]))
-    return float(out) if scalar else out
+        logs = [np.asarray(np.log(k) - x) for k in _scaled_k(nu, x, pair)]
+    outs = []
+    for order, out in zip((nu, abs(nu - 1.0)), logs):
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out.flat[i] = _log_k_mpmath(order, float(x.flat[i]))
+        outs.append(float(out) if scalar else out)
+    return tuple(outs) if pair else outs[0]
 
 
-def _scaled_k(nu: float, x: np.ndarray):
-    """K_nu(x) e^x for nu >= 0, by order (see the module docstring)."""
-    if nu == 0.0:
-        return k0e(x)
-    if nu == 1.0:
-        return k1e(x)
+def _scaled_k(nu: float, x: np.ndarray, pair: bool):
+    """K_nu(x) e^x for nu >= 0, by order (see the module docstring), and
+    with ``pair`` K_|nu-1|(x) e^x after it."""
     if nu.is_integer():
+        if nu <= 1.0 and not pair:
+            return ((k1e if nu else k0e)(x),)
         m, lower, k = 1.0, k0e(x), k1e(x)
+        if nu == 0.0:
+            return lower, k
     elif (nu - 0.5).is_integer():
         # K_{-1/2} = K_{1/2}
         m, lower = 0.5, np.sqrt(math.pi / (2.0 * x))
         k = lower
     else:
-        return kve(nu, x)
+        return (kve(nu, x), kve(abs(nu - 1.0), x)) if pair else (kve(nu, x),)
     while m < nu:
         lower, k = k, lower + (2.0 * m / x) * k
         m += 1.0
-    return k
+    return (k, lower) if pair else (k,)
 
 
 def _log_k_mpmath(nu: float, x: float) -> float:

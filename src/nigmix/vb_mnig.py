@@ -7,6 +7,12 @@ posterior on each component precision, a joint conditional normal on
 component scale, and a truncated normal on the tail weight.  The latent
 subordinator posterior is GIG of order -(d+1)/2.
 
+The hyper and responsibility steps work on all components at once, in
+(k, ...) stacks, and take each component through the floating-point steps of
+its own update: the batched products make the BLAS calls, over the same
+strides, that one column of the responsibilities would.  Their answers are
+bit for bit those of a loop over the components.
+
 Conventions pinned here (the displays leave them implicit):
 
 * Wishart(df, V) is parameterized so that E[precision] = df * V^{-1} and
@@ -157,6 +163,11 @@ def init_fit_m(
     return resp, lat, flat_priors_m(g_init, d, hyper_init, cov_trace)
 
 
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Outer products of the rows of two (k, d) stacks."""
+    return x[:, :, None] * y[:, None, :]
+
+
 def update_hypers_m(
     priors: list[ComponentHyperM],
     resp: np.ndarray,
@@ -167,31 +178,40 @@ def update_hypers_m(
     unlike their univariate counterparts."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     e_u, e_uinv = lat
-    out = []
-    for g, p in enumerate(priors):
-        z = resp[:, g]
-        zu_inv = z * e_uinv[:, g]
-        a0 = p.a0 + z.sum()
-        a1 = p.a1 + data.T @ z
-        a2 = p.a2 + data.T @ zu_inv
-        a3 = p.a3 + float(z @ e_u[:, g])
-        a4 = p.a4 + float(zu_inv.sum())
-        h = ComponentHyperM(a0, a1, a2, a3, a4, p.V)
-        mu_bar, beta_bar = posterior_means(h)
-        scatter = (data * zu_inv[:, None]).T @ data
-        V = (
-            p.V
-            + scatter
-            - np.outer(a2, mu_bar)
-            - np.outer(mu_bar, a2)
-            + a4 * np.outer(mu_bar, mu_bar)
-            - np.outer(beta_bar, a1)
-            - np.outer(a1, beta_bar)
-            + a0 * (np.outer(beta_bar, mu_bar) + np.outer(mu_bar, beta_bar))
-            + a3 * np.outer(beta_bar, beta_bar)
-        )
-        out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
-    return out
+    stacked = (np.array(f) for f in zip(*(vars(p).values() for p in priors)))
+    p0, p1, p2, p3, p4, p_v = stacked
+    z = resp.T
+    # numpy sums a contiguous row pairwise, as it sums one strided column,
+    # but it would sum the columns of resp in turn.
+    z_rows = z.copy()
+    # Contiguous rows, as the product for one column is: strided rows would
+    # take another BLAS path and move a2.
+    zu_inv = np.multiply(z_rows, e_uinv.T, order="C")
+    a0 = p0 + z_rows.sum(axis=1)
+    a1 = p1 + (data.T @ z[:, :, None])[..., 0]
+    a2 = p2 + (data.T @ zu_inv[:, :, None])[..., 0]
+    a3 = p3 + (z[:, None, :] @ e_u.T[:, :, None])[:, 0, 0]
+    a4 = p4 + zu_inv.sum(axis=1)
+    # Squared by pow, as ComponentHyperM.disc squares a scalar a0; the array
+    # square x * x differs from it in the last bit on about 1e-3 of values.
+    disc = (a3 * a4 - np.float_power(a0, 2))[:, None]
+    mu_bar = (a3[:, None] * a2 - a0[:, None] * a1) / disc
+    beta_bar = (a4[:, None] * a1 - a0[:, None] * a2) / disc
+    scatter = (data * zu_inv[:, :, None]).transpose(0, 2, 1) @ data
+    c0, c3, c4 = (a[:, None, None] for a in (a0, a3, a4))
+    V = (
+        p_v
+        + scatter
+        - _outer(a2, mu_bar)
+        - _outer(mu_bar, a2)
+        + c4 * _outer(mu_bar, mu_bar)
+        - _outer(beta_bar, a1)
+        - _outer(a1, beta_bar)
+        + c0 * (_outer(beta_bar, mu_bar) + _outer(mu_bar, beta_bar))
+        + c3 * _outer(beta_bar, beta_bar)
+    )
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    return [ComponentHyperM(*h) for h in zip(a0, a1, a2, a3.tolist(), a4.tolist(), V)]
 
 
 def expectations_from_hypers_m(
@@ -232,25 +252,25 @@ def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM
     """New responsibilities and latent GIG moments from the current bundles,
     through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    n, d = data.shape
+    d = data.shape[1]
     k = len(bundles)
-    head = np.empty((k, n))
-    chi = np.empty((k, n))
-    psi = np.empty((k, 1))
-    for g, b in enumerate(bundles):
-        centered = data - b.mu_bar
-        chi[g] = (
-            1.0
-            + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
-            + d * b.c_mu
-        )
-        psi[g] = (
-            b.gamma_t_sq
-            + float(b.beta_bar @ b.e_prec @ b.beta_bar)
-            + d * b.c_beta
-        )
-        e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
-        head[g] = b.log_pi + 0.5 * b.elog_det_prec + e_c
+    # The reshapes keep k = 0 at the right shape for the shared empty check.
+    e_prec = np.array([b.e_prec for b in bundles]).reshape(k, d, d)
+    mu_bar = np.array([b.mu_bar for b in bundles]).reshape(k, 1, d)
+    beta_bar = np.array([b.beta_bar for b in bundles]).reshape(k, d, 1)
+    scalars = [(b.log_pi, b.elog_det_prec, b.c_mu, b.c_beta, b.c_cross, b.gamma_t,
+                b.gamma_t_sq) for b in bundles]
+    log_pi, elog_det_prec, c_mu, c_beta, c_cross, gamma_t, gamma_t_sq = (
+        np.array(scalars).reshape(k, 7).T[..., None])
+    centered = data - mu_bar
+    chi = 1.0 + np.einsum("kij,kij->ki", centered @ e_prec, centered) + d * c_mu
+    psi = (
+        gamma_t_sq
+        + (beta_bar.transpose(0, 2, 1) @ e_prec @ beta_bar)[:, :, 0]
+        + d * c_beta
+    )
+    e_c = gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * c_cross
+    head = log_pi + 0.5 * elog_det_prec + e_c
     return gig_responsibilities(-(d + 1) / 2.0, head, chi, psi)
 
 

@@ -11,7 +11,7 @@ from nigmix.linalg import (
     spd_inverse_logdet,
     spd_inverse_logdet_jittered,
 )
-from tests_support_naive import cholesky_loop
+from tests_support_naive import cholesky_loop, spd_inverse_logdet_tril
 
 
 def random_spd(d, seed):
@@ -53,6 +53,16 @@ class TestInverseLogdet:
         assert np.allclose(inv, np.linalg.inv(m), atol=1e-9)
         assert np.array_equal(inv, inv.T)
         assert logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_equals_the_sum_of_triangles(self, d):
+        # The diagonal matrix leaves -0.0 off the diagonal of dpotri's result.
+        for m in (random_spd(d, 200 + d), np.diag(np.arange(1.0, d + 1.0))):
+            inv, logdet = spd_inverse_logdet(m)
+            ref, ref_logdet = spd_inverse_logdet_tril(m)
+            assert np.array_equal(inv, ref) and logdet == ref_logdet
+            assert np.array_equal(np.signbit(inv), np.signbit(ref))
+            assert np.array_equal(inv, inv.T) and inv.flags.c_contiguous
 
     def test_reports_pivot(self):
         for m, pivot in [

@@ -109,6 +109,15 @@ class TestLogBesselK:
             # Resolution of a log value near -x is a few ulps of x.
             assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(x))
 
+    def test_pair_is_two_single_calls(self):
+        # The first argument of each set overflows the scaled function at
+        # the higher orders, so the pair reaches the mpmath fallback there.
+        for x in (np.array([1e-60, 1e-6, 0.3, 2.0, 40.0, 1e12]), 0.7):
+            for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 5.5, 7.0, 0.3, 1.7, -5.5, 60.5):
+                got = log_bessel_k(nu, x, pair=True)
+                ref = (log_bessel_k(nu, x), log_bessel_k(abs(abs(nu) - 1.0), x))
+                assert np.array_equal(got, ref), nu
+
     def test_vectorized(self):
         xs = np.array(XS)
         out = log_bessel_k(1.0, xs)

@@ -2,6 +2,7 @@
 fit.  The one-dimensional agreement with the univariate engine is
 ``test_acceptance.py::test_12_cross_engine_identity``."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from tests_support_naive import (
     log_score_m,
     naive_update_m,
     random_m,
+    update_hypers_m_loop,
+    update_responsibilities_m_loop,
 )
 
 
@@ -173,7 +176,7 @@ class TestScores:
             bundles = [expectations_from_hypers_m(h, total) for h in hypers]
             resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
             cols = [log_score_m(data, b) for b in bundles]
-            ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+            ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
             ref_u, ref_uinv = gig_moments(
                 -(data.shape[1] + 1) / 2.0,
                 np.column_stack([c[1] for c in cols]),
@@ -193,7 +196,7 @@ class TestScores:
         # kve orders.
         monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
         cols = [log_score_m(data, b) for b in bundles]
-        ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+        ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -(data.shape[1] + 1) / 2.0,
             np.column_stack([c[1] for c in cols]),
@@ -201,6 +204,78 @@ class TestScores:
         )
         for got, ref in ((resp, ref_resp), (e_u, ref_u), (e_uinv, ref_uinv)):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def sweep_states():
+    """(data, resp, lat, priors) at d = 1, 2, 3 and 10 with k = 1..10
+    components, then the initial and a mid-fit state of study4 and study5
+    at g_init = 10."""
+    for d in (1, 2, 3, 10):
+        for k in range(1, 11):
+            # Enough rows that every component keeps a Wishart df above d - 1.
+            yield random_m(10 * d + k, n=30 * k, k=k, d=d)
+    for name in ("study4", "study5"):
+        spec, counts = simulation_preset(name)
+        s = sample_mixture(spec, sum(counts), seed=1000, counts=counts)
+        resp, lat, priors = init_fit_m(s.observations, 10, "kmeans", 1e-8, 0)
+        yield s.observations, resp, lat, priors
+        res = fit_m(s.observations, FitConfig(model="mnig", g_init=10, max_iter=15))
+        resp, lat, _ = update_responsibilities_m(s.observations, res.bundles)
+        yield s.observations, resp, lat, priors[: len(res.bundles)]
+
+
+def assert_hypers_equal(got, ref):
+    assert len(got) == len(ref)
+    for f, s in zip(got, ref):
+        for field in dataclasses.fields(ComponentHyperM):
+            assert np.array_equal(getattr(f, field.name), getattr(s, field.name))
+
+
+class TestStackedSteps:
+    """The stacked steps take each component's floating-point steps one
+    for one, so they equal the one-component loops bit for bit."""
+
+    def test_hypers_equal_the_component_loop(self):
+        for data, resp, lat, priors in sweep_states():
+            assert_hypers_equal(
+                update_hypers_m(priors, resp, lat, data),
+                update_hypers_m_loop(priors, resp, lat, data),
+            )
+
+    def test_count_mass_squared_as_a_scalar(self):
+        # A count mass whose square by pow, as the scalar a0**2 takes it,
+        # differs in the last bit from the array square a0 * a0.
+        data, resp, lat, priors = random_m(3, k=2)
+        mass = resp[:, 0].sum()
+        prior_a0 = next(
+            p for p in 1e-8 * np.arange(1.0, 1e5)
+            if (p + mass) ** 2 != (p + mass) * (p + mass)
+        )
+        priors[0] = dataclasses.replace(priors[0], a0=float(prior_a0))
+        assert_hypers_equal(
+            update_hypers_m(priors, resp, lat, data),
+            update_hypers_m_loop(priors, resp, lat, data),
+        )
+
+    def test_responsibilities_equal_the_component_loop(self):
+        for data, resp, lat, priors in sweep_states():
+            hypers = update_hypers_m(priors, resp, lat, data)
+            total = sum(h.a0 for h in hypers)
+            bundles = []
+            for h in hypers:
+                # The sweep drops a degenerate component before scoring.
+                try:
+                    bundles.append(expectations_from_hypers_m(h, total))
+                except DegenerateComponent:
+                    pass
+            new_resp, (e_u, e_uinv), flags = update_responsibilities_m(data, bundles)
+            ref_resp, (ref_u, ref_uinv), ref_flags = update_responsibilities_m_loop(
+                data, bundles
+            )
+            assert np.array_equal(new_resp, ref_resp) and flags == ref_flags
+            assert np.array_equal(e_u, ref_u) and np.array_equal(e_uinv, ref_uinv)
+            for a in (new_resp, e_u, e_uinv):
+                assert a.flags.c_contiguous
 
 
 class TestFit:

@@ -204,7 +204,7 @@ class TestScoresAndResponsibilities:
             bundles = [expectations_from_hypers(h, total) for h in hypers]
             resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
             cols = [log_score_u(data, b) for b in bundles]
-            ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+            ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
             ref_u, ref_uinv = gig_moments(
                 -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
             )
@@ -222,7 +222,7 @@ class TestScoresAndResponsibilities:
         # kve orders.
         monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
         cols = [log_score_u(data, b) for b in bundles]
-        ref_resp, _ = normalize_log_scores(np.column_stack([c[0] for c in cols]))
+        ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
         )

@@ -3,12 +3,34 @@
 import numpy as np
 import pytest
 
-from nigmix._vbcore import DegenerateComponent, DegenerateFit, gig_responsibilities
+from nigmix._vbcore import (
+    DegenerateComponent,
+    DegenerateFit,
+    gig_responsibilities,
+    normalize_log_scores,
+)
 from nigmix.config import FitConfig
 from nigmix.distributions import sample_mixture
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import fit_m, update_responsibilities_m
 from nigmix.vb_unig import fit, update_responsibilities
+from tests_support_naive import softmax_rows
+
+
+# k = 8..12 and 16 take numpy's eight-accumulator fold, 129 and 200 its halving.
+@pytest.mark.parametrize("k", [*range(1, 13), 16, 129, 200])
+def test_normalize_log_scores_is_the_row_softmax(k):
+    rng = np.random.default_rng(k)
+    scores = rng.normal(0.0, 2.0, (k, 60))
+    scores[:, 7] = -np.inf
+    scores[0, 9] = -np.inf
+    scores[:, 11] = np.nan
+    resp, flags = normalize_log_scores(scores)
+    ref, ref_flags = softmax_rows(scores.T)
+    assert np.array_equal(resp, ref)
+    underflow = (7, 9, 11) if k == 1 else (7, 11)
+    assert flags == ref_flags == [f"underflow_row:{i}" for i in underflow]
+    assert resp.shape == (60, k) and resp.flags.c_contiguous
 
 
 # Replicates (sample seed 1000 + r, fit seed r, g_init 10) whose sweeps drop

@@ -1,21 +1,29 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
-conjugate updates, pair-enumeration agreement index, set-partition
-enumeration, the d = 1 tilde map of parameters and of expectations, the
-inverse Gaussian and GIG densities, a column-by-column Cholesky, log-scale
-Bessel K and GIG moments through the generic ``kve`` at three orders, and
-the univariate and multivariate log scores of one bundle written out term
-by term."""
+conjugate updates, the multivariate hyper and responsibility steps one
+component at a time, the row-by-row softmax with log K at each order from
+its own call, pair-enumeration agreement index, set-partition enumeration,
+the d = 1 tilde map of parameters and of expectations, the inverse Gaussian
+and GIG densities, a column-by-column Cholesky and the SPD inverse as a sum
+of triangles, log-scale Bessel K and GIG moments through the generic
+``kve`` at three orders, and the univariate and multivariate log scores of
+one bundle written out term by term."""
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotri
 from scipy.special import kve
 
 from nigmix.distributions import MNIGParams, UNIGParams
-from nigmix.linalg import NotPositiveDefinite
+from nigmix.linalg import NotPositiveDefinite, cholesky
 from nigmix.special import log_bessel_k
-from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
+from nigmix.vb_mnig import (
+    ComponentHyperM,
+    ExpectationBundleM,
+    flat_priors_m,
+    posterior_means,
+)
 from nigmix.vb_unig import ComponentHyper, flat_priors
 
 
@@ -34,7 +42,7 @@ def random_m(seed, n=20, k=2, d=3):
     resp = rng.dirichlet(np.ones(k), size=n)
     e_u = rng.uniform(0.3, 2.5, (n, k))
     e_uinv = 1.0 / e_u + rng.uniform(0.05, 0.8, (n, k))
-    priors = flat_priors_m(k, d, 1e-8, float(np.trace(np.cov(data.T))))
+    priors = flat_priors_m(k, d, 1e-8, float(np.trace(np.atleast_2d(np.cov(data.T)))))
     return data, resp, (e_u, e_uinv), priors
 
 
@@ -123,6 +131,106 @@ def naive_update_m(priors, resp, lat, data):
         )
         out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
     return out
+
+
+def update_hypers_m_loop(priors, resp, lat, data):
+    """``update_hypers_m`` one component at a time, through the products of
+    one strided column of ``resp``: the steps the stacked update repeats."""
+    e_u, e_uinv = lat
+    out = []
+    for g, p in enumerate(priors):
+        z = resp[:, g]
+        zu_inv = z * e_uinv[:, g]
+        a0 = p.a0 + z.sum()
+        a1 = p.a1 + data.T @ z
+        a2 = p.a2 + data.T @ zu_inv
+        a3 = p.a3 + float(z @ e_u[:, g])
+        a4 = p.a4 + float(zu_inv.sum())
+        h = ComponentHyperM(a0, a1, a2, a3, a4, p.V)
+        mu_bar, beta_bar = posterior_means(h)
+        scatter = (data * zu_inv[:, None]).T @ data
+        V = (
+            p.V
+            + scatter
+            - np.outer(a2, mu_bar)
+            - np.outer(mu_bar, a2)
+            + a4 * np.outer(mu_bar, mu_bar)
+            - np.outer(beta_bar, a1)
+            - np.outer(a1, beta_bar)
+            + a0 * (np.outer(beta_bar, mu_bar) + np.outer(mu_bar, beta_bar))
+            + a3 * np.outer(beta_bar, beta_bar)
+        )
+        out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
+    return out
+
+
+def softmax_rows(log_scores):
+    """Row-wise softmax of (n, k) log scores, with an observation whose
+    scores are all non-finite made uniform and flagged.  The scores are
+    copied to C order, so each row sums as a contiguous row."""
+    flags = []
+    scores = np.array(log_scores, dtype=float, order="C")
+    finite_row = np.isfinite(scores).any(axis=1)
+    for i in np.nonzero(~finite_row)[0]:
+        flags.append(f"underflow_row:{i}")
+    scores[~finite_row] = 0.0
+    scores -= scores.max(axis=1, keepdims=True)
+    resp = np.exp(scores)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp, flags
+
+
+def gig_responsibilities_two_calls(lam, head, chi, psi):
+    """The shared responsibilities step with log K at |lam| and at
+    ||lam| - 1| from two calls and the softmax taken over (n, k) rows."""
+    nu = abs(lam)
+    omega = np.sqrt(chi * psi)
+    log_k = log_bessel_k(lam, omega)
+    log_psi = np.array([math.log(v) for v in psi.flat])[:, None]
+    scores = head + math.log(2.0) + 0.5 * lam * (np.log(chi) - log_psi) + log_k
+    resp, flags = softmax_rows(scores.T.copy())
+    down = np.exp(log_bessel_k(abs(nu - 1.0), omega) - log_k)
+    up = down + 2.0 * nu / omega
+    if lam < 0.0:
+        down, up = up, down
+    scale = np.sqrt(chi / psi)
+    return resp, ((scale * up).T.copy(), (down / scale).T.copy()), flags
+
+
+def update_responsibilities_m_loop(data, bundles):
+    """``update_responsibilities_m`` one bundle at a time, finished by
+    ``gig_responsibilities_two_calls``."""
+    n, d = data.shape
+    k = len(bundles)
+    head = np.empty((k, n))
+    chi = np.empty((k, n))
+    psi = np.empty((k, 1))
+    for g, b in enumerate(bundles):
+        centered = data - b.mu_bar
+        chi[g] = (
+            1.0
+            + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
+            + d * b.c_mu
+        )
+        psi[g] = (
+            b.gamma_t_sq
+            + float(b.beta_bar @ b.e_prec @ b.beta_bar)
+            + d * b.c_beta
+        )
+        e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
+        head[g] = b.log_pi + 0.5 * b.elog_det_prec + e_c
+    return gig_responsibilities_two_calls(-(d + 1) / 2.0, head, chi, psi)
+
+
+def spd_inverse_logdet_tril(m):
+    """Inverse and log-determinant of an SPD matrix, the inverse as the sum
+    of the lower triangle ``dpotri`` writes and its transpose."""
+    L = cholesky(m)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    inv, info = dpotri(L, lower=True)
+    if info > 0:
+        raise NotPositiveDefinite(info - 1)
+    return np.tril(inv) + np.tril(inv, -1).T, logdet
 
 
 def set_partitions(n):
