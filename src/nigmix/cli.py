@@ -191,6 +191,10 @@ def cmd_density_grid(args) -> int:
     from .vb_mnig import fitted_density_m
     from .vb_unig import fitted_density
 
+    if args.points < 1:
+        raise CliError("--points must be >= 1")
+    if not np.isfinite(args.range + (args.range2 or [])).all():
+        raise CliError("--range and --range2 must be finite")
     try:
         record = read_json(args.model_path)
         result = result_from_dict(record["result"])

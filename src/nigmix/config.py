@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 
@@ -38,6 +39,10 @@ class FitConfig:
             raise ValueError("seed must be >= 0")
         if not (self.hyper_init > 0.0 and self.prune_threshold > 0.0):
             raise ValueError("hyper_init and prune_threshold must be positive")
+        # A responsibility change is never below nan or a bound <= 0, so such
+        # a tol could only end at max_iter.
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

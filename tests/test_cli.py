@@ -298,12 +298,18 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A study1 and a study5 sample, and CSVs made bad in one way each."""
+    """A study1 and a study5 sample, CSVs made bad in one way each, and a
+    converged study1 fit for density-grid."""
     root = tmp_path_factory.mktemp("bad_inputs")
     for preset in ("study1", "study5"):
         spec, counts = simulation_preset(preset)
         write_sample_csv(root / f"{preset}.csv",
                          sample_mixture(spec, sum(counts), seed=4, counts=counts))
+    spec, counts = simulation_preset("study1")
+    write_sample_csv(root / "study1_1000.csv",
+                     sample_mixture(spec, sum(counts), seed=1000, counts=counts))
+    assert main(["fit", str(root / "study1_1000.csv"), str(root / "fit1.json"),
+                 "--label-column", "label", "--g-init", "10", "--seed", "0"]) == 0
     study1 = (root / "study1.csv").read_text()
     study5 = (root / "study5.csv").read_text()
     lines = study1.splitlines(keepends=True)
@@ -325,12 +331,24 @@ def fit_argv(csv, *flags):
     return ["fit", "{}/" + csv, "{}/out.json", "--label-column", "label", *flags]
 
 
+def grid_argv(*flags):
+    return ["density-grid", "{}/fit1.json", "{}/grid.csv", *flags]
+
+
 @pytest.mark.parametrize("argv, code", [
     (fit_argv("study1.csv", "--g-init", "1"), 3),
     (fit_argv("study1.csv", "--hyper-init", "0"), 3),
     (fit_argv("study1.csv", "--prune-threshold", "nan"), 3),
     (fit_argv("study1.csv", "--max-iter", "0"), 3),
     (fit_argv("study1.csv", "--seed", "-1"), 3),
+    (fit_argv("study1.csv", "--tol", "nan"), 3),
+    (fit_argv("study1.csv", "--tol", "-1"), 3),
+    (fit_argv("study1.csv", "--tol", "0"), 3),
+    (fit_argv("study1.csv", "--tol", "inf"), 3),
+    (grid_argv("--range", "-5", "5", "--points", "-1"), 3),
+    (grid_argv("--range", "-5", "5", "--points", "0"), 3),
+    (grid_argv("--range", "5", "nan"), 3),
+    (grid_argv("--range", "inf", "5"), 3),
     (["simulate", "{}/sim.csv", "--preset", "study1", "--n", "0"], 3),
     (["simulate", "{}/sim.csv", "--preset", "study1", "--seed", "-1"], 3),
     (["reproduce", "study1", "--replicates", "0"], 3),
