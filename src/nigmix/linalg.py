@@ -60,7 +60,7 @@ def cholesky(m) -> np.ndarray:
     # dpotrf stops at the first non-positive pivot (info is its 1-based
     # index) but lets a NaN pivot through with info = 0, so the diagonal of
     # the factor before the reported pivot is checked as well.
-    ok = np.diag(L)[: info - 1 if info > 0 else None] > 0.0
+    ok = L.diagonal()[: info - 1 if info > 0 else None] > 0.0
     if not ok.all():
         raise NotPositiveDefinite(int(ok.argmin()))
     if info > 0:
@@ -72,7 +72,7 @@ def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of an SPD matrix via Cholesky; LAPACK
     ``dpotri`` forms the inverse from the factor."""
     L = cholesky(m)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
     inv, info = dpotri(L, lower=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)

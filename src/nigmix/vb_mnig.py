@@ -225,7 +225,7 @@ def expectations_from_hypers_m(
     except NotPositiveDefinite as exc:
         raise DegenerateComponent(f"scale accumulator not SPD: {exc}") from exc
     elog_det_prec = (
-        float(np.sum(digamma((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0)))
+        float(digamma((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0).sum())
         + d * math.log(2.0)
         - logdet_v
     )
