@@ -341,14 +341,6 @@ def grid_argv(*flags):
     (fit_argv("study1.csv", "--prune-threshold", "nan"), 3),
     (fit_argv("study1.csv", "--max-iter", "0"), 3),
     (fit_argv("study1.csv", "--seed", "-1"), 3),
-    (fit_argv("study1.csv", "--tol", "nan"), 3),
-    (fit_argv("study1.csv", "--tol", "-1"), 3),
-    (fit_argv("study1.csv", "--tol", "0"), 3),
-    (fit_argv("study1.csv", "--tol", "inf"), 3),
-    (grid_argv("--range", "-5", "5", "--points", "-1"), 3),
-    (grid_argv("--range", "-5", "5", "--points", "0"), 3),
-    (grid_argv("--range", "5", "nan"), 3),
-    (grid_argv("--range", "inf", "5"), 3),
     (["simulate", "{}/sim.csv", "--preset", "study1", "--n", "0"], 3),
     (["simulate", "{}/sim.csv", "--preset", "study1", "--seed", "-1"], 3),
     (["reproduce", "study1", "--replicates", "0"], 3),
@@ -361,6 +353,14 @@ def grid_argv(*flags):
     (fit_argv("huge1.csv", "--init-mode", "random"), 4),
     (fit_argv("huge5.csv", "--model", "mnig", "--init-mode", "kmeans"), 4),
     (fit_argv("huge5.csv", "--model", "mnig", "--init-mode", "random"), 4),
+    (fit_argv("study1.csv", "--tol", "nan"), 3),
+    (fit_argv("study1.csv", "--tol", "-1"), 3),
+    (fit_argv("study1.csv", "--tol", "0"), 3),
+    (fit_argv("study1.csv", "--tol", "inf"), 3),
+    (grid_argv("--range", "-5", "5", "--points", "-1"), 3),
+    (grid_argv("--range", "-5", "5", "--points", "0"), 3),
+    (grid_argv("--range", "5", "nan"), 3),
+    (grid_argv("--range", "inf", "5"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.
