@@ -1,18 +1,20 @@
 """Machinery shared by the univariate and multivariate engines.
 
-Holds the result containers, the deterministic initial-partition helpers
-(one-hot random assignment and a small seeded Lloyd k-means) and the
-initial latent moments, both checked for squared distances that overflow,
-the log-sum-exp row normalization with its uniform-row underflow fallback,
+Holds the result containers, the component-stack helpers ``take`` and
+``screen``, the deterministic initial-partition helpers (one-hot random
+assignment and a small seeded Lloyd k-means) and the initial latent
+moments, both checked for squared distances that overflow, the log-sum-exp
+row normalization with its uniform-row underflow fallback,
 ``gig_responsibilities``, the responsibilities step both engines finish
 with, ``prune``, and ``run_sweep``, the variational sweep both engines run
-with their own update steps.
+with their own update steps.  A component stack is a frozen dataclass whose
+every field has a leading axis of one row per component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +34,13 @@ __all__ = [
     "one_hot",
     "prune",
     "run_sweep",
+    "screen",
+    "take",
 ]
 
 
 class DegenerateComponent(Exception):
-    """A component's hyperparameters left the valid region; prune it."""
+    """A component's latent posterior left the valid region."""
 
 
 class DegenerateFit(Exception):
@@ -45,12 +49,12 @@ class DegenerateFit(Exception):
 
 @dataclass
 class FitResult:
-    """Converged (or flagged) state of a variational fit."""
+    """Converged (or flagged) state of a fit; hypers and bundles are stacks."""
 
     model: str
     surviving: list[int]
-    hypers: list
-    bundles: list
+    hypers: object
+    bundles: object
     resp: np.ndarray
     labels: np.ndarray
     iterations: int
@@ -64,8 +68,22 @@ class FitResult:
 
     @property
     def weights(self) -> np.ndarray:
-        a0 = np.array([h.a0 for h in self.hypers])
-        return a0 / a0.sum()
+        return self.hypers.a0 / self.hypers.a0.sum()
+
+
+def take(stack, index):
+    """``stack`` with every field indexed by ``index``, such as kept rows."""
+    return type(stack)(*(getattr(stack, f.name)[index] for f in fields(stack)))
+
+
+def screen(checks) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The rows that pass every (mask of passing rows, reason) check, and the
+    (row, reason) of the first check each other row fails, in row order."""
+    ok, dropped = np.ones_like(checks[0][0]), []
+    for passed, reason in checks:
+        dropped += [(g, reason) for g in np.flatnonzero(ok & ~passed).tolist()]
+        ok &= passed
+    return np.flatnonzero(ok), sorted(dropped)
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -222,37 +240,32 @@ def run_sweep(
 ) -> FitResult:
     """Run one engine's variational sweep to convergence.
 
-    Components whose ``expectations`` raise DegenerateComponent are dropped
-    before the responsibilities are updated; ``responsibilities`` raising
-    DegenerateComponent(g, reason) for component g ends the fit with
-    DegenerateFit.  Convergence means the largest absolute responsibility
-    change in a sweep that neither dropped nor pruned a component fell below
-    ``config.tol``; hitting ``max_iter`` first flags the result instead of
-    raising.
+    ``expectations`` returns the bundle stack of the valid hyper rows and
+    the (row, reason) of the others, which are dropped; ``responsibilities``
+    raising DegenerateComponent(g, reason) for bundle row g ends the fit
+    with DegenerateFit.  Convergence means the largest absolute
+    responsibility change in a sweep that neither dropped nor pruned a
+    component fell below ``config.tol``; hitting ``max_iter`` first flags
+    the result instead of raising.
     """
     resp, lat, priors = init(
         data, config.g_init, config.init_mode, config.hyper_init, config.seed
     )
-    ids = list(range(1, config.g_init + 1))
+    ids = np.arange(1, config.g_init + 1)
     trace: list[dict] = []
     all_flags: list[str] = []
     converged = False
     iterations = 0
-    hypers: list = []
-    bundles: list = []
+    hypers = bundles = None
 
     for iterations in range(1, config.max_iter + 1):
         hypers = update_hypers(priors, resp, lat, data)
-        total_mass = sum(h.a0 for h in hypers)
-        bundles = []
-        live = []
-        for g, h in enumerate(hypers):
-            try:
-                bundles.append(expectations(h, total_mass))
-                live.append(g)
-            except DegenerateComponent as exc:
-                all_flags.append(f"degenerate_component:{ids[g]}:{exc}")
-        if not live:
+        # Left to right, as always: numpy sums ten or more values pairwise.
+        total_mass = sum(hypers.a0.tolist())
+        bundles, dropped = expectations(hypers, total_mass)
+        all_flags += [f"degenerate_component:{ids[g]}:{why}" for g, why in dropped]
+        live = np.delete(np.arange(len(ids)), [g for g, _ in dropped])
+        if not live.size:
             raise DegenerateFit("all components degenerate")
 
         try:
@@ -265,14 +278,12 @@ def run_sweep(
         new_resp, keep = prune(new_resp, config.prune_threshold)
         # A sweep that dropped or pruned components has no change to report;
         # None keeps the run record strict JSON, where inf would not.
-        same_shape = len(keep) == len(hypers)
+        kept = live[keep]
+        same_shape = len(kept) == len(ids)
         max_change = float(np.abs(new_resp - resp).max()) if same_shape else None
         if not same_shape:
-            kept = [live[g] for g in keep]
-            hypers = [hypers[g] for g in kept]
-            priors = [priors[g] for g in kept]
-            ids = [ids[g] for g in kept]
-            bundles = [bundles[g] for g in keep]
+            ids, priors, hypers = ids[kept], take(priors, kept), take(hypers, kept)
+            bundles = take(bundles, keep)
             lat = (lat[0][:, keep], lat[1][:, keep])
         resp = new_resp
         trace.append(
@@ -291,7 +302,7 @@ def run_sweep(
         all_flags.append("non_convergence")
     return FitResult(
         model=model,
-        surviving=ids,
+        surviving=ids.tolist(),
         hypers=hypers,
         bundles=bundles,
         resp=resp,

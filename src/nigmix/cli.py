@@ -213,7 +213,7 @@ def cmd_density_grid(args) -> int:
             for x, f in zip(grid, dens):
                 fh.write(f"{float(x)!r},{float(f)!r}\n")
     else:
-        d = result.bundles[0].mu_bar.shape[0]
+        d = result.bundles.mu_bar.shape[-1]
         if d != 2:
             raise CliError(
                 f"lattice export requires 2-dimensional models, got d={d}"

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._vbcore import FitResult
+from ._vbcore import FitResult, take
 from .config import FitConfig
 from .distributions import LabeledSample, MixtureSpec, MNIGParams, UNIGParams
 from .vb_mnig import ComponentHyperM, ExpectationBundleM
@@ -134,6 +134,11 @@ def _fields_from_dict(cls, d: dict):
     return cls(**{k: np.array(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+def _stack_from_dicts(cls, rows: list[dict]):
+    """A component stack from one ``_fields_to_dict`` dict per component."""
+    return cls(*(np.array([r[f.name] for r in rows], dtype=float) for f in fields(cls)))
+
+
 # ---------------------------------------------------------------------------
 # Mixture specifications
 # ---------------------------------------------------------------------------
@@ -162,11 +167,12 @@ def mixture_spec_from_dict(d: dict) -> MixtureSpec:
 # ---------------------------------------------------------------------------
 
 def result_to_dict(result: FitResult) -> dict:
+    rows = range(result.n_components)
     return {
         "model": result.model,
         "surviving": list(result.surviving),
-        "hypers": [_fields_to_dict(h) for h in result.hypers],
-        "bundles": [_fields_to_dict(b) for b in result.bundles],
+        "hypers": [_fields_to_dict(take(result.hypers, g)) for g in rows],
+        "bundles": [_fields_to_dict(take(result.bundles, g)) for g in rows],
         "resp": result.resp.tolist(),
         "labels": result.labels.tolist(),
         "iterations": result.iterations,
@@ -181,8 +187,8 @@ def result_from_dict(d: dict) -> FitResult:
     return FitResult(
         model=d["model"],
         surviving=list(d["surviving"]),
-        hypers=[_fields_from_dict(hyper_cls, h) for h in d["hypers"]],
-        bundles=[_fields_from_dict(bundle_cls, b) for b in d["bundles"]],
+        hypers=_stack_from_dicts(hyper_cls, d["hypers"]),
+        bundles=_stack_from_dicts(bundle_cls, d["bundles"]),
         resp=np.array(d["resp"]),
         labels=np.array(d["labels"], dtype=int),
         iterations=d["iterations"],

@@ -151,8 +151,11 @@ def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
     return mean, var + mean * mean
 
 
-def sqrt_gamma_moment(shape: float, rate: float) -> float:
-    """E[sqrt(X)] for X ~ Gamma(shape, rate), shape-rate convention."""
-    if not (shape > 0.0 and rate > 0.0):
+def sqrt_gamma_moment(shape, rate):
+    """Elementwise E[sqrt(X)] for X ~ Gamma(shape, rate), shape-rate convention."""
+    if not (np.all(shape > 0.0) and np.all(rate > 0.0)):
         raise ValueError("gamma moment requires shape > 0 and rate > 0")
-    return math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
+    # math.exp, not np.exp, which rounds some arguments differently.
+    log_ratio = gammaln(shape + 0.5) - gammaln(shape)
+    ratio = np.reshape([math.exp(v) for v in log_ratio.flat], log_ratio.shape)
+    return ratio / np.sqrt(rate)

@@ -7,11 +7,12 @@ posterior on each component precision, a joint conditional normal on
 component scale, and a truncated normal on the tail weight.  The latent
 subordinator posterior is GIG of order -(d+1)/2.
 
-The hyper and responsibility steps work on all components at once, in
-(k, ...) stacks, and take each component through the floating-point steps of
-its own update: the batched products make the BLAS calls, over the same
-strides, that one column of the responsibilities would.  Their answers are
-bit for bit those of a loop over the components.
+Every step works on all components at once, in (k, ...) stacks, and takes
+each component through the floating-point steps of its own update: the
+batched products make the BLAS calls, over the same strides, that one
+column of the responsibilities would, and a0 is squared by
+``np.float_power``, as a scalar ``a0**2`` is.  Only the Cholesky of the
+scale accumulator and the tail-weight moments run per component.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -28,17 +29,18 @@ Conventions pinned here (the displays leave them implicit):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._vbcore import (
-    DegenerateComponent,
     FitResult,
     gig_responsibilities,
     initial_latent_moments,
     initial_partition,
     run_sweep,
+    screen,
+    take,
 )
 from .config import FitConfig
 from .distributions import MNIGParams, mnig_log_density
@@ -60,59 +62,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComponentHyperM:
-    """Posterior hyperparameters of one multivariate component."""
+    """Posterior hyperparameters of k components; a1, a2 are (k, d), V (k, d, d)."""
 
-    a0: float
+    a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-    a3: float
-    a4: float
+    a3: np.ndarray
+    a4: np.ndarray
     V: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.a1.shape[0]
-
-    @property
-    def disc(self) -> float:
-        return self.a3 * self.a4 - self.a0**2
-
-    def validate(self) -> None:
-        if not (self.a0 > 0.0 and self.a3 > 0.0 and self.a4 > 0.0):
-            raise DegenerateComponent("non-positive hyperparameter")
-        if not self.disc > 0.0:
-            raise DegenerateComponent("joint-normal precision not positive")
-        if not self.a0 > self.dim - 1.0:
-            raise DegenerateComponent("Wishart degrees of freedom too small")
+    def disc(self) -> np.ndarray:
+        return self.a3 * self.a4 - np.float_power(self.a0, 2)
 
 
 @dataclass(frozen=True)
 class ExpectationBundleM:
-    """Expectations entering the multivariate scores."""
+    """Expectations entering the scores; e_prec is (k, d, d), mu_bar (k, d)."""
 
-    log_pi: float
-    elog_det_prec: float
+    log_pi: np.ndarray
+    elog_det_prec: np.ndarray
     e_prec: np.ndarray
     mu_bar: np.ndarray
     beta_bar: np.ndarray
-    c_mu: float
-    c_beta: float
-    c_cross: float
-    gamma_t: float
-    gamma_t_sq: float
+    c_mu: np.ndarray
+    c_beta: np.ndarray
+    c_cross: np.ndarray
+    gamma_t: np.ndarray
+    gamma_t_sq: np.ndarray
 
 
 def posterior_means(h: ComponentHyperM) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means of location and drift from the joint conditional."""
-    D = h.disc
-    mu_bar = (h.a3 * h.a2 - h.a0 * h.a1) / D
-    beta_bar = (h.a4 * h.a1 - h.a0 * h.a2) / D
+    D = h.disc[:, None]
+    mu_bar = (h.a3[:, None] * h.a2 - h.a0[:, None] * h.a1) / D
+    beta_bar = (h.a4[:, None] * h.a1 - h.a0[:, None] * h.a2) / D
     return mu_bar, beta_bar
 
 
 def flat_priors_m(
     g: int, d: int, hyper_init: float, data_cov_trace: float
-) -> list[ComponentHyperM]:
+) -> ComponentHyperM:
     """Flat scalar/vector priors with a scale-aware Wishart accumulator.
 
     A pure 1e-8 identity seed for V makes the early Wishart mean explode on
@@ -120,10 +110,10 @@ def flat_priors_m(
     """
     h = float(hyper_init)
     v0 = 1e-2 * (data_cov_trace / d) * np.eye(d)
-    return [
-        ComponentHyperM(h, np.full(d, h), np.full(d, h), h, h, v0.copy())
-        for _ in range(g)
-    ]
+    return ComponentHyperM(
+        np.full(g, h), np.full((g, d), h), np.full((g, d), h),
+        np.full(g, h), np.full(g, h), np.tile(v0, (g, 1, 1)),
+    )
 
 
 def init_fit_m(
@@ -169,17 +159,15 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def update_hypers_m(
-    priors: list[ComponentHyperM],
+    priors: ComponentHyperM,
     resp: np.ndarray,
     lat: tuple[np.ndarray, np.ndarray],
     data: np.ndarray,
-) -> list[ComponentHyperM]:
+) -> ComponentHyperM:
     """Conjugate updates; note the scalar accumulators carry no 1/2 factors,
     unlike their univariate counterparts."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     e_u, e_uinv = lat
-    stacked = (np.array(f) for f in zip(*(vars(p).values() for p in priors)))
-    p0, p1, p2, p3, p4, p_v = stacked
     z = resp.T
     # numpy sums a contiguous row pairwise, as it sums one strided column,
     # but it would sum the columns of resp in turn.
@@ -187,20 +175,17 @@ def update_hypers_m(
     # Contiguous rows, as the product for one column is: strided rows would
     # take another BLAS path and move a2.
     zu_inv = np.multiply(z_rows, e_uinv.T, order="C")
-    a0 = p0 + z_rows.sum(axis=1)
-    a1 = p1 + (data.T @ z[:, :, None])[..., 0]
-    a2 = p2 + (data.T @ zu_inv[:, :, None])[..., 0]
-    a3 = p3 + (z[:, None, :] @ e_u.T[:, :, None])[:, 0, 0]
-    a4 = p4 + zu_inv.sum(axis=1)
-    # Squared by pow, as ComponentHyperM.disc squares a scalar a0; the array
-    # square x * x differs from it in the last bit on about 1e-3 of values.
-    disc = (a3 * a4 - np.float_power(a0, 2))[:, None]
-    mu_bar = (a3[:, None] * a2 - a0[:, None] * a1) / disc
-    beta_bar = (a4[:, None] * a1 - a0[:, None] * a2) / disc
+    a0 = priors.a0 + z_rows.sum(axis=1)
+    a1 = priors.a1 + (data.T @ z[:, :, None])[..., 0]
+    a2 = priors.a2 + (data.T @ zu_inv[:, :, None])[..., 0]
+    a3 = priors.a3 + (z[:, None, :] @ e_u.T[:, :, None])[:, 0, 0]
+    a4 = priors.a4 + zu_inv.sum(axis=1)
+    h = ComponentHyperM(a0, a1, a2, a3, a4, priors.V)
+    mu_bar, beta_bar = posterior_means(h)
     scatter = (data * zu_inv[:, :, None]).transpose(0, 2, 1) @ data
     c0, c3, c4 = (a[:, None, None] for a in (a0, a3, a4))
     V = (
-        p_v
+        priors.V
         + scatter
         - _outer(a2, mu_bar)
         - _outer(mu_bar, a2)
@@ -210,34 +195,43 @@ def update_hypers_m(
         + c0 * (_outer(beta_bar, mu_bar) + _outer(mu_bar, beta_bar))
         + c3 * _outer(beta_bar, beta_bar)
     )
-    V = 0.5 * (V + V.transpose(0, 2, 1))
-    return [ComponentHyperM(*h) for h in zip(a0, a1, a2, a3.tolist(), a4.tolist(), V)]
+    return replace(h, V=0.5 * (V + V.transpose(0, 2, 1)))
 
 
 def expectations_from_hypers_m(
     h: ComponentHyperM, total_count_mass: float
-) -> ExpectationBundleM:
-    """Expectation bundle for one component; may raise DegenerateComponent."""
-    h.validate()
-    d = h.dim
-    try:
-        v_inv, logdet_v = spd_inverse_logdet_jittered(h.V)
-    except NotPositiveDefinite as exc:
-        raise DegenerateComponent(f"scale accumulator not SPD: {exc}") from exc
+) -> tuple[ExpectationBundleM, list[tuple[int, str]]]:
+    """The bundle stack of the valid hyper rows, and the (row, reason) of
+    the others; only rows that pass the scalar checks reach the Cholesky."""
+    d = h.a1.shape[1]
+    live, dropped = screen([
+        ((h.a0 > 0.0) & (h.a3 > 0.0) & (h.a4 > 0.0), "non-positive hyperparameter"),
+        (h.disc > 0.0, "joint-normal precision not positive"),
+        (h.a0 > d - 1.0, "Wishart degrees of freedom too small"),
+    ])
+    inverses = {}
+    for g in live.tolist():
+        try:
+            inverses[g] = spd_inverse_logdet_jittered(h.V[g])
+        except NotPositiveDefinite as exc:
+            dropped.append((g, f"scale accumulator not SPD: {exc}"))
+    h = take(h, list(inverses))
+    v_inv = np.array([inv for inv, _ in inverses.values()]).reshape(-1, d, d)
+    logdet_v = np.array([logdet for _, logdet in inverses.values()])
     elog_det_prec = (
-        float(digamma((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0).sum())
+        digamma((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
         + d * math.log(2.0)
         - logdet_v
     )
     mu_bar, beta_bar = posterior_means(h)
-    gamma_t, gamma_t_sq = trunc_normal_moments(
-        h.a0 / h.a3, math.sqrt(1.0 / (2.0 * h.a3))
-    )
+    s = np.sqrt(1.0 / (2.0 * h.a3))
+    moments = [trunc_normal_moments(m, sg) for m, sg in zip(h.a0 / h.a3, s)]
+    gamma_t, gamma_t_sq = np.array(moments).reshape(-1, 2).T
     D = h.disc
     return ExpectationBundleM(
-        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
+        log_pi=digamma(h.a0) - digamma(total_count_mass),
         elog_det_prec=elog_det_prec,
-        e_prec=h.a0 * v_inv,
+        e_prec=h.a0[:, None, None] * v_inv,
         mu_bar=mu_bar,
         beta_bar=beta_bar,
         c_mu=h.a3 / D,
@@ -245,32 +239,22 @@ def expectations_from_hypers_m(
         c_cross=-h.a0 / D,
         gamma_t=gamma_t,
         gamma_t_sq=gamma_t_sq,
-    )
+    ), sorted(dropped)
 
 
-def update_responsibilities_m(data: np.ndarray, bundles: list[ExpectationBundleM]):
-    """New responsibilities and latent GIG moments from the current bundles,
+def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
+    """New responsibilities and latent GIG moments from the bundle stack,
     through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     d = data.shape[1]
-    k = len(bundles)
-    # The reshapes keep k = 0 at the right shape for the shared empty check.
-    e_prec = np.array([b.e_prec for b in bundles]).reshape(k, d, d)
-    mu_bar = np.array([b.mu_bar for b in bundles]).reshape(k, 1, d)
-    beta_bar = np.array([b.beta_bar for b in bundles]).reshape(k, d, 1)
-    scalars = [(b.log_pi, b.elog_det_prec, b.c_mu, b.c_beta, b.c_cross, b.gamma_t,
-                b.gamma_t_sq) for b in bundles]
-    log_pi, elog_det_prec, c_mu, c_beta, c_cross, gamma_t, gamma_t_sq = (
-        np.array(scalars).reshape(k, 7).T[..., None])
-    centered = data - mu_bar
-    chi = 1.0 + np.einsum("kij,kij->ki", centered @ e_prec, centered) + d * c_mu
-    psi = (
-        gamma_t_sq
-        + (beta_bar.transpose(0, 2, 1) @ e_prec @ beta_bar)[:, :, 0]
-        + d * c_beta
-    )
-    e_c = gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * c_cross
-    head = log_pi + 0.5 * elog_det_prec + e_c
+    # (k, 1, ...) rows of each field, and the drift as (k, d, 1) columns.
+    b = take(bundles, np.s_[:, None])
+    e_prec, beta_bar = bundles.e_prec, b.beta_bar.transpose(0, 2, 1)
+    centered = data - b.mu_bar
+    chi = 1.0 + np.einsum("kij,kij->ki", centered @ e_prec, centered) + d * b.c_mu
+    psi = b.gamma_t_sq + (b.beta_bar @ e_prec @ beta_bar)[:, :, 0] + d * b.c_beta
+    e_c = b.gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * b.c_cross
+    head = b.log_pi + 0.5 * b.elog_det_prec + e_c
     return gig_responsibilities(-(d + 1) / 2.0, head, chi, psi)
 
 
@@ -291,18 +275,16 @@ def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
 def plug_in_params_m(result: FitResult) -> list[MNIGParams]:
     """Posterior-mean plug-in parameters; the scale is the inverse of the
     posterior-mean precision.  Reporting convention only."""
-    out = []
-    for h, b in zip(result.hypers, result.bundles):
-        sigma, _ = spd_inverse_logdet_jittered(b.e_prec)
-        out.append(
-            MNIGParams(
-                mu_t=b.mu_bar,
-                beta_t=b.beta_bar,
-                sigma_t=sigma,
-                gamma_t=b.gamma_t,
-            )
+    b = result.bundles
+    return [
+        MNIGParams(
+            mu_t=b.mu_bar[g],
+            beta_t=b.beta_bar[g],
+            sigma_t=spd_inverse_logdet_jittered(b.e_prec[g])[0],
+            gamma_t=b.gamma_t[g],
         )
-    return out
+        for g in range(len(b.gamma_t))
+    ]
 
 
 def fitted_density_m(result: FitResult, grid: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ alternates three moves until the responsibilities stop moving:
    the subordinator, followed by pruning of components whose effective
    count drops below the threshold.
 
+Each move takes all components at once, as (k,) stacks, through the
+floating-point steps of the one-component formulas (``np.float_power`` for
+a scalar's ``x**2``, and ``math`` per element where numpy rounds otherwise).
+
 Model selection is a by-product: the engine starts with more components
 than expected and the Dirichlet log-weight expectation starves redundant
 ones until pruning removes them.
@@ -19,19 +23,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
 from ._vbcore import (
-    DegenerateComponent,
     FitResult,
     gig_responsibilities,
     initial_latent_moments,
     initial_partition,
     prune,
     run_sweep,
+    screen,
+    take,
 )
 from .config import FitConfig
 from .distributions import UNIGParams, unig_density
@@ -57,47 +62,36 @@ _QUAD_NODES = 96
 
 @dataclass(frozen=True)
 class ComponentHyper:
-    """Posterior hyperparameters of one component (count mass plus the four
-    sufficient-statistic accumulators)."""
+    """Posterior hyperparameters of k components (count mass plus the four
+    sufficient-statistic accumulators), each field of shape (k,)."""
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    @property
-    def gamma_rate(self) -> float:
-        return self.a4 - self.a0**2 / (4.0 * self.a3)
-
-    def validate(self) -> None:
-        if not (self.a0 > 0.0 and self.a3 > 0.0 and self.a4 > 0.0):
-            raise DegenerateComponent("non-positive hyperparameter")
-        if not self.gamma_rate > 0.0:
-            raise DegenerateComponent("non-positive gamma rate")
+    a0: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    a4: np.ndarray
 
 
 @dataclass(frozen=True)
 class ExpectationBundle:
     """Expectations of the parameter functionals entering the scores."""
 
-    log_pi: float
-    log_delta_sq: float
-    delta_sq: float
-    delta: float
-    mu: float
-    mu_sq: float
-    beta: float
-    beta_sq: float
-    cov_mu_beta: float
-    gamma: float
-    gamma_sq: float
-    delta_gamma: float
+    log_pi: np.ndarray
+    log_delta_sq: np.ndarray
+    delta_sq: np.ndarray
+    delta: np.ndarray
+    mu: np.ndarray
+    mu_sq: np.ndarray
+    beta: np.ndarray
+    beta_sq: np.ndarray
+    cov_mu_beta: np.ndarray
+    gamma: np.ndarray
+    gamma_sq: np.ndarray
+    delta_gamma: np.ndarray
 
 
-def flat_priors(g: int, hyper_init: float) -> list[ComponentHyper]:
-    h = float(hyper_init)
-    return [ComponentHyper(h, h, h, h, h) for _ in range(g)]
+def flat_priors(g: int, hyper_init: float) -> ComponentHyper:
+    return ComponentHyper(*(np.full(g, float(hyper_init)) for _ in range(5)))
 
 
 def init_fit(
@@ -124,69 +118,45 @@ def init_fit(
 
 
 def update_hypers(
-    priors: list[ComponentHyper],
+    priors: ComponentHyper,
     resp: np.ndarray,
     lat: tuple[np.ndarray, np.ndarray],
     data: np.ndarray,
-) -> list[ComponentHyper]:
-    """Conjugate updates: priors plus responsibility-weighted statistics."""
+) -> ComponentHyper:
+    """Conjugate updates: priors plus responsibility-weighted statistics,
+    each a dot product over one strided column of ``resp``; numpy sums the
+    rows of a copy of ``resp.T`` pairwise, as it sums one column."""
     data = np.asarray(data, dtype=float).reshape(-1)
     e_u, e_uinv = lat
-    out = []
-    for g, p in enumerate(priors):
-        z = resp[:, g]
-        out.append(
-            ComponentHyper(
-                a0=p.a0 + z.sum(),
-                a1=p.a1 + z @ data,
-                a2=p.a2 + z @ (e_uinv[:, g] * data),
-                a3=p.a3 + 0.5 * (z @ e_u[:, g]),
-                a4=p.a4 + 0.5 * (z @ e_uinv[:, g]),
-            )
-        )
-    return out
+    z = resp.T[:, None, :]
 
+    def dot(w):
+        return (z @ w.T[:, :, None])[:, 0, 0]
 
-def _posterior_mu_beta(h: ComponentHyper):
-    rho = -h.a0 / (2.0 * math.sqrt(h.a3 * h.a4))
-    one_minus = 1.0 - rho * rho
-    if not one_minus > 0.0:
-        raise DegenerateComponent("correlation at the boundary")
-    s2_mu = 1.0 / (2.0 * one_minus * h.a4)
-    s2_beta = 1.0 / (2.0 * one_minus * h.a3)
-    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / (2.0 * h.a3))
-    beta_bar = s2_beta * (h.a1 - h.a0 * h.a2 / (2.0 * h.a4))
-    cov = rho * math.sqrt(s2_mu * s2_beta)
-    return mu_bar, beta_bar, s2_mu, s2_beta, cov
+    return ComponentHyper(
+        a0=priors.a0 + resp.T.copy().sum(axis=1),
+        a1=priors.a1 + dot(data[:, None]),
+        a2=priors.a2 + dot(e_uinv * data[:, None]),
+        a3=priors.a3 + 0.5 * dot(e_u),
+        a4=priors.a4 + 0.5 * dot(e_uinv),
+    )
 
 
 @functools.cache
 def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``_gamma_moments``, built on
+    """Gauss-Legendre nodes and weights of ``_gamma_quadrature``, built on
     first use and shared read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _gamma_moments(h: ComponentHyper, e_delta: float, e_delta_sq: float):
-    """E[gamma], E[gamma^2], E[delta*gamma] under the conditional
-    truncated-normal posterior of the tail weight.
-
-    Far from the truncation boundary the untruncated closed forms are
-    exact to machine precision; near it the truncated-normal moments are
-    averaged over the scale posterior by Gauss-Legendre quadrature.
-    """
-    ratio = h.a0 / (2.0 * h.a3)
-    s = math.sqrt(1.0 / (2.0 * h.a3))
-    if ratio * e_delta / s >= _TRUNC_SAFE_RATIO:
-        return (
-            ratio * e_delta,
-            ratio**2 * e_delta_sq + s * s,
-            ratio * e_delta_sq,
-        )
-    shape = h.a0 / 2.0 + 1.0
-    scale = 1.0 / h.gamma_rate
+def _gamma_quadrature(a0: float, rate: float, ratio: float, s: float):
+    """E[gamma], E[gamma^2], E[delta*gamma] of one component near the
+    truncation boundary: the tail weight's truncated-normal moments averaged
+    over the scale posterior by Gauss-Legendre quadrature."""
+    shape = a0 / 2.0 + 1.0
+    scale = 1.0 / rate
     lo = gammaincinv(shape, 1e-10) * scale
     hi = gammaincinv(shape, 1.0 - 1e-10) * scale
     nodes, weights = _legendre_nodes()
@@ -205,50 +175,65 @@ def _gamma_moments(h: ComponentHyper, e_delta: float, e_delta_sq: float):
 
 def expectations_from_hypers(
     h: ComponentHyper, total_count_mass: float
-) -> ExpectationBundle:
-    """All expectations a score evaluation needs, from one hyper state.
+) -> tuple[ExpectationBundle, list[tuple[int, str]]]:
+    """All expectations a score evaluation needs: the bundle stack of the
+    valid hyper rows, and the (row, reason) of the others.
 
     ``total_count_mass`` is the summed Dirichlet mass over live components
     (prior mass plus n), the normalizer of the log-weight expectation.
     """
-    h.validate()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = h.a4 - np.float_power(h.a0, 2) / (4.0 * h.a3)
+        rho = -h.a0 / (2.0 * np.sqrt(h.a3 * h.a4))
+    live, dropped = screen([
+        ((h.a0 > 0.0) & (h.a3 > 0.0) & (h.a4 > 0.0), "non-positive hyperparameter"),
+        (rate > 0.0, "non-positive gamma rate"),
+        (1.0 - rho * rho > 0.0, "correlation at the boundary"),
+    ])
+    h, rate, rho = take(h, live), rate[live], rho[live]
     shape = h.a0 / 2.0 + 1.0
-    rate = h.gamma_rate
     delta_sq = shape / rate
     delta = sqrt_gamma_moment(shape, rate)
-    mu_bar, beta_bar, s2_mu, s2_beta, cov = _posterior_mu_beta(h)
-    gamma, gamma_sq, delta_gamma = _gamma_moments(h, delta, delta_sq)
+    one_minus = 1.0 - rho * rho
+    s2_mu = 1.0 / (2.0 * one_minus * h.a4)
+    s2_beta = 1.0 / (2.0 * one_minus * h.a3)
+    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / (2.0 * h.a3))
+    beta_bar = s2_beta * (h.a1 - h.a0 * h.a2 / (2.0 * h.a4))
+    # Tail-weight moments: far from the truncation boundary the untruncated
+    # closed forms are exact to machine precision.
+    ratio = h.a0 / (2.0 * h.a3)
+    s = np.sqrt(1.0 / (2.0 * h.a3))
+    gamma, delta_gamma = ratio * delta, ratio * delta_sq
+    gamma_sq = np.float_power(ratio, 2) * delta_sq + s * s
+    for g in np.flatnonzero(~(gamma / s >= _TRUNC_SAFE_RATIO)):
+        gamma[g], gamma_sq[g], delta_gamma[g] = _gamma_quadrature(
+            h.a0[g], rate[g], ratio[g], s[g]
+        )
+    # math.log, not np.log, which rounds some arguments differently.
+    log_rate = np.array([math.log(v) for v in rate.tolist()])
     return ExpectationBundle(
-        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
-        log_delta_sq=float(digamma(shape)) - math.log(rate),
+        log_pi=digamma(h.a0) - digamma(total_count_mass),
+        log_delta_sq=digamma(shape) - log_rate,
         delta_sq=delta_sq,
         delta=delta,
         mu=mu_bar,
-        mu_sq=mu_bar**2 + s2_mu,
+        mu_sq=np.float_power(mu_bar, 2) + s2_mu,
         beta=beta_bar,
-        beta_sq=beta_bar**2 + s2_beta,
-        cov_mu_beta=cov,
+        beta_sq=np.float_power(beta_bar, 2) + s2_beta,
+        cov_mu_beta=rho * np.sqrt(s2_mu * s2_beta),
         gamma=gamma,
         gamma_sq=gamma_sq,
         delta_gamma=delta_gamma,
-    )
+    ), dropped
 
 
-def update_responsibilities(data: np.ndarray, bundles: list[ExpectationBundle]):
-    """New responsibilities and latent GIG moments from the current bundles,
-    through the shared ``_vbcore.gig_responsibilities`` at order -1.
-
-    Each row of the score head and of the latent GIG parameters takes the
-    floating-point steps of one bundle alone, so it does not depend on the
-    other bundles.
-    """
+def update_responsibilities(data: np.ndarray, bundles: ExpectationBundle):
+    """New responsibilities and latent GIG moments from the bundle stack,
+    through the shared ``_vbcore.gig_responsibilities`` at order -1."""
     y = np.asarray(data, dtype=float).reshape(-1)
-    # One bundle whose fields are (k, 1) columns: every broadcast then runs
-    # along n, where a (k,) inner axis would cost a loop turn per row.  The
-    # reshape keeps k = 0 at the right shape for the shared empty check.
-    rows = np.array([list(vars(c).values()) for c in bundles])
-    columns = rows.reshape(len(bundles), len(fields(ExpectationBundle))).T
-    b = ExpectationBundle(*columns[..., None])
+    # (k, 1) columns: every broadcast then runs along n, where a (k,) inner
+    # axis would cost a loop turn per row.
+    b = take(bundles, np.s_[:, None])
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
     e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
@@ -272,9 +257,10 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
 
 def plug_in_params(result: FitResult) -> list[UNIGParams]:
     """Posterior-mean plug-in parameters, a reporting convention only."""
+    b = result.bundles
     return [
-        UNIGParams(mu=b.mu, beta=b.beta, delta=b.delta, gamma=b.gamma)
-        for b in result.bundles
+        UNIGParams(mu=mu, beta=beta, delta=delta, gamma=gamma)
+        for mu, beta, delta, gamma in zip(b.mu, b.beta, b.delta, b.gamma)
     ]
 
 

@@ -92,11 +92,13 @@ class TestSerialization:
             assert result_to_dict(back) == d
             assert isinstance(back.resp, np.ndarray)
             assert isinstance(back.labels, np.ndarray)
-            objs = back.hypers + back.bundles
-            for obj, fields in zip(objs, d["hypers"] + d["bundles"]):
-                for name, value in fields.items():
-                    if isinstance(value, list):
-                        assert isinstance(getattr(obj, name), np.ndarray), name
+            # Each field stacks its per-component entries along a first axis.
+            for key in ("hypers", "bundles"):
+                stack, entries = getattr(back, key), d[key]
+                for name, value in entries[0].items():
+                    field = getattr(stack, name)
+                    assert isinstance(field, np.ndarray), name
+                    assert field.shape == (len(entries), *np.shape(value)), name
 
     def test_run_record_hash_ignores_timings(self, study1_csv):
         path, sample = study1_csv

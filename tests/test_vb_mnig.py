@@ -9,27 +9,32 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nigmix._vbcore import DegenerateComponent, normalize_log_scores
+from nigmix import vb_mnig
+from nigmix._vbcore import normalize_log_scores, take
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments, sample_mixture
 from nigmix.evaluation import adjusted_rand_index
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import (
     ComponentHyperM,
+    ExpectationBundleM,
     expectations_from_hypers_m,
     fit_m,
     init_fit_m,
-    posterior_means,
     update_hypers_m,
     update_responsibilities_m,
 )
 import tests_support_naive
 from tests_support_naive import (
+    expectations_loop,
+    expectations_one_m,
     gig_moments_kve,
     log_bessel_k_kve,
     log_score_m,
     naive_update_m,
     random_m,
+    row,
+    rows,
     update_hypers_m_loop,
     update_responsibilities_m_loop,
 )
@@ -41,7 +46,7 @@ class TestUpdateHypers:
             data, resp, lat, priors = random_m(seed)
             fast = update_hypers_m(priors, resp, lat, data)
             slow = naive_update_m(priors, resp, lat, data)
-            for f, s in zip(fast, slow):
+            for f, s in zip(rows(fast), rows(slow)):
                 assert f.a0 == pytest.approx(s.a0, rel=1e-12)
                 assert f.a3 == pytest.approx(s.a3, rel=1e-12)
                 assert f.a4 == pytest.approx(s.a4, rel=1e-12)
@@ -51,29 +56,42 @@ class TestUpdateHypers:
 
     def test_scale_accumulator_symmetric(self):
         data, resp, lat, priors = random_m(3)
-        for h in update_hypers_m(priors, resp, lat, data):
-            assert np.array_equal(h.V, h.V.T)
+        V = update_hypers_m(priors, resp, lat, data).V
+        assert np.array_equal(V, V.transpose(0, 2, 1))
 
     def test_count_mass(self):
         data, resp, lat, priors = random_m(0)
         hypers = update_hypers_m(priors, resp, lat, data)
-        total = sum(h.a0 for h in hypers)
+        total = sum(hypers.a0.tolist())
         assert total == pytest.approx(
-            sum(p.a0 for p in priors) + data.shape[0], abs=1e-10
+            sum(priors.a0.tolist()) + data.shape[0], abs=1e-10
         )
 
 
 def example_hyper(seed=1):
+    """Row and bundle, as arrays of one component, of the first component
+    of a random state."""
     data, resp, lat, priors = random_m(seed)
-    return update_hypers_m(priors, resp, lat, data)[0]
+    hypers = take(update_hypers_m(priors, resp, lat, data), [0])
+    bundles, dropped = expectations_from_hypers_m(hypers, 2 * hypers.a0[0])
+    assert not dropped
+    return row(hypers, 0), row(bundles, 0)
+
+
+def sweep_bundles(seed, **kwargs):
+    """Data and the bundle stack of one sweep from a random state."""
+    data, resp0, lat, priors = random_m(seed, **kwargs)
+    hypers = update_hypers_m(priors, resp0, lat, data)
+    bundles, dropped = expectations_from_hypers_m(hypers, sum(hypers.a0.tolist()))
+    assert not dropped
+    return data, bundles
 
 
 class TestExpectations:
     def test_wishart_moments_monte_carlo(self):
         from scipy.stats import wishart
 
-        h = example_hyper()
-        b = expectations_from_hypers_m(h, 2 * h.a0)
+        h, b = example_hyper()
         dist = wishart(df=h.a0, scale=np.linalg.inv(h.V))
         assert np.allclose(b.e_prec, dist.mean(), rtol=1e-10)
         draws = dist.rvs(40_000, random_state=np.random.default_rng(0))
@@ -81,9 +99,8 @@ class TestExpectations:
         assert b.elog_det_prec == pytest.approx(logdets.mean(), abs=0.01)
 
     def test_location_and_trace_terms(self):
-        h = example_hyper()
-        b = expectations_from_hypers_m(h, 2 * h.a0)
-        mu_bar, beta_bar = posterior_means(h)
+        h, b = example_hyper()
+        mu_bar = (h.a3 * h.a2 - h.a0 * h.a1) / (h.a3 * h.a4 - h.a0**2)
         assert np.allclose(b.mu_bar, mu_bar)
         # block inverse of [[a4, a0], [a0, a3]] (x) Prec
         D = h.a3 * h.a4 - h.a0**2
@@ -94,8 +111,7 @@ class TestExpectations:
     def test_tail_weight_moments(self):
         from scipy.stats import norm
 
-        h = example_hyper()
-        b = expectations_from_hypers_m(h, 2 * h.a0)
+        h, b = example_hyper()
         m = h.a0 / h.a3
         s = math.sqrt(1.0 / (2.0 * h.a3))
         z = norm.sf(0.0, loc=m, scale=s)
@@ -110,24 +126,21 @@ class TestExpectations:
 
     def test_degenerate_states_rejected(self):
         d = 3
-        v = np.eye(d)
-        with pytest.raises(DegenerateComponent):
-            # disc <= 0
-            expectations_from_hypers_m(
-                ComponentHyperM(5.0, np.zeros(d), np.zeros(d), 1.0, 1.0, v), 10.0
-            )
-        with pytest.raises(DegenerateComponent):
-            # Wishart degrees of freedom below d - 1
-            expectations_from_hypers_m(
-                ComponentHyperM(1.0, np.zeros(d), np.zeros(d), 9.0, 9.0, v), 10.0
-            )
+        zeros = np.zeros((2, d))
+        hypers = ComponentHyperM(
+            # disc <= 0, then Wishart degrees of freedom below d - 1
+            np.array([5.0, 1.0]), zeros, zeros, np.array([1.0, 9.0]),
+            np.array([1.0, 9.0]), np.tile(np.eye(d), (2, 1, 1)),
+        )
+        bundles, dropped = expectations_from_hypers_m(hypers, 10.0)
+        assert [g for g, _ in dropped] == [0, 1]
+        assert bundles.e_prec.shape == (0, d, d)
 
 
 class TestScores:
     def test_score_matches_latent_integral(self):
-        h = example_hyper(2)
-        b = expectations_from_hypers_m(h, 2 * h.a0)
-        d = h.dim
+        h, b = example_hyper(2)
+        d = h.a1.shape[0]
         lam = -(d + 1) / 2.0
         ys = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
         scores, e_a, e_b = log_score_m(ys, b)
@@ -149,19 +162,16 @@ class TestScores:
             assert sc == pytest.approx(ref, rel=1e-9)
 
     def test_responsibility_normalization_and_latents(self):
-        data, resp0, lat, priors = random_m(7)
-        hypers = update_hypers_m(priors, resp0, lat, data)
-        total = sum(h.a0 for h in hypers)
-        bundles = [expectations_from_hypers_m(h, total) for h in hypers]
+        data, bundles = sweep_bundles(7)
         resp, (e_u, e_uinv), flags = update_responsibilities_m(data, bundles)
         assert not flags
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         lam = -(data.shape[1] + 1) / 2.0
-        raw = np.column_stack([log_score_m(data, b)[0] for b in bundles])
+        raw = np.column_stack([log_score_m(data, b)[0] for b in rows(bundles)])
         manual = np.exp(raw - raw.max(axis=1, keepdims=True))
         manual /= manual.sum(axis=1, keepdims=True)
         assert np.allclose(resp, manual, atol=1e-13)
-        _, ea0, eb0 = log_score_m(data, bundles[0])
+        _, ea0, eb0 = log_score_m(data, row(bundles, 0))
         ref_u, ref_uinv = gig_moments(lam, ea0, eb0)
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
@@ -170,12 +180,9 @@ class TestScores:
         # Each column of the sweep's scores must be bit for bit the score of
         # that component alone, the one-bundle formula evaluated term by term.
         for seed in (7, 8):
-            data, resp0, lat, priors = random_m(seed, k=3)
-            hypers = update_hypers_m(priors, resp0, lat, data)
-            total = sum(h.a0 for h in hypers)
-            bundles = [expectations_from_hypers_m(h, total) for h in hypers]
+            data, bundles = sweep_bundles(seed, k=3)
             resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
-            cols = [log_score_m(data, b) for b in bundles]
+            cols = [log_score_m(data, b) for b in rows(bundles)]
             ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
             ref_u, ref_uinv = gig_moments(
                 -(data.shape[1] + 1) / 2.0,
@@ -187,15 +194,12 @@ class TestScores:
             assert np.array_equal(e_uinv, ref_uinv)
 
     def test_one_sweep_matches_kve_reference(self, monkeypatch):
-        data, resp0, lat, priors = random_m(7)
-        hypers = update_hypers_m(priors, resp0, lat, data)
-        total = sum(h.a0 for h in hypers)
-        bundles = [expectations_from_hypers_m(h, total) for h in hypers]
+        data, bundles = sweep_bundles(7)
         resp, (e_u, e_uinv), _ = update_responsibilities_m(data, bundles)
         # Reference: log K through kve in every score, moments from three
         # kve orders.
         monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
-        cols = [log_score_m(data, b) for b in bundles]
+        cols = [log_score_m(data, b) for b in rows(bundles)]
         ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -(data.shape[1] + 1) / 2.0,
@@ -221,14 +225,13 @@ def sweep_states():
         yield s.observations, resp, lat, priors
         res = fit_m(s.observations, FitConfig(model="mnig", g_init=10, max_iter=15))
         resp, lat, _ = update_responsibilities_m(s.observations, res.bundles)
-        yield s.observations, resp, lat, priors[: len(res.bundles)]
+        yield s.observations, resp, lat, take(priors, np.arange(len(res.surviving)))
 
 
-def assert_hypers_equal(got, ref):
-    assert len(got) == len(ref)
-    for f, s in zip(got, ref):
-        for field in dataclasses.fields(ComponentHyperM):
-            assert np.array_equal(getattr(f, field.name), getattr(s, field.name))
+def assert_stacks_equal(got, ref):
+    for field in dataclasses.fields(got):
+        name = field.name
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 class TestStackedSteps:
@@ -237,10 +240,55 @@ class TestStackedSteps:
 
     def test_hypers_equal_the_component_loop(self):
         for data, resp, lat, priors in sweep_states():
-            assert_hypers_equal(
+            assert_stacks_equal(
                 update_hypers_m(priors, resp, lat, data),
                 update_hypers_m_loop(priors, resp, lat, data),
             )
+
+    def test_expectations_equal_the_component_loop(self):
+        for data, resp, lat, priors in sweep_states():
+            hypers = update_hypers_m(priors, resp, lat, data)
+            total = sum(hypers.a0.tolist())
+            got, dropped = expectations_from_hypers_m(hypers, total)
+            ref, ref_dropped = expectations_loop(
+                expectations_one_m, ExpectationBundleM, hypers, total
+            )
+            assert dropped == ref_dropped
+            assert_stacks_equal(got, ref)
+
+    def test_drop_reasons_in_component_order(self, monkeypatch):
+        # Rows 1-3 fail the scalar checks and never reach the Cholesky;
+        # row 4 passes them and fails it.
+        data, resp, lat, priors = random_m(1, k=3)
+        valid = update_hypers_m(priors, resp, lat, data)
+        d = data.shape[1]
+        table = [row(valid, 0), row(valid, 1), row(valid, 1), row(valid, 1),
+                 row(valid, 1), row(valid, 2)]
+        table[1].a0 = -1.0
+        table[2].a0, table[2].a3, table[2].a4 = 5.0, 1.0, 1.0
+        table[3].a0, table[3].a3, table[3].a4 = 0.5, 9.0, 9.0
+        table[4].V = -np.eye(d)
+        hypers = tests_support_naive.stack(ComponentHyperM, table)
+        factored = []
+
+        def recorded(m):
+            factored.append(m)
+            return inverse(m)
+
+        inverse = vb_mnig.spd_inverse_logdet_jittered
+        monkeypatch.setattr(vb_mnig, "spd_inverse_logdet_jittered", recorded)
+        got, dropped = expectations_from_hypers_m(hypers, 60.0)
+        assert np.array_equal(factored, hypers.V[[0, 4, 5]])
+        ref, ref_dropped = expectations_loop(
+            expectations_one_m, ExpectationBundleM, hypers, 60.0
+        )
+        assert dropped == ref_dropped == [
+            (1, "non-positive hyperparameter"),
+            (2, "joint-normal precision not positive"),
+            (3, "Wishart degrees of freedom too small"),
+            (4, "scale accumulator not SPD: pivot 0 is not positive"),
+        ]
+        assert_stacks_equal(got, ref)
 
     def test_count_mass_squared_as_a_scalar(self):
         # A count mass whose square by pow, as the scalar a0**2 takes it,
@@ -251,8 +299,8 @@ class TestStackedSteps:
             p for p in 1e-8 * np.arange(1.0, 1e5)
             if (p + mass) ** 2 != (p + mass) * (p + mass)
         )
-        priors[0] = dataclasses.replace(priors[0], a0=float(prior_a0))
-        assert_hypers_equal(
+        priors = dataclasses.replace(priors, a0=np.r_[prior_a0, priors.a0[1:]])
+        assert_stacks_equal(
             update_hypers_m(priors, resp, lat, data),
             update_hypers_m_loop(priors, resp, lat, data),
         )
@@ -260,14 +308,7 @@ class TestStackedSteps:
     def test_responsibilities_equal_the_component_loop(self):
         for data, resp, lat, priors in sweep_states():
             hypers = update_hypers_m(priors, resp, lat, data)
-            total = sum(h.a0 for h in hypers)
-            bundles = []
-            for h in hypers:
-                # The sweep drops a degenerate component before scoring.
-                try:
-                    bundles.append(expectations_from_hypers_m(h, total))
-                except DegenerateComponent:
-                    pass
+            bundles, _ = expectations_from_hypers_m(hypers, sum(hypers.a0.tolist()))
             new_resp, (e_u, e_uinv), flags = update_responsibilities_m(data, bundles)
             ref_resp, (ref_u, ref_uinv), ref_flags = update_responsibilities_m_loop(
                 data, bundles
@@ -312,5 +353,5 @@ class TestFit:
         resp, (e_u, e_uinv), priors = init_fit_m(data, 3, "kmeans", 1e-8, 0)
         assert resp.shape == (50, 3)
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
-        assert len(priors) == 3
-        assert priors[0].V.shape == (2, 2)
+        assert priors.a0.shape == (3,)
+        assert priors.V.shape == (3, 2, 2)

@@ -1,5 +1,6 @@
 """Univariate engine: update exactness, expectation oracles, pruning, fit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from nigmix import special
-from nigmix._vbcore import DegenerateComponent, DegenerateFit, normalize_log_scores
+from nigmix import special, vb_unig
+from nigmix._vbcore import DegenerateFit, normalize_log_scores, take
 from nigmix.config import FitConfig
 from nigmix.distributions import gig_moments
 from nigmix.evaluation import adjusted_rand_index
@@ -17,6 +18,7 @@ from nigmix.presets import simulation_preset
 from nigmix.distributions import sample_mixture
 from nigmix.vb_unig import (
     ComponentHyper,
+    ExpectationBundle,
     expectations_from_hypers,
     fit,
     fitted_density,
@@ -27,12 +29,19 @@ from nigmix.vb_unig import (
 )
 import tests_support_naive
 from tests_support_naive import (
+    expectations_loop,
+    expectations_one,
     gig_moments_kve,
     log_bessel_k_kve,
     log_score_u,
     naive_update_u,
     random_u,
+    row,
+    rows,
+    update_hypers_loop,
 )
+
+FIELDS = ("a0", "a1", "a2", "a3", "a4")
 
 
 class TestUpdateHypers:
@@ -41,32 +50,47 @@ class TestUpdateHypers:
             data, resp, lat, priors = random_u(seed)
             fast = update_hypers(priors, resp, lat, data)
             slow = naive_update_u(priors, resp, lat, data)
-            for f, s in zip(fast, slow):
-                for name in ("a0", "a1", "a2", "a3", "a4"):
-                    assert getattr(f, name) == pytest.approx(
-                        getattr(s, name), rel=1e-12, abs=1e-12
-                    )
+            for name in FIELDS:
+                assert getattr(fast, name) == pytest.approx(
+                    getattr(slow, name), rel=1e-12, abs=1e-12
+                )
 
     def test_count_mass(self):
         data, resp, lat, priors = random_u(0)
         hypers = update_hypers(priors, resp, lat, data)
-        total = sum(h.a0 for h in hypers)
+        total = sum(hypers.a0.tolist())
         assert total == pytest.approx(
-            sum(p.a0 for p in priors) + len(data), abs=1e-10
+            sum(priors.a0.tolist()) + len(data), abs=1e-10
         )
 
 
 def example_hyper():
+    """The first component of a random state, as a one-row stack."""
     data, resp, lat, priors = random_u(1)
-    return update_hypers(priors, resp, lat, data)[0]
+    return take(update_hypers(priors, resp, lat, data), [0])
+
+
+def one_bundle(hypers):
+    """Row and bundle, as scalars, of a one-row hyper stack."""
+    bundles, dropped = expectations_from_hypers(hypers, 3 * hypers.a0[0])
+    assert not dropped
+    return row(hypers, 0), row(bundles, 0)
+
+
+def sweep_bundles(seed):
+    """Data and the bundle stack of one sweep from a random state."""
+    data, resp0, lat, priors = random_u(seed)
+    hypers = update_hypers(priors, resp0, lat, data)
+    bundles, dropped = expectations_from_hypers(hypers, sum(hypers.a0.tolist()))
+    assert not dropped
+    return data, bundles
 
 
 class TestExpectations:
     def test_scale_posterior_moments(self):
-        h = example_hyper()
-        b = expectations_from_hypers(h, 3 * h.a0)
+        h, b = one_bundle(example_hyper())
         shape = h.a0 / 2.0 + 1.0
-        rate = h.gamma_rate
+        rate = h.a4 - h.a0**2 / (4.0 * h.a3)
         for func, got in [
             (lambda t: t, b.delta_sq),
             (np.log, b.log_delta_sq),
@@ -85,8 +109,7 @@ class TestExpectations:
         # the unnormalized posterior kernel of (mu, beta).
         from scipy.integrate import dblquad
 
-        h = example_hyper()
-        b = expectations_from_hypers(h, 3 * h.a0)
+        h, b = one_bundle(example_hyper())
 
         def kernel(mu, beta):
             return math.exp(
@@ -115,10 +138,9 @@ class TestExpectations:
         # Joint quadrature over the scale Gamma and the conditional truncated
         # normal; exercises the quadrature branch of the implementation.
         h0 = example_hyper()
-        h = ComponentHyper(h0.a0, h0.a1, h0.a2, 8.0 * h0.a3, h0.a4)
-        b = expectations_from_hypers(h, 3 * h.a0)
+        h, b = one_bundle(dataclasses.replace(h0, a3=8.0 * h0.a3))
         shape = h.a0 / 2.0 + 1.0
-        rate = h.gamma_rate
+        rate = h.a4 - h.a0**2 / (4.0 * h.a3)
         ratio = h.a0 / (2.0 * h.a3)
         s = math.sqrt(1.0 / (2.0 * h.a3))
 
@@ -150,9 +172,11 @@ class TestExpectations:
         )
 
     def test_degenerate_hyper_rejected(self):
-        bad = ComponentHyper(10.0, 0.0, 0.0, 1.0, 1.0)  # a0^2/(4 a3) > a4
-        with pytest.raises(DegenerateComponent):
-            expectations_from_hypers(bad, 30.0)
+        # a0^2/(4 a3) > a4
+        bad = ComponentHyper(*np.array([[10.0, 0.0, 0.0, 1.0, 1.0]]).T)
+        bundles, dropped = expectations_from_hypers(bad, 30.0)
+        assert dropped == [(0, "non-positive gamma rate")]
+        assert bundles.log_pi.shape == (0,)
 
 
 class TestScoresAndResponsibilities:
@@ -160,8 +184,7 @@ class TestScoresAndResponsibilities:
         # The marginal score is the closed form of
         # int_0^inf u^(-2) exp(E[C] - (E[A]/u + E[B] u)/2) du
         # times exp(E[log pi] + E[log delta^2]/2) / (2 pi).
-        h = example_hyper()
-        b = expectations_from_hypers(h, 3 * h.a0)
+        _, b = one_bundle(example_hyper())
         ys = np.array([-2.0, 0.5, 3.0])
         scores, e_a, e_b = log_score_u(ys, b)
         for y, sc, ea in zip(ys, scores, e_a):
@@ -176,19 +199,16 @@ class TestScoresAndResponsibilities:
             assert sc == pytest.approx(ref, rel=1e-9)
 
     def test_responsibilities_softmax_and_latents(self):
-        data, resp0, lat, priors = random_u(4)
-        hypers = update_hypers(priors, resp0, lat, data)
-        total = sum(h.a0 for h in hypers)
-        bundles = [expectations_from_hypers(h, total) for h in hypers]
+        data, bundles = sweep_bundles(4)
         resp, (e_u, e_uinv), flags = update_responsibilities(data, bundles)
         assert not flags
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-        raw = np.column_stack([log_score_u(data, b)[0] for b in bundles])
+        raw = np.column_stack([log_score_u(data, b)[0] for b in rows(bundles)])
         manual = np.exp(raw - raw.max(axis=1, keepdims=True))
         manual /= manual.sum(axis=1, keepdims=True)
         assert np.allclose(resp, manual, atol=1e-13)
         # latent moments come from the per-pair GIG posterior
-        _, ea0, eb0 = log_score_u(data, bundles[0])
+        _, ea0, eb0 = log_score_u(data, row(bundles, 0))
         ref_u, ref_uinv = gig_moments(-1.0, ea0, eb0)
         assert np.allclose(e_u[:, 0], ref_u, rtol=1e-12)
         assert np.allclose(e_uinv[:, 0], ref_uinv, rtol=1e-12)
@@ -198,12 +218,9 @@ class TestScoresAndResponsibilities:
         # must be bit for bit the score of that component alone, which is
         # the one-bundle formula evaluated term by term.
         for seed in (4, 6):
-            data, resp0, lat, priors = random_u(seed)
-            hypers = update_hypers(priors, resp0, lat, data)
-            total = sum(h.a0 for h in hypers)
-            bundles = [expectations_from_hypers(h, total) for h in hypers]
+            data, bundles = sweep_bundles(seed)
             resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
-            cols = [log_score_u(data, b) for b in bundles]
+            cols = [log_score_u(data, b) for b in rows(bundles)]
             ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
             ref_u, ref_uinv = gig_moments(
                 -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
@@ -213,15 +230,12 @@ class TestScoresAndResponsibilities:
             assert np.array_equal(e_uinv, ref_uinv)
 
     def test_one_sweep_matches_kve_reference(self, monkeypatch):
-        data, resp0, lat, priors = random_u(4)
-        hypers = update_hypers(priors, resp0, lat, data)
-        total = sum(h.a0 for h in hypers)
-        bundles = [expectations_from_hypers(h, total) for h in hypers]
+        data, bundles = sweep_bundles(4)
         resp, (e_u, e_uinv), _ = update_responsibilities(data, bundles)
         # Reference: log K through kve in every score, moments from three
         # kve orders.
         monkeypatch.setattr(tests_support_naive, "log_bessel_k", log_bessel_k_kve)
-        cols = [log_score_u(data, b) for b in bundles]
+        cols = [log_score_u(data, b) for b in rows(bundles)]
         ref_resp, _ = normalize_log_scores(np.array([c[0] for c in cols]))
         ref_u, ref_uinv = gig_moments_kve(
             -1.0, np.column_stack([c[1] for c in cols]), np.array([c[2] for c in cols])
@@ -230,14 +244,91 @@ class TestScoresAndResponsibilities:
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_component_permutation_equivariance(self):
-        data, resp0, lat, priors = random_u(6)
-        hypers = update_hypers(priors, resp0, lat, data)
-        total = sum(h.a0 for h in hypers)
-        bundles = [expectations_from_hypers(h, total) for h in hypers]
+        data, bundles = sweep_bundles(6)
         resp, _, _ = update_responsibilities(data, bundles)
         perm = [2, 0, 1]
-        resp_p, _, _ = update_responsibilities(data, [bundles[j] for j in perm])
+        resp_p, _, _ = update_responsibilities(data, take(bundles, perm))
         assert np.allclose(resp[:, perm], resp_p, atol=1e-14)
+
+
+def unig_states():
+    """(data, resp, lat, priors) with k = 1..10 components, then the initial
+    and a mid-fit state of study1 and study2 at g_init = 10."""
+    for k in range(1, 11):
+        yield random_u(k, n=30 * k, k=k)
+    for name in ("study1", "study2"):
+        spec, counts = simulation_preset(name)
+        y = sample_mixture(spec, sum(counts), seed=1000, counts=counts).observations
+        y = y.reshape(-1)
+        resp, lat, priors = init_fit(y, 10, "kmeans", 1e-8, 0)
+        yield y, resp, lat, priors
+        res = fit(y, FitConfig(model="unig", g_init=10, max_iter=15))
+        resp, lat, _ = update_responsibilities(y, res.bundles)
+        yield y, resp, lat, take(priors, np.arange(len(res.surviving)))
+
+
+def assert_stacks_equal(got, ref):
+    for field in dataclasses.fields(got):
+        name = field.name
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+class TestStackedSteps:
+    """The stacked steps take each component's floating-point steps one
+    for one, so they equal the one-component loops bit for bit."""
+
+    def test_hypers_equal_the_component_loop(self):
+        for data, resp, lat, priors in unig_states():
+            assert_stacks_equal(
+                update_hypers(priors, resp, lat, data),
+                update_hypers_loop(priors, resp, lat, data),
+            )
+
+    def test_expectations_equal_the_component_loop(self, monkeypatch):
+        quadrature_rows = []
+
+        def counted(*args):
+            quadrature_rows.append(args)
+            return quadrature(*args)
+
+        quadrature = vb_unig._gamma_quadrature
+        monkeypatch.setattr(vb_unig, "_gamma_quadrature", counted)
+        for data, resp, lat, priors in unig_states():
+            hypers = update_hypers(priors, resp, lat, data)
+            total = sum(hypers.a0.tolist())
+            got, dropped = expectations_from_hypers(hypers, total)
+            ref, ref_dropped = expectations_loop(
+                expectations_one, ExpectationBundle, hypers, total
+            )
+            assert dropped == ref_dropped
+            assert_stacks_equal(got, ref)
+        # Both branches of the tail-weight moments are covered.
+        assert 0 < len(quadrature_rows)
+
+    def test_drop_reasons_in_component_order(self):
+        data, resp, lat, priors = random_u(1)
+        valid = np.array([getattr(update_hypers(priors, resp, lat, data), name)
+                          for name in FIELDS]).T
+        bad = [
+            [-1.0, 0.0, 0.0, 1.0, 1.0],
+            [10.0, 0.0, 0.0, 1.0, 1.0],
+            # The gamma rate is 2**-52, but sqrt(a3 a4) rounds to 1.
+            [2.0, 0.0, 0.0, 1.0, 1.0 + 2.0**-52],
+            [1.0, 0.0, 0.0, np.nan, 1.0],
+        ]
+        table = [valid[0], *bad[:3], valid[1], bad[3], valid[2]]
+        hypers = ComponentHyper(*np.array(table).T)
+        got, dropped = expectations_from_hypers(hypers, 30.0)
+        ref, ref_dropped = expectations_loop(
+            expectations_one, ExpectationBundle, hypers, 30.0
+        )
+        assert dropped == ref_dropped == [
+            (1, "non-positive hyperparameter"),
+            (2, "non-positive gamma rate"),
+            (3, "correlation at the boundary"),
+            (5, "non-positive hyperparameter"),
+        ]
+        assert_stacks_equal(got, ref)
 
 
 class TestPrune:
@@ -335,7 +426,7 @@ class TestFit:
         assert resp.shape == (40, 4)
         assert set(np.unique(resp)) <= {0.0, 1.0}
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
-        assert len(priors) == 4
+        assert all(getattr(priors, name).shape == (4,) for name in FIELDS)
         with pytest.raises(ValueError):
             init_fit(np.array([]), 2, "kmeans", 1e-8, 0)
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from nigmix._vbcore import (
 from nigmix.config import FitConfig
 from nigmix.distributions import sample_mixture
 from nigmix.presets import simulation_preset
-from nigmix.vb_mnig import fit_m, update_responsibilities_m
-from nigmix.vb_unig import fit, update_responsibilities
+from nigmix.vb_mnig import ExpectationBundleM, fit_m, update_responsibilities_m
+from nigmix.vb_unig import ExpectationBundle, fit, update_responsibilities
 from tests_support_naive import softmax_rows
 
 
@@ -49,7 +49,8 @@ def test_degenerate_component_drop(engine, model, preset, rep):
     assert flagged
     assert flagged.isdisjoint(res.surviving)
     g = len(res.surviving)
-    assert g == len(res.hypers) == len(res.bundles) == res.resp.shape[1]
+    assert g == res.hypers.a0.shape[0] == res.bundles.log_pi.shape[0]
+    assert g == res.resp.shape[1]
     assert np.abs(res.resp.sum(axis=1) - 1.0).max() <= 1e-12
     assert 1 <= res.labels.min() and res.labels.max() <= g
     alive = [entry["g_alive"] for entry in res.trace]
@@ -86,5 +87,11 @@ def test_gig_log_k_names_the_component(bad):
 )
 def test_no_live_components(step, data):
     # Both engines reach the one guard in the shared step.
+    if data.ndim == 1:
+        empty = ExpectationBundle(*[np.empty(0)] * 12)
+    else:
+        vectors = np.empty((0, 2))
+        empty = ExpectationBundleM(np.empty(0), np.empty(0), np.empty((0, 2, 2)),
+                                   vectors, vectors, *[np.empty(0)] * 5)
     with pytest.raises(DegenerateFit, match="no live components"):
-        step(data, [])
+        step(data, empty)

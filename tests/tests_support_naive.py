@@ -1,6 +1,6 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
-conjugate updates, the multivariate hyper and responsibility steps one
-component at a time, the row-by-row softmax with log K at each order from
+conjugate updates, the hyper, expectation and responsibility steps of both
+engines one component at a time, the row-by-row softmax with log K at each order from
 its own call, pair-enumeration agreement index, set-partition enumeration,
 the d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky and the SPD inverse as a sum
@@ -10,21 +10,39 @@ one bundle written out term by term."""
 
 import itertools
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dpotri
-from scipy.special import kve
+from scipy.special import gammaln, kve
 
+from nigmix._vbcore import DegenerateComponent
 from nigmix.distributions import MNIGParams, UNIGParams
-from nigmix.linalg import NotPositiveDefinite, cholesky
-from nigmix.special import log_bessel_k
-from nigmix.vb_mnig import (
-    ComponentHyperM,
-    ExpectationBundleM,
-    flat_priors_m,
-    posterior_means,
+from nigmix.linalg import NotPositiveDefinite, cholesky, spd_inverse_logdet_jittered
+from nigmix.special import digamma, log_bessel_k, trunc_normal_moments
+from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
+from nigmix.vb_unig import (
+    _TRUNC_SAFE_RATIO,
+    ComponentHyper,
+    _gamma_quadrature,
+    flat_priors,
 )
-from nigmix.vb_unig import ComponentHyper, flat_priors
+
+
+def row(stack, g):
+    """Component g of a stack, as a namespace of its fields' rows."""
+    return SimpleNamespace(**{f.name: getattr(stack, f.name)[g] for f in fields(stack)})
+
+
+def rows(stack):
+    return [row(stack, g) for g in range(len(getattr(stack, fields(stack)[0].name)))]
+
+
+def stack(cls, components):
+    """The stack of ``cls`` whose rows are the namespaces ``components``."""
+    return cls(*(np.array([getattr(c, f.name) for c in components])
+                 for f in fields(cls)))
 
 
 def random_u(seed, n=25, k=3):
@@ -49,7 +67,7 @@ def random_m(seed, n=20, k=2, d=3):
 def naive_update_u(priors, resp, lat, data):
     e_u, e_uinv = lat
     out = []
-    for g, p in enumerate(priors):
+    for g, p in enumerate(rows(priors)):
         a0, a1, a2, a3, a4 = p.a0, p.a1, p.a2, p.a3, p.a4
         for i in range(len(data)):
             z = resp[i, g]
@@ -58,8 +76,131 @@ def naive_update_u(priors, resp, lat, data):
             a2 += z * e_uinv[i, g] * data[i]
             a3 += 0.5 * z * e_u[i, g]
             a4 += 0.5 * z * e_uinv[i, g]
-        out.append(ComponentHyper(a0, a1, a2, a3, a4))
-    return out
+        out.append(SimpleNamespace(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4))
+    return stack(ComponentHyper, out)
+
+
+def update_hypers_loop(priors, resp, lat, data):
+    """``update_hypers`` one component at a time, through the dot products
+    of one strided column of ``resp``: the steps the stacked update
+    repeats."""
+    e_u, e_uinv = lat
+    out = []
+    for g, p in enumerate(rows(priors)):
+        z = resp[:, g]
+        out.append(
+            SimpleNamespace(
+                a0=p.a0 + z.sum(),
+                a1=p.a1 + z @ data,
+                a2=p.a2 + z @ (e_uinv[:, g] * data),
+                a3=p.a3 + 0.5 * (z @ e_u[:, g]),
+                a4=p.a4 + 0.5 * (z @ e_uinv[:, g]),
+            )
+        )
+    return stack(ComponentHyper, out)
+
+
+def expectations_loop(one, cls, hypers, total_count_mass):
+    """An expectation step one component at a time: ``one`` forms the
+    bundle of one component or raises DegenerateComponent(reason)."""
+    bundles, dropped = [], []
+    for g, h in enumerate(rows(hypers)):
+        try:
+            bundles.append(one(h, total_count_mass))
+        except DegenerateComponent as exc:
+            dropped.append((g, str(exc)))
+    return stack(cls, bundles), dropped
+
+
+def _posterior_mu_beta(h):
+    rho = -h.a0 / (2.0 * math.sqrt(h.a3 * h.a4))
+    one_minus = 1.0 - rho * rho
+    if not one_minus > 0.0:
+        raise DegenerateComponent("correlation at the boundary")
+    s2_mu = 1.0 / (2.0 * one_minus * h.a4)
+    s2_beta = 1.0 / (2.0 * one_minus * h.a3)
+    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / (2.0 * h.a3))
+    beta_bar = s2_beta * (h.a1 - h.a0 * h.a2 / (2.0 * h.a4))
+    cov = rho * math.sqrt(s2_mu * s2_beta)
+    return mu_bar, beta_bar, s2_mu, s2_beta, cov
+
+
+def _gamma_moments(h, rate, e_delta, e_delta_sq):
+    ratio = h.a0 / (2.0 * h.a3)
+    s = math.sqrt(1.0 / (2.0 * h.a3))
+    if ratio * e_delta / s >= _TRUNC_SAFE_RATIO:
+        return (
+            ratio * e_delta,
+            ratio**2 * e_delta_sq + s * s,
+            ratio * e_delta_sq,
+        )
+    return _gamma_quadrature(h.a0, rate, ratio, s)
+
+
+def expectations_one(h, total_count_mass):
+    """The univariate expectation bundle of one component, with scalar
+    squares, logs and exps."""
+    if not (h.a0 > 0.0 and h.a3 > 0.0 and h.a4 > 0.0):
+        raise DegenerateComponent("non-positive hyperparameter")
+    rate = h.a4 - h.a0**2 / (4.0 * h.a3)
+    if not rate > 0.0:
+        raise DegenerateComponent("non-positive gamma rate")
+    shape = h.a0 / 2.0 + 1.0
+    delta_sq = shape / rate
+    delta = math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
+    mu_bar, beta_bar, s2_mu, s2_beta, cov = _posterior_mu_beta(h)
+    gamma, gamma_sq, delta_gamma = _gamma_moments(h, rate, delta, delta_sq)
+    return SimpleNamespace(
+        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
+        log_delta_sq=float(digamma(shape)) - math.log(rate),
+        delta_sq=delta_sq,
+        delta=delta,
+        mu=mu_bar,
+        mu_sq=mu_bar**2 + s2_mu,
+        beta=beta_bar,
+        beta_sq=beta_bar**2 + s2_beta,
+        cov_mu_beta=cov,
+        gamma=gamma,
+        gamma_sq=gamma_sq,
+        delta_gamma=delta_gamma,
+    )
+
+
+def expectations_one_m(h, total_count_mass):
+    """The multivariate expectation bundle of one component, with the
+    scalar square of a0."""
+    d = h.a1.shape[0]
+    if not (h.a0 > 0.0 and h.a3 > 0.0 and h.a4 > 0.0):
+        raise DegenerateComponent("non-positive hyperparameter")
+    disc = h.a3 * h.a4 - h.a0**2
+    if not disc > 0.0:
+        raise DegenerateComponent("joint-normal precision not positive")
+    if not h.a0 > d - 1.0:
+        raise DegenerateComponent("Wishart degrees of freedom too small")
+    try:
+        v_inv, logdet_v = spd_inverse_logdet_jittered(h.V)
+    except NotPositiveDefinite as exc:
+        raise DegenerateComponent(f"scale accumulator not SPD: {exc}") from exc
+    elog_det_prec = (
+        float(digamma((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0).sum())
+        + d * math.log(2.0)
+        - logdet_v
+    )
+    gamma_t, gamma_t_sq = trunc_normal_moments(
+        h.a0 / h.a3, math.sqrt(1.0 / (2.0 * h.a3))
+    )
+    return SimpleNamespace(
+        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
+        elog_det_prec=elog_det_prec,
+        e_prec=h.a0 * v_inv,
+        mu_bar=(h.a3 * h.a2 - h.a0 * h.a1) / disc,
+        beta_bar=(h.a4 * h.a1 - h.a0 * h.a2) / disc,
+        c_mu=h.a3 / disc,
+        c_beta=h.a4 / disc,
+        c_cross=-h.a0 / disc,
+        gamma_t=gamma_t,
+        gamma_t_sq=gamma_t_sq,
+    )
 
 
 def log_score_u(y, b):
@@ -104,7 +245,7 @@ def naive_update_m(priors, resp, lat, data):
     e_u, e_uinv = lat
     n, d = data.shape
     out = []
-    for g, p in enumerate(priors):
+    for g, p in enumerate(rows(priors)):
         a0, a3, a4 = p.a0, p.a3, p.a4
         a1 = p.a1.copy()
         a2 = p.a2.copy()
@@ -129,8 +270,10 @@ def naive_update_m(priors, resp, lat, data):
             + a0 * (np.outer(beta, mu) + np.outer(mu, beta))
             + a3 * np.outer(beta, beta)
         )
-        out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
-    return out
+        out.append(
+            SimpleNamespace(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, V=0.5 * (V + V.T))
+        )
+    return stack(ComponentHyperM, out)
 
 
 def update_hypers_m_loop(priors, resp, lat, data):
@@ -138,7 +281,7 @@ def update_hypers_m_loop(priors, resp, lat, data):
     one strided column of ``resp``: the steps the stacked update repeats."""
     e_u, e_uinv = lat
     out = []
-    for g, p in enumerate(priors):
+    for g, p in enumerate(rows(priors)):
         z = resp[:, g]
         zu_inv = z * e_uinv[:, g]
         a0 = p.a0 + z.sum()
@@ -146,8 +289,9 @@ def update_hypers_m_loop(priors, resp, lat, data):
         a2 = p.a2 + data.T @ zu_inv
         a3 = p.a3 + float(z @ e_u[:, g])
         a4 = p.a4 + float(zu_inv.sum())
-        h = ComponentHyperM(a0, a1, a2, a3, a4, p.V)
-        mu_bar, beta_bar = posterior_means(h)
+        disc = a3 * a4 - a0**2
+        mu_bar = (a3 * a2 - a0 * a1) / disc
+        beta_bar = (a4 * a1 - a0 * a2) / disc
         scatter = (data * zu_inv[:, None]).T @ data
         V = (
             p.V
@@ -160,8 +304,10 @@ def update_hypers_m_loop(priors, resp, lat, data):
             + a0 * (np.outer(beta_bar, mu_bar) + np.outer(mu_bar, beta_bar))
             + a3 * np.outer(beta_bar, beta_bar)
         )
-        out.append(ComponentHyperM(a0, a1, a2, a3, a4, 0.5 * (V + V.T)))
-    return out
+        out.append(
+            SimpleNamespace(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, V=0.5 * (V + V.T))
+        )
+    return stack(ComponentHyperM, out)
 
 
 def softmax_rows(log_scores):
@@ -201,11 +347,11 @@ def update_responsibilities_m_loop(data, bundles):
     """``update_responsibilities_m`` one bundle at a time, finished by
     ``gig_responsibilities_two_calls``."""
     n, d = data.shape
-    k = len(bundles)
+    k = len(bundles.log_pi)
     head = np.empty((k, n))
     chi = np.empty((k, n))
     psi = np.empty((k, 1))
-    for g, b in enumerate(bundles):
+    for g, b in enumerate(rows(bundles)):
         centered = data - b.mu_bar
         chi[g] = (
             1.0
@@ -263,14 +409,15 @@ def ari_pair_oracle(a, b):
 
 
 def unig_bundle_to_mnig(b) -> ExpectationBundleM:
-    """Tilde map at the expectation level: scale = exp(E[log delta^2])."""
-    s = math.exp(b.log_delta_sq)
+    """Tilde map at the expectation level, row by row of a bundle stack:
+    scale = exp(E[log delta^2])."""
+    s = np.exp(b.log_delta_sq)
     return ExpectationBundleM(
         log_pi=b.log_pi,
         elog_det_prec=-b.log_delta_sq,
-        e_prec=np.array([[1.0 / s]]),
-        mu_bar=np.array([b.mu]),
-        beta_bar=np.array([s * b.beta]),
+        e_prec=(1.0 / s)[:, None, None],
+        mu_bar=b.mu[:, None],
+        beta_bar=(s * b.beta)[:, None],
         c_mu=(b.delta_sq - s + b.mu_sq - b.mu**2) / s,
         c_beta=s * (b.beta_sq - b.beta**2),
         c_cross=-b.cov_mu_beta,
