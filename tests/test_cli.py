@@ -298,6 +298,15 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert code in ((0, 2) if argv[0] == "fit" else (0,)), (argv, code)
 
 
+def test_readme_quick_start_runs(capsys):
+    # The README's library block runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "2 True"
+
+
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A study1 and a study5 sample, CSVs made bad in one way each, and a
