@@ -86,6 +86,14 @@ def run_fit(config: FitConfig, data: np.ndarray):
         if data.ndim == 2 and data.shape[1] != 1:
             raise CliError("unig model requires one-column data")
         return fit(data.reshape(-1), config)
+    # The Wishart posteriors need centred columns of full rank, each scaled
+    # to a largest magnitude of one; the engine rejects squares that overflow.
+    centred = data - data.mean(axis=0)
+    scale = np.abs(centred).max(axis=0)
+    if np.isfinite(scale * scale).all() and not (
+        scale.all() and np.linalg.matrix_rank(centred / scale) == data.shape[1]
+    ):
+        raise CliError("mnig needs linearly independent, non-constant columns")
     return fit_m(data, config)
 
 

@@ -309,10 +309,10 @@ def test_readme_quick_start_runs(capsys):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A study1 and a study5 sample, CSVs made bad in one way each, and a
-    converged study1 fit for density-grid."""
+    """A study1, a study4 and a study5 sample, CSVs made bad in one way
+    each, and a converged study1 fit for density-grid."""
     root = tmp_path_factory.mktemp("bad_inputs")
-    for preset in ("study1", "study5"):
+    for preset in ("study1", "study4", "study5"):
         spec, counts = simulation_preset(preset)
         write_sample_csv(root / f"{preset}.csv",
                          sample_mixture(spec, sum(counts), seed=4, counts=counts))
@@ -335,6 +335,13 @@ def bad_inputs(tmp_path_factory):
         study5 + ",".join(["1e200"] * 10) + ",1\n"
         + ",".join(["-1e200"] * 10) + ",2\n"
     )
+    # A third study4 column before the label: constant, or a copy of x1.
+    study4 = [line.split(",") for line in (root / "study4.csv").read_text().split()]
+    for name, third in (("const4", lambda row: "3.0"), ("dup4", lambda row: row[0])):
+        (root / f"{name}.csv").write_text("".join(
+            ",".join([*row[:2], "x3" if i == 0 else third(row), row[2]]) + "\n"
+            for i, row in enumerate(study4)
+        ))
     return root
 
 
@@ -372,6 +379,8 @@ def grid_argv(*flags):
     (grid_argv("--range", "-5", "5", "--points", "0"), 3),
     (grid_argv("--range", "5", "nan"), 3),
     (grid_argv("--range", "inf", "5"), 3),
+    (fit_argv("const4.csv", "--model", "mnig"), 3),
+    (fit_argv("dup4.csv", "--model", "mnig"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.
