@@ -32,6 +32,7 @@ from tests_support_naive import (
     log_bessel_k_kve,
     log_score_m,
     naive_update_m,
+    random_hypers_m,
     random_m,
     row,
     rows,
@@ -255,6 +256,16 @@ class TestStackedSteps:
             )
             assert dropped == ref_dropped
             assert_stacks_equal(got, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_expectations_equal_the_component_loop_on_many_rows(self, d):
+        hypers = random_hypers_m(d, 3000, d)
+        got, dropped = expectations_from_hypers_m(hypers, 2e4)
+        ref, ref_dropped = expectations_loop(
+            expectations_one_m, ExpectationBundleM, hypers, 2e4
+        )
+        assert dropped == ref_dropped == []
+        assert_stacks_equal(got, ref)
 
     def test_drop_reasons_in_component_order(self, monkeypatch):
         # Rows 1-3 fail the scalar checks and never reach the Cholesky;

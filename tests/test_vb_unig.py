@@ -35,6 +35,7 @@ from tests_support_naive import (
     log_bessel_k_kve,
     log_score_u,
     naive_update_u,
+    random_hypers_u,
     random_u,
     row,
     rows,
@@ -304,6 +305,17 @@ class TestStackedSteps:
             assert_stacks_equal(got, ref)
         # Both branches of the tail-weight moments are covered.
         assert 0 < len(quadrature_rows)
+
+    def test_expectations_equal_the_component_loop_on_many_rows(self):
+        # The scalar and array squares differ on about 1e-3 of values, so
+        # ten thousand rows show any square taken the array way.
+        hypers = random_hypers_u(0, 10_000)
+        got, dropped = expectations_from_hypers(hypers, 5e4)
+        ref, ref_dropped = expectations_loop(
+            expectations_one, ExpectationBundle, hypers, 5e4
+        )
+        assert dropped == ref_dropped == []
+        assert_stacks_equal(got, ref)
 
     def test_drop_reasons_in_component_order(self):
         data, resp, lat, priors = random_u(1)

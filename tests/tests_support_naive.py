@@ -64,6 +64,30 @@ def random_m(seed, n=20, k=2, d=3):
     return data, resp, (e_u, e_uinv), priors
 
 
+def random_hypers_u(seed, k):
+    """A stack of k valid univariate hyper states at the scales of fits of
+    up to a few hundred observations."""
+    rng = np.random.default_rng(seed)
+    a0 = rng.uniform(2.0, 400.0, k)
+    a3 = 0.5 * a0 * rng.uniform(0.2, 3.0, k)
+    a4 = a0**2 / (4.0 * a3) * rng.uniform(1.001, 4.0, k)
+    a1 = a0 * rng.normal(0.0, 5.0, k)
+    return ComponentHyper(a0, a1, a1 * rng.uniform(0.3, 3.0, k), a3, a4)
+
+
+def random_hypers_m(seed, k, d):
+    """A stack of k valid multivariate hyper states in d dimensions."""
+    rng = np.random.default_rng(seed)
+    a0 = rng.uniform(d + 1.0, 400.0, k)
+    a3 = a0 * rng.uniform(0.2, 3.0, k)
+    a4 = a0**2 / a3 * rng.uniform(1.001, 4.0, k)
+    a1 = a0[:, None] * rng.normal(0.0, 5.0, (k, d))
+    x = rng.normal(0.0, 1.0, (k, d + 3, d))
+    V = a0[:, None, None] * (x.transpose(0, 2, 1) @ x)
+    return ComponentHyperM(a0, a1, a1 * rng.uniform(0.3, 3.0, (k, d)), a3, a4,
+                           0.5 * (V + V.transpose(0, 2, 1)))
+
+
 def naive_update_u(priors, resp, lat, data):
     e_u, e_uinv = lat
     out = []
