@@ -260,7 +260,8 @@ def run_sweep(
 
     for iterations in range(1, config.max_iter + 1):
         hypers = update_hypers(priors, resp, lat, data)
-        # Left to right, as always: numpy sums ten or more values pairwise.
+        # Left to right, as the run records pin it: numpy's sum of eight or
+        # more values goes pairwise.
         total_mass = sum(hypers.a0.tolist())
         bundles, dropped = expectations(hypers, total_mass)
         all_flags += [f"degenerate_component:{ids[g]}:{why}" for g, why in dropped]
