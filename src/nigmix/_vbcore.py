@@ -14,7 +14,7 @@ every field has a leading axis of one row per component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class FitResult:
 
 def take(stack, index):
     """``stack`` with every field indexed by ``index``, such as kept rows."""
-    return type(stack)(*(getattr(stack, f.name)[index] for f in fields(stack)))
+    return type(stack)(*(v[index] for v in vars(stack).values()))
 
 
 def screen(checks) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -81,9 +81,11 @@ def screen(checks) -> tuple[np.ndarray, list[tuple[int, str]]]:
     (row, reason) of the first check each other row fails, in row order."""
     ok, dropped = np.ones_like(checks[0][0]), []
     for passed, reason in checks:
-        dropped += [(g, reason) for g in np.flatnonzero(ok & ~passed).tolist()]
-        ok &= passed
-    return np.flatnonzero(ok), sorted(dropped)
+        # all() of a list: ndarray.all costs more on the few rows of a stack.
+        if not all(passed.tolist()):
+            dropped += [(g, reason) for g in (ok & ~passed).nonzero()[0].tolist()]
+            ok &= passed
+    return ok.nonzero()[0], sorted(dropped)
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -264,10 +266,12 @@ def run_sweep(
         # more values goes pairwise.
         total_mass = sum(hypers.a0.tolist())
         bundles, dropped = expectations(hypers, total_mass)
-        all_flags += [f"degenerate_component:{ids[g]}:{why}" for g, why in dropped]
-        live = np.delete(np.arange(len(ids)), [g for g, _ in dropped])
-        if not live.size:
-            raise DegenerateFit("all components degenerate")
+        live = np.arange(len(ids))
+        if dropped:
+            all_flags += [f"degenerate_component:{ids[g]}:{why}" for g, why in dropped]
+            live = np.delete(live, [g for g, _ in dropped])
+            if not live.size:
+                raise DegenerateFit("all components degenerate")
 
         try:
             new_resp, lat, flags = responsibilities(data, bundles)

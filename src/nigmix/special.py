@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, gammaln, k0e, k1e, kve, psi
+from scipy.special import erfcx, k0e, k1e, kve, psi
 
 __all__ = [
     "log_bessel_k",
     "digamma",
     "trunc_normal_moments",
-    "sqrt_gamma_moment",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -150,12 +149,3 @@ def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
     var = max(var, 0.0)
     return mean, var + mean * mean
 
-
-def sqrt_gamma_moment(shape, rate):
-    """Elementwise E[sqrt(X)] for X ~ Gamma(shape, rate), shape-rate convention."""
-    if not (np.all(shape > 0.0) and np.all(rate > 0.0)):
-        raise ValueError("gamma moment requires shape > 0 and rate > 0")
-    # math.exp, not np.exp, which rounds some arguments differently.
-    log_ratio = gammaln(shape + 0.5) - gammaln(shape)
-    ratio = np.reshape([math.exp(v) for v in log_ratio.flat], log_ratio.shape)
-    return ratio / np.sqrt(rate)

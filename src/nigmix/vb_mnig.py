@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import psi
 
 from ._vbcore import (
     FitResult,
@@ -215,11 +216,13 @@ def expectations_from_hypers_m(
             inverses[g] = spd_inverse_logdet_jittered(h.V[g])
         except NotPositiveDefinite as exc:
             dropped.append((g, f"scale accumulator not SPD: {exc}"))
-    h = take(h, list(inverses))
+    if len(inverses) < len(h.a0):
+        h = take(h, list(inverses))
     v_inv = np.array([inv for inv, _ in inverses.values()]).reshape(-1, d, d)
     logdet_v = np.array([logdet for _, logdet in inverses.values()])
+    # psi without digamma's checks: the screen has checked a0 > d - 1.
     elog_det_prec = (
-        digamma((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
+        psi((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
         + d * math.log(2.0)
         - logdet_v
     )
@@ -229,7 +232,7 @@ def expectations_from_hypers_m(
     gamma_t, gamma_t_sq = np.array(moments).reshape(-1, 2).T
     D = h.disc
     return ExpectationBundleM(
-        log_pi=digamma(h.a0) - digamma(total_count_mass),
+        log_pi=psi(h.a0) - digamma(total_count_mass),
         elog_det_prec=elog_det_prec,
         e_prec=h.a0[:, None, None] * v_inv,
         mu_bar=mu_bar,

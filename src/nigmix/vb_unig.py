@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, xlogy
+from scipy.special import gammaincinv, gammaln, psi, xlogy
 
 from ._vbcore import (
     FitResult,
@@ -40,7 +40,7 @@ from ._vbcore import (
 )
 from .config import FitConfig
 from .distributions import UNIGParams, unig_density
-from .special import digamma, sqrt_gamma_moment, trunc_normal_moments
+from .special import digamma, trunc_normal_moments
 
 __all__ = [
     "ComponentHyper",
@@ -185,35 +185,40 @@ def expectations_from_hypers(
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = h.a4 - np.float_power(h.a0, 2) / (4.0 * h.a3)
         rho = -h.a0 / (2.0 * np.sqrt(h.a3 * h.a4))
+        one_minus = 1.0 - rho * rho
     live, dropped = screen([
         ((h.a0 > 0.0) & (h.a3 > 0.0) & (h.a4 > 0.0), "non-positive hyperparameter"),
         (rate > 0.0, "non-positive gamma rate"),
-        (1.0 - rho * rho > 0.0, "correlation at the boundary"),
+        (one_minus > 0.0, "correlation at the boundary"),
     ])
-    h, rate, rho = take(h, live), rate[live], rho[live]
+    if dropped:
+        h, rate, rho, one_minus = take(h, live), rate[live], rho[live], one_minus[live]
     shape = h.a0 / 2.0 + 1.0
     delta_sq = shape / rate
-    delta = sqrt_gamma_moment(shape, rate)
-    one_minus = 1.0 - rho * rho
+    # E[sqrt(delta^2)] under its Gamma(shape, rate) posterior.  Exp and log go
+    # through math: numpy rounds some of their arguments differently.
+    log_ratio = gammaln(shape + 0.5) - gammaln(shape)
+    delta = np.array([math.exp(v) for v in log_ratio.tolist()]) / np.sqrt(rate)
+    log_rate = np.array([math.log(v) for v in rate.tolist()])
+    two_a3 = 2.0 * h.a3
     s2_mu = 1.0 / (2.0 * one_minus * h.a4)
     s2_beta = 1.0 / (2.0 * one_minus * h.a3)
-    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / (2.0 * h.a3))
+    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / two_a3)
     beta_bar = s2_beta * (h.a1 - h.a0 * h.a2 / (2.0 * h.a4))
     # Tail-weight moments: far from the truncation boundary the untruncated
     # closed forms are exact to machine precision.
-    ratio = h.a0 / (2.0 * h.a3)
-    s = np.sqrt(1.0 / (2.0 * h.a3))
+    ratio = h.a0 / two_a3
+    s = np.sqrt(1.0 / two_a3)
     gamma, delta_gamma = ratio * delta, ratio * delta_sq
     gamma_sq = np.float_power(ratio, 2) * delta_sq + s * s
-    for g in np.flatnonzero(~(gamma / s >= _TRUNC_SAFE_RATIO)):
+    for g in (~(gamma / s >= _TRUNC_SAFE_RATIO)).nonzero()[0]:
         gamma[g], gamma_sq[g], delta_gamma[g] = _gamma_quadrature(
             h.a0[g], rate[g], ratio[g], s[g]
         )
-    # math.log, not np.log, which rounds some arguments differently.
-    log_rate = np.array([math.log(v) for v in rate.tolist()])
+    # psi without digamma's checks: the screen has checked a0 > 0.
     return ExpectationBundle(
-        log_pi=digamma(h.a0) - digamma(total_count_mass),
-        log_delta_sq=digamma(shape) - log_rate,
+        log_pi=psi(h.a0) - digamma(total_count_mass),
+        log_delta_sq=psi(shape) - log_rate,
         delta_sq=delta_sq,
         delta=delta,
         mu=mu_bar,

@@ -13,10 +13,9 @@ from nigmix import special
 from nigmix.special import (
     digamma,
     log_bessel_k,
-    sqrt_gamma_moment,
     trunc_normal_moments,
 )
-from tests_support_naive import log_bessel_k_kve
+from tests_support_naive import log_bessel_k_kve, sqrt_gamma_moment
 
 XS = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0]
 

@@ -136,6 +136,13 @@ def expectations_loop(one, cls, hypers, total_count_mass):
     return stack(cls, bundles), dropped
 
 
+def sqrt_gamma_moment(shape: float, rate: float) -> float:
+    """E[sqrt(X)] for X ~ Gamma(shape, rate), shape-rate convention."""
+    if not (shape > 0.0 and rate > 0.0):
+        raise ValueError("gamma moment requires shape > 0 and rate > 0")
+    return math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
+
+
 def _posterior_mu_beta(h):
     rho = -h.a0 / (2.0 * math.sqrt(h.a3 * h.a4))
     one_minus = 1.0 - rho * rho
@@ -171,7 +178,7 @@ def expectations_one(h, total_count_mass):
         raise DegenerateComponent("non-positive gamma rate")
     shape = h.a0 / 2.0 + 1.0
     delta_sq = shape / rate
-    delta = math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
+    delta = sqrt_gamma_moment(shape, rate)
     mu_bar, beta_bar, s2_mu, s2_beta, cov = _posterior_mu_beta(h)
     gamma, gamma_sq, delta_gamma = _gamma_moments(h, rate, delta, delta_sq)
     return SimpleNamespace(
