@@ -7,8 +7,8 @@ moments, both checked for squared distances that overflow, the log-sum-exp
 row normalization with its uniform-row underflow fallback,
 ``gig_responsibilities``, the responsibilities step both engines finish
 with, ``prune``, and ``run_sweep``, the variational sweep both engines run
-with their own update steps.  A component stack is a frozen dataclass whose
-every field has a leading axis of one row per component.
+with their own update steps.  A component stack is a dataclass whose every
+field has a leading axis of one row per component.
 """
 
 from __future__ import annotations

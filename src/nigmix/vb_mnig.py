@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComponentHyperM:
     """Posterior hyperparameters of k components; a1, a2 are (k, d), V (k, d, d)."""
 
@@ -77,7 +77,7 @@ class ComponentHyperM:
         return self.a3 * self.a4 - np.float_power(self.a0, 2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExpectationBundleM:
     """Expectations entering the scores; e_prec is (k, d, d), mu_bar (k, d)."""
 

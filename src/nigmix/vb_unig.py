@@ -60,7 +60,7 @@ _TRUNC_SAFE_RATIO = 6.0
 _QUAD_NODES = 96
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComponentHyper:
     """Posterior hyperparameters of k components (count mass plus the four
     sufficient-statistic accumulators), each field of shape (k,)."""
@@ -72,7 +72,7 @@ class ComponentHyper:
     a4: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExpectationBundle:
     """Expectations of the parameter functionals entering the scores."""
 
