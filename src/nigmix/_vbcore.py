@@ -262,8 +262,7 @@ def run_sweep(
 
     for iterations in range(1, config.max_iter + 1):
         hypers = update_hypers(priors, resp, lat, data)
-        # Left to right, as the run records pin it: numpy's sum of eight or
-        # more values goes pairwise.
+        # Left to right: numpy sums eight or more values pairwise.
         total_mass = sum(hypers.a0.tolist())
         bundles, dropped = expectations(hypers, total_mass)
         live = np.arange(len(ids))

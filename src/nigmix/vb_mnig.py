@@ -250,7 +250,6 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
     through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     d = data.shape[1]
-    # (k, 1, ...) rows of each field, and the drift as (k, d, 1) columns.
     b = take(bundles, np.s_[:, None])
     e_prec, beta_bar = bundles.e_prec, b.beta_bar.transpose(0, 2, 1)
     centered = data - b.mu_bar

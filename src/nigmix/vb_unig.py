@@ -124,8 +124,7 @@ def update_hypers(
     data: np.ndarray,
 ) -> ComponentHyper:
     """Conjugate updates: priors plus responsibility-weighted statistics,
-    each a dot product over one strided column of ``resp``; numpy sums the
-    rows of a copy of ``resp.T`` pairwise, as it sums one column."""
+    each summed over one column of ``resp`` as one component's update is."""
     data = np.asarray(data, dtype=float).reshape(-1)
     e_u, e_uinv = lat
     z = resp.T[:, None, :]
@@ -177,11 +176,8 @@ def expectations_from_hypers(
     h: ComponentHyper, total_count_mass: float
 ) -> tuple[ExpectationBundle, list[tuple[int, str]]]:
     """All expectations a score evaluation needs: the bundle stack of the
-    valid hyper rows, and the (row, reason) of the others.
-
-    ``total_count_mass`` is the summed Dirichlet mass over live components
-    (prior mass plus n), the normalizer of the log-weight expectation.
-    """
+    valid hyper rows, and the (row, reason) of the others.  The normalizer
+    ``total_count_mass`` is the summed Dirichlet mass (prior mass plus n)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = h.a4 - np.float_power(h.a0, 2) / (4.0 * h.a3)
         rho = -h.a0 / (2.0 * np.sqrt(h.a3 * h.a4))
@@ -199,7 +195,6 @@ def expectations_from_hypers(
     # through math: numpy rounds some of their arguments differently.
     log_ratio = gammaln(shape + 0.5) - gammaln(shape)
     delta = np.array([math.exp(v) for v in log_ratio.tolist()]) / np.sqrt(rate)
-    log_rate = np.array([math.log(v) for v in rate.tolist()])
     two_a3 = 2.0 * h.a3
     s2_mu = 1.0 / (2.0 * one_minus * h.a4)
     s2_beta = 1.0 / (2.0 * one_minus * h.a3)
@@ -218,7 +213,7 @@ def expectations_from_hypers(
     # psi without digamma's checks: the screen has checked a0 > 0.
     return ExpectationBundle(
         log_pi=psi(h.a0) - digamma(total_count_mass),
-        log_delta_sq=psi(shape) - log_rate,
+        log_delta_sq=psi(shape) - np.array([math.log(v) for v in rate.tolist()]),
         delta_sq=delta_sq,
         delta=delta,
         mu=mu_bar,
