@@ -1,8 +1,9 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, the hyper, expectation and responsibility steps of both
-engines one component at a time, the row-by-row softmax with log K at each order from
-its own call, pair-enumeration agreement index, set-partition enumeration,
-the d = 1 tilde map of parameters and of expectations, the inverse Gaussian
+engines one component at a time (with the scalar E[sqrt(X)] of a gamma
+variable), the row-by-row softmax with log K at each order from its own
+call, pair-enumeration agreement index, set-partition enumeration, the
+d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky and the SPD inverse as a sum
 of triangles, log-scale Bessel K and GIG moments through the generic
 ``kve`` at three orders, and the univariate and multivariate log scores of
@@ -36,6 +37,7 @@ def row(stack, g):
 
 
 def rows(stack):
+    """Every component of a stack, as ``row`` gives it."""
     return [row(stack, g) for g in range(len(getattr(stack, fields(stack)[0].name)))]
 
 
