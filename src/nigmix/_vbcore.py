@@ -1,13 +1,13 @@
 """Machinery shared by the univariate and multivariate engines.
 
-Holds the result containers, the component-stack helpers ``take`` and
-``screen``, the deterministic initial-partition helpers (one-hot random
-assignment and a small seeded Lloyd k-means) and the initial latent
-moments, both checked for squared distances that overflow, the log-sum-exp
-row normalization with its uniform-row underflow fallback,
-``gig_responsibilities``, the responsibilities step both engines finish
-with, ``prune``, and ``run_sweep``, the variational sweep both engines run
-with their own update steps.  A component stack is a dataclass whose every
+Holds the result containers, the component-stack helper ``take``, the
+deterministic initial-partition helpers (one-hot random assignment and a
+small seeded Lloyd k-means) and the initial latent moments, both checked
+for squared distances that overflow, the log-sum-exp row normalization
+with its uniform-row underflow fallback, ``gig_responsibilities``, the
+responsibilities step both engines finish with, ``prune``, and
+``run_sweep``, the variational sweep both engines run with their own
+update steps.  A component stack is a dataclass whose every
 field has a leading axis of one row per component.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "one_hot",
     "prune",
     "run_sweep",
-    "screen",
     "take",
 ]
 
@@ -74,18 +73,6 @@ class FitResult:
 def take(stack, index):
     """``stack`` with every field indexed by ``index``, such as kept rows."""
     return type(stack)(*(v[index] for v in vars(stack).values()))
-
-
-def screen(checks) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """The rows that pass every (mask of passing rows, reason) check, and the
-    (row, reason) of the first check each other row fails, in row order."""
-    ok, dropped = np.ones_like(checks[0][0]), []
-    for passed, reason in checks:
-        # all() of a list: ndarray.all costs more on the few rows of a stack.
-        if not all(passed.tolist()):
-            dropped += [(g, reason) for g in (ok & ~passed).nonzero()[0].tolist()]
-            ok &= passed
-    return ok.nonzero()[0], sorted(dropped)
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:

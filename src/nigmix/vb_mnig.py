@@ -11,8 +11,10 @@ Every step works on all components at once, in (k, ...) stacks, and takes
 each component through the floating-point steps of its own update: the
 batched products make the BLAS calls, over the same strides, that one
 column of the responsibilities would, and a0 is squared by
-``np.float_power``, as a scalar ``a0**2`` is.  Only the Cholesky of the
-scale accumulator and the tail-weight moments run per component.
+``np.float_power``, as a scalar ``a0**2`` is.  Per component run only the
+expectation step's pass over the hyper rows, which checks each row and
+factors the scale accumulator of the rows that pass, and the tail-weight
+moments.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -40,7 +42,6 @@ from ._vbcore import (
     initial_latent_moments,
     initial_partition,
     run_sweep,
-    screen,
     take,
 )
 from .config import FitConfig
@@ -205,22 +206,26 @@ def expectations_from_hypers_m(
     """The bundle stack of the valid hyper rows, and the (row, reason) of
     the others; only rows that pass the scalar checks reach the Cholesky."""
     d = h.a1.shape[1]
-    live, dropped = screen([
-        ((h.a0 > 0.0) & (h.a3 > 0.0) & (h.a4 > 0.0), "non-positive hyperparameter"),
-        (h.disc > 0.0, "joint-normal precision not positive"),
-        (h.a0 > d - 1.0, "Wishart degrees of freedom too small"),
-    ])
-    inverses = {}
-    for g in live.tolist():
-        try:
-            inverses[g] = spd_inverse_logdet_jittered(h.V[g])
-        except NotPositiveDefinite as exc:
-            dropped.append((g, f"scale accumulator not SPD: {exc}"))
-    if len(inverses) < len(h.a0):
-        h = take(h, list(inverses))
-    v_inv = np.array([inv for inv, _ in inverses.values()]).reshape(-1, d, d)
-    logdet_v = np.array([logdet for _, logdet in inverses.values()])
-    # psi without digamma's checks: the screen has checked a0 > d - 1.
+    live, inverses, dropped = [], [], []
+    checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), h.disc.tolist())
+    for g, (a0, a3, a4, disc) in enumerate(checked):
+        if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
+            dropped.append((g, "non-positive hyperparameter"))
+        elif not disc > 0.0:
+            dropped.append((g, "joint-normal precision not positive"))
+        elif not a0 > d - 1.0:
+            dropped.append((g, "Wishart degrees of freedom too small"))
+        else:
+            try:
+                inverses.append(spd_inverse_logdet_jittered(h.V[g]))
+                live.append(g)
+            except NotPositiveDefinite as exc:
+                dropped.append((g, f"scale accumulator not SPD: {exc}"))
+    if dropped:
+        h = take(h, live)
+    v_inv = np.array([inv for inv, _ in inverses]).reshape(-1, d, d)
+    logdet_v = np.array([logdet for _, logdet in inverses])
+    # psi without digamma's checks: the loop has checked a0 > d - 1.
     elog_det_prec = (
         psi((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
         + d * math.log(2.0)
@@ -242,7 +247,7 @@ def expectations_from_hypers_m(
         c_cross=-h.a0 / D,
         gamma_t=gamma_t,
         gamma_t_sq=gamma_t_sq,
-    ), sorted(dropped)
+    ), dropped
 
 
 def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):

@@ -10,9 +10,10 @@ alternates three moves until the responsibilities stop moving:
    the subordinator, followed by pruning of components whose effective
    count drops below the threshold.
 
-Each move takes all components at once, as (k,) stacks, through the
-floating-point steps of the one-component formulas (``np.float_power`` for
-a scalar's ``x**2``, and ``math`` per element where numpy rounds otherwise).
+The first and third moves take all components at once, as (k,) stacks.
+The second makes one pass over the hyper rows in Python floats: it checks
+each row, records the reason of a row that fails, and forms the closed
+forms of the others, which the pass stacks once at its end.
 
 Model selection is a by-product: the engine starts with more components
 than expected and the Dirichlet log-weight expectation starves redundant
@@ -35,7 +36,6 @@ from ._vbcore import (
     initial_partition,
     prune,
     run_sweep,
-    screen,
     take,
 )
 from .config import FitConfig
@@ -178,53 +178,51 @@ def expectations_from_hypers(
     """All expectations a score evaluation needs: the bundle stack of the
     valid hyper rows, and the (row, reason) of the others.  The normalizer
     ``total_count_mass`` is the summed Dirichlet mass (prior mass plus n)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = h.a4 - np.float_power(h.a0, 2) / (4.0 * h.a3)
-        rho = -h.a0 / (2.0 * np.sqrt(h.a3 * h.a4))
-        one_minus = 1.0 - rho * rho
-    live, dropped = screen([
-        ((h.a0 > 0.0) & (h.a3 > 0.0) & (h.a4 > 0.0), "non-positive hyperparameter"),
-        (rate > 0.0, "non-positive gamma rate"),
-        (one_minus > 0.0, "correlation at the boundary"),
-    ])
-    if dropped:
-        h, rate, rho, one_minus = take(h, live), rate[live], rho[live], one_minus[live]
-    shape = h.a0 / 2.0 + 1.0
-    delta_sq = shape / rate
-    # E[sqrt(delta^2)] under its Gamma(shape, rate) posterior.  Exp and log go
-    # through math: numpy rounds some of their arguments differently.
-    log_ratio = gammaln(shape + 0.5) - gammaln(shape)
-    delta = np.array([math.exp(v) for v in log_ratio.tolist()]) / np.sqrt(rate)
-    two_a3 = 2.0 * h.a3
-    s2_mu = 1.0 / (2.0 * one_minus * h.a4)
-    s2_beta = 1.0 / (2.0 * one_minus * h.a3)
-    mu_bar = s2_mu * (h.a2 - h.a0 * h.a1 / two_a3)
-    beta_bar = s2_beta * (h.a1 - h.a0 * h.a2 / (2.0 * h.a4))
-    # Tail-weight moments: far from the truncation boundary the untruncated
-    # closed forms are exact to machine precision.
-    ratio = h.a0 / two_a3
-    s = np.sqrt(1.0 / two_a3)
-    gamma, delta_gamma = ratio * delta, ratio * delta_sq
-    gamma_sq = np.float_power(ratio, 2) * delta_sq + s * s
-    for g in (~(gamma / s >= _TRUNC_SAFE_RATIO)).nonzero()[0]:
-        gamma[g], gamma_sq[g], delta_gamma[g] = _gamma_quadrature(
-            h.a0[g], rate[g], ratio[g], s[g]
-        )
-    # psi without digamma's checks: the screen has checked a0 > 0.
-    return ExpectationBundle(
-        log_pi=psi(h.a0) - digamma(total_count_mass),
-        log_delta_sq=psi(shape) - np.array([math.log(v) for v in rate.tolist()]),
-        delta_sq=delta_sq,
-        delta=delta,
-        mu=mu_bar,
-        mu_sq=np.float_power(mu_bar, 2) + s2_mu,
-        beta=beta_bar,
-        beta_sq=np.float_power(beta_bar, 2) + s2_beta,
-        cov_mu_beta=rho * np.sqrt(s2_mu * s2_beta),
-        gamma=gamma,
-        gamma_sq=gamma_sq,
-        delta_gamma=delta_gamma,
-    ), dropped
+    log_total = digamma(total_count_mass)
+    rows, dropped = [], []
+    columns = zip(*(v.tolist() for v in vars(h).values()))
+    for g, (a0, a1, a2, a3, a4) in enumerate(columns):
+        if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
+            dropped.append((g, "non-positive hyperparameter"))
+            continue
+        # Python floats raise where numpy arrays would carry inf on: an
+        # overflowing square, or a product that underflows to a zero divisor.
+        try:
+            rate = a4 - a0**2 / (4.0 * a3)
+            if not rate > 0.0:
+                dropped.append((g, "non-positive gamma rate"))
+                continue
+            rho = -a0 / (2.0 * math.sqrt(a3 * a4))
+            one_minus = 1.0 - rho * rho
+            if not one_minus > 0.0:
+                dropped.append((g, "correlation at the boundary"))
+                continue
+            shape = a0 / 2.0 + 1.0
+            delta_sq = shape / rate
+            # E[sqrt(delta^2)] under its Gamma(shape, rate) posterior.
+            delta = math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
+            two_a3 = 2.0 * a3
+            s2_mu = 1.0 / (2.0 * one_minus * a4)
+            s2_beta = 1.0 / (2.0 * one_minus * a3)
+            mu_bar = s2_mu * (a2 - a0 * a1 / two_a3)
+            beta_bar = s2_beta * (a1 - a0 * a2 / (2.0 * a4))
+            # Tail-weight moments: far from the truncation boundary the
+            # untruncated closed forms are exact to machine precision.
+            ratio = a0 / two_a3
+            s = math.sqrt(1.0 / two_a3)
+            gamma = ratio * delta
+            if gamma / s >= _TRUNC_SAFE_RATIO:
+                gamma_sq, delta_gamma = ratio**2 * delta_sq + s * s, ratio * delta_sq
+            else:
+                gamma, gamma_sq, delta_gamma = _gamma_quadrature(a0, rate, ratio, s)
+            rows += [
+                psi(a0) - log_total, psi(shape) - math.log(rate), delta_sq, delta,
+                mu_bar, mu_bar**2 + s2_mu, beta_bar, beta_bar**2 + s2_beta,
+                rho * math.sqrt(s2_mu * s2_beta), gamma, gamma_sq, delta_gamma,
+            ]
+        except ArithmeticError:
+            dropped.append((g, "expectations out of floating-point range"))
+    return ExpectationBundle(*np.array(rows, dtype=float).reshape(-1, 12).T), dropped
 
 
 def update_responsibilities(data: np.ndarray, bundles: ExpectationBundle):

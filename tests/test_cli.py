@@ -381,6 +381,7 @@ def grid_argv(*flags):
     (grid_argv("--range", "inf", "5"), 3),
     (fit_argv("const4.csv", "--model", "mnig"), 3),
     (fit_argv("dup4.csv", "--model", "mnig"), 3),
+    (fit_argv("study1.csv", "--hyper-init", "1e300"), 4),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.

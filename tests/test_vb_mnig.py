@@ -236,8 +236,10 @@ def assert_stacks_equal(got, ref):
 
 
 class TestStackedSteps:
-    """The stacked steps take each component's floating-point steps one
-    for one, so they equal the one-component loops bit for bit."""
+    """The stacked steps, and the expectation step's one pass over the hyper
+    rows that checks each row and factors the scale accumulator of those
+    that pass, take each component's floating-point steps one for one, so
+    they equal the one-component loops bit for bit."""
 
     def test_hypers_equal_the_component_loop(self):
         for data, resp, lat, priors in sweep_states():

@@ -275,8 +275,9 @@ def assert_stacks_equal(got, ref):
 
 
 class TestStackedSteps:
-    """The stacked steps take each component's floating-point steps one
-    for one, so they equal the one-component loops bit for bit."""
+    """The stacked hyper step and the row-by-row expectation step take each
+    component's floating-point steps one for one, so they equal the
+    one-component loops bit for bit."""
 
     def test_hypers_equal_the_component_loop(self):
         for data, resp, lat, priors in unig_states():
@@ -340,6 +341,25 @@ class TestStackedSteps:
             (3, "correlation at the boundary"),
             (5, "non-positive hyperparameter"),
         ]
+        assert_stacks_equal(got, ref)
+
+    def test_rows_out_of_float_range_are_dropped(self):
+        # Python floats raise where the loop's numpy scalars go to inf: a0**2
+        # overflows in row 1, and a3 * a4 underflows to a zero divisor in row 2.
+        valid = random_hypers_u(2, 2)
+        table = [
+            [getattr(valid, name)[0] for name in FIELDS],
+            [1e300, 0.0, 0.0, 1e300, 1e300],
+            [1e-200, 0.0, 0.0, 1e-200, 1e-200],
+            [getattr(valid, name)[1] for name in FIELDS],
+        ]
+        hypers = ComponentHyper(*np.array(table).T)
+        got, dropped = expectations_from_hypers(hypers, 30.0)
+        assert dropped == [
+            (1, "expectations out of floating-point range"),
+            (2, "expectations out of floating-point range"),
+        ]
+        ref, _ = expectations_loop(expectations_one, ExpectationBundle, valid, 30.0)
         assert_stacks_equal(got, ref)
 
 
