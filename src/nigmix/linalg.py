@@ -10,7 +10,7 @@ component.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 __all__ = [
     "NotPositiveDefinite",
@@ -69,19 +69,20 @@ def cholesky(m) -> np.ndarray:
 
 
 def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix via Cholesky; LAPACK
-    ``dpotri`` forms the inverse from the factor."""
+    """Inverse and log-determinant of an SPD matrix via Cholesky: LAPACK
+    ``dtrtri`` inverts the factor L, and inv(L).T @ inv(L) is the inverse.
+
+    numpy forms that product of a matrix with its own transpose by the
+    symmetric BLAS update, so the result is exactly symmetric, C-ordered,
+    and the same at any OpenBLAS thread count for d <= 64 (``dpotri`` is
+    not, from d = 5).
+    """
     L = cholesky(m)
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    inv, info = dpotri(L, lower=True)
+    inv_l, info = dtrtri(L, lower=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
-    # dpotri writes the lower triangle only, over zeros: the sum with the
-    # transpose fills the upper one and doubles the diagonal, put back after.
-    # C order: callers' BLAS products are pinned to its summation order.
-    full = np.add(inv.T, inv, order="C")
-    full.flat[:: full.shape[0] + 1] = inv.diagonal()
-    return full, logdet
+    return inv_l.T @ inv_l, logdet
 
 
 def spd_inverse_logdet_jittered(m) -> tuple[np.ndarray, float]:

@@ -4,9 +4,8 @@ engines one component at a time (with the scalar E[sqrt(X)] of a gamma
 variable), the row-by-row softmax with log K at each order from its own
 call, pair-enumeration agreement index, set-partition enumeration, the
 d = 1 tilde map of parameters and of expectations, the inverse Gaussian
-and GIG densities, a column-by-column Cholesky and the SPD inverse as a sum
-of triangles, log-scale Bessel K and GIG moments through the generic
-``kve`` at three orders, and the univariate and multivariate log scores of
+and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
+moments through the generic ``kve`` at three orders, and the univariate and multivariate log scores of
 one bundle written out term by term."""
 
 import itertools
@@ -15,12 +14,11 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dpotri
 from scipy.special import gammaln, kve
 
 from nigmix._vbcore import DegenerateComponent
 from nigmix.distributions import MNIGParams, UNIGParams
-from nigmix.linalg import NotPositiveDefinite, cholesky, spd_inverse_logdet_jittered
+from nigmix.linalg import NotPositiveDefinite, spd_inverse_logdet_jittered
 from nigmix.special import digamma, log_bessel_k, trunc_normal_moments
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
 from nigmix.vb_unig import (
@@ -399,17 +397,6 @@ def update_responsibilities_m_loop(data, bundles):
         e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
         head[g] = b.log_pi + 0.5 * b.elog_det_prec + e_c
     return gig_responsibilities_two_calls(-(d + 1) / 2.0, head, chi, psi)
-
-
-def spd_inverse_logdet_tril(m):
-    """Inverse and log-determinant of an SPD matrix, the inverse as the sum
-    of the lower triangle ``dpotri`` writes and its transpose."""
-    L = cholesky(m)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    inv, info = dpotri(L, lower=True)
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    return np.tril(inv) + np.tril(inv, -1).T, logdet
 
 
 def set_partitions(n):
