@@ -109,10 +109,7 @@ def cmd_fit(args) -> int:
             f"than --g-init ({config.g_init})"
         )
     t0 = time.perf_counter()
-    try:
-        result = run_fit(config, data)
-    except DegenerateFit as exc:
-        raise CliError(f"degenerate fit: {exc}", EXIT_DEGENERATE) from exc
+    result = run_fit(config, data)
     elapsed = time.perf_counter() - t0
 
     record = make_run_record(
@@ -184,8 +181,11 @@ def cmd_evaluate(args) -> int:
     if a.shape[0] != b.shape[0]:
         raise CliError("label files have different lengths")
     if args.merge:
-        groups = [set(map(int, grp.split("+"))) for grp in args.merge.split(",")]
-        a = merge_labels(a, groups)
+        try:
+            groups = [set(map(int, grp.split("+"))) for grp in args.merge.split(",")]
+            a = merge_labels(a, groups)
+        except ValueError as exc:
+            raise CliError(f"invalid --merge {args.merge!r}: {exc}") from exc
     ari = adjusted_rand_index(a, b)
     table = cross_tab(a, b)
     print(f"ARI: {ari:.6f}")

@@ -244,6 +244,39 @@ class TestCliCommands:
         dens = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(dens >= 0.0)
 
+    def _fit_mnig(self, tmp_path, preset, seed, g_init):
+        csv_path = tmp_path / "sim.csv"
+        model_path = tmp_path / "fit.json"
+        main(["simulate", str(csv_path), "--preset", preset, "--seed", seed])
+        assert main(["fit", str(csv_path), str(model_path), "--model", "mnig",
+                     "--g-init", g_init, "--label-column", "label",
+                     "--seed", "0"]) == 0
+        return model_path
+
+    def test_density_grid_bivariate(self, tmp_path):
+        model_path = self._fit_mnig(tmp_path, "study4", "3", "5")
+        grid_path = tmp_path / "grid.csv"
+        code = main(["density-grid", str(model_path), str(grid_path),
+                     "--range", "-14", "2", "--range2", "-14", "-1",
+                     "--points", "21"])
+        assert code == 0
+        rows = grid_path.read_text().splitlines()
+        assert rows[0] == "x1,x2,density"
+        grid = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        assert grid.shape == (441, 3)
+        assert np.all(np.isfinite(grid[:, 2])) and np.all(grid[:, 2] >= 0.0)
+        assert np.array_equal(np.unique(grid[:, 0]), np.linspace(-14.0, 2.0, 21))
+        assert np.array_equal(np.unique(grid[:, 1]), np.linspace(-14.0, -1.0, 21))
+
+    def test_density_grid_needs_two_dimensions(self, tmp_path, capsys):
+        model_path = self._fit_mnig(tmp_path, "study5", "4", "10")
+        capsys.readouterr()
+        assert main(["density-grid", str(model_path), str(tmp_path / "grid.csv"),
+                     "--range", "-3", "3"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lattice export requires 2-dimensional models, got d=10"
+        ]
+
     def test_density_grid_without_range_exits_3(self, tmp_path):
         assert main(["density-grid", str(tmp_path / "no.json"),
                      str(tmp_path / "g.csv")]) == 3
@@ -353,6 +386,10 @@ def grid_argv(*flags):
     return ["density-grid", "{}/fit1.json", "{}/grid.csv", *flags]
 
 
+def merge_argv(groups):
+    return ["evaluate", "{}/fit1.labels.csv", "{}/fit1.labels.csv", "--merge", groups]
+
+
 @pytest.mark.parametrize("argv, code", [
     (fit_argv("study1.csv", "--g-init", "1"), 3),
     (fit_argv("study1.csv", "--hyper-init", "0"), 3),
@@ -382,6 +419,9 @@ def grid_argv(*flags):
     (fit_argv("const4.csv", "--model", "mnig"), 3),
     (fit_argv("dup4.csv", "--model", "mnig"), 3),
     (fit_argv("study1.csv", "--hyper-init", "1e300"), 4),
+    (merge_argv("1+x"), 3),
+    (merge_argv("+"), 3),
+    (merge_argv("1+2,2+3"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.
