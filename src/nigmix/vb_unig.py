@@ -185,14 +185,14 @@ def expectations_from_hypers(
         if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
             dropped.append((g, "non-positive hyperparameter"))
             continue
-        # Python floats raise where numpy arrays would carry inf on: an
-        # overflowing square, or a product that underflows to a zero divisor.
+        # A float square that overflows raises, where numpy would carry inf.
         try:
             rate = a4 - a0**2 / (4.0 * a3)
             if not rate > 0.0:
                 dropped.append((g, "non-positive gamma rate"))
                 continue
-            rho = -a0 / (2.0 * math.sqrt(a3 * a4))
+            # a3 * a4 can underflow to zero, which leaves rho at the boundary.
+            rho = -a0 / (2.0 * math.sqrt(a3 * a4)) if a3 * a4 > 0.0 else -math.inf
             one_minus = 1.0 - rho * rho
             if not one_minus > 0.0:
                 dropped.append((g, "correlation at the boundary"))
@@ -220,8 +220,8 @@ def expectations_from_hypers(
                 mu_bar, mu_bar**2 + s2_mu, beta_bar, beta_bar**2 + s2_beta,
                 rho * math.sqrt(s2_mu * s2_beta), gamma, gamma_sq, delta_gamma,
             ]
-        except ArithmeticError:
-            dropped.append((g, "expectations out of floating-point range"))
+        except OverflowError:
+            dropped.append((g, "expectations overflow"))
     return ExpectationBundle(*np.array(rows, dtype=float).reshape(-1, 12).T), dropped
 
 

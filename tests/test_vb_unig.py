@@ -343,9 +343,10 @@ class TestStackedSteps:
         ]
         assert_stacks_equal(got, ref)
 
-    def test_rows_out_of_float_range_are_dropped(self):
+    def test_rows_out_of_float_range(self):
         # Python floats raise where the loop's numpy scalars go to inf: a0**2
-        # overflows in row 1, and a3 * a4 underflows to a zero divisor in row 2.
+        # overflows in row 1.  In row 2 a3 * a4 underflows to zero, which
+        # leaves the loop's rho at -inf.
         valid = random_hypers_u(2, 2)
         table = [
             [getattr(valid, name)[0] for name in FIELDS],
@@ -356,10 +357,17 @@ class TestStackedSteps:
         hypers = ComponentHyper(*np.array(table).T)
         got, dropped = expectations_from_hypers(hypers, 30.0)
         assert dropped == [
-            (1, "expectations out of floating-point range"),
-            (2, "expectations out of floating-point range"),
+            (1, "expectations overflow"),
+            (2, "correlation at the boundary"),
         ]
-        ref, _ = expectations_loop(expectations_one, ExpectationBundle, valid, 30.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            ref, ref_dropped = expectations_loop(
+                expectations_one, ExpectationBundle, hypers, 30.0
+            )
+        assert ref_dropped == [
+            (1, "non-positive gamma rate"),
+            (2, "correlation at the boundary"),
+        ]
         assert_stacks_equal(got, ref)
 
 
