@@ -178,7 +178,7 @@ def expectations_from_hypers(
     """All expectations a score evaluation needs: the bundle stack of the
     valid hyper rows, and the (row, reason) of the others.  The normalizer
     ``total_count_mass`` is the summed Dirichlet mass (prior mass plus n)."""
-    log_total = digamma(total_count_mass)
+    psi_total = digamma(total_count_mass)
     rows, dropped = [], []
     columns = zip(*(v.tolist() for v in vars(h).values()))
     for g, (a0, a1, a2, a3, a4) in enumerate(columns):
@@ -216,7 +216,7 @@ def expectations_from_hypers(
             else:
                 gamma, gamma_sq, delta_gamma = _gamma_quadrature(a0, rate, ratio, s)
             rows += [
-                psi(a0) - log_total, psi(shape) - math.log(rate), delta_sq, delta,
+                psi(a0) - psi_total, psi(shape) - math.log(rate), delta_sq, delta,
                 mu_bar, mu_bar**2 + s2_mu, beta_bar, beta_bar**2 + s2_beta,
                 rho * math.sqrt(s2_mu * s2_beta), gamma, gamma_sq, delta_gamma,
             ]
