@@ -5,8 +5,8 @@ variable), the row-by-row softmax with log K at each order from its own
 call, pair-enumeration agreement index, set-partition enumeration, the
 d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
-moments through the generic ``kve`` at three orders, and the univariate and multivariate log scores of
-one bundle written out term by term."""
+moments through the generic ``kve`` at three orders, and the univariate
+and multivariate log scores of one bundle written out term by term."""
 
 import itertools
 import math
