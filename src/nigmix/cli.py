@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,6 +97,42 @@ def run_fit(config: FitConfig, data: np.ndarray):
     ):
         raise CliError("mnig needs linearly independent, non-constant columns")
     return fit_m(data, config)
+
+
+CENSUS_G_INIT = {"study1": 10, "study2": 10, "study4": 5, "study5": 10}
+
+
+def replicate_seeds(n: int) -> list[tuple[int, int]]:
+    """The (sample seed, fit seed) pairs of replicates 0..n-1."""
+    return [(1000 + r, r) for r in range(n)]
+
+
+def census(name: str, seeds) -> SimpleNamespace:
+    """Fit the preset ``name``, drawn with its exact counts, once per
+    (sample seed, fit seed) pair in ``seeds``, and summarize the fits."""
+    spec, counts = simulation_preset(name)
+    model = "mnig" if spec.is_multivariate else "unig"
+    fits, aris = [], []
+    for sample_seed, fit_seed in seeds:
+        sample = sample_mixture(spec, sum(counts), seed=sample_seed, counts=counts)
+        config = FitConfig(model=model, g_init=CENSUS_G_INIT[name], seed=fit_seed)
+        fits.append(run_fit(config, sample.observations))
+        aris.append(adjusted_rand_index(sample.labels, fits[-1].labels))
+    return SimpleNamespace(
+        name=name, runs=len(fits), converged=sum(f.converged for f in fits),
+        g_counts=Counter(f.n_components for f in fits),
+        mean_ari=np.mean(aris), sd_ari=np.std(aris),
+        median_iterations=np.median([f.iterations for f in fits]),
+    )
+
+
+def census_line(c: SimpleNamespace) -> str:
+    """The line ``reproduce`` prints and the study acceptance tests report."""
+    return (
+        f"{c.name}: G=2 in {c.g_counts[2]}/{c.runs} runs, "
+        f"converged {c.converged}/{c.runs}, mean ARI {c.mean_ari:.3f} "
+        f"(sd {c.sd_ari:.3f}), median iterations {c.median_iterations:g}"
+    )
 
 
 def cmd_fit(args) -> int:
@@ -242,33 +280,16 @@ def cmd_density_grid(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    """Run a named study end to end and print its headline numbers."""
+    """Run a named study end to end and print its headline numbers: a
+    simulation study's census over ``--replicates`` (100 by default; study4
+    and study5 default to one fit at sample seed 42, fit seed 0)."""
     name = args.study
-    if args.replicates < 1:
+    if args.replicates is not None and args.replicates < 1:
         raise CliError("--replicates must be >= 1")
-    if name in ("study1", "study2"):
-        spec, counts = simulation_preset(name)
-        aris = []
-        sizes = []
-        for rep in range(args.replicates):
-            sample = sample_mixture(spec, sum(counts), seed=1000 + rep, counts=counts)
-            config = FitConfig(model="unig", g_init=10, seed=rep)
-            result = run_fit(config, sample.observations)
-            sizes.append(result.n_components)
-            aris.append(adjusted_rand_index(sample.labels, result.labels))
-        two = sum(1 for g in sizes if g == 2)
-        print(
-            f"{name}: G=2 in {two}/{len(sizes)} runs, "
-            f"mean ARI {np.mean(aris):.3f} (sd {np.std(aris):.3f})"
-        )
-    elif name in ("study4", "study5"):
-        spec, counts = simulation_preset(name)
-        sample = sample_mixture(spec, sum(counts), seed=42, counts=counts)
-        g_init = 5 if name == "study4" else 10
-        config = FitConfig(model="mnig", g_init=g_init, seed=0)
-        result = run_fit(config, sample.observations)
-        ari = adjusted_rand_index(sample.labels, result.labels)
-        print(f"{name}: G={result.n_components}, ARI {ari:.3f}")
+    if name in CENSUS_G_INIT:
+        single = args.replicates is None and name in ("study4", "study5")
+        seeds = [(42, 0)] if single else replicate_seeds(args.replicates or 100)
+        print(census_line(census(name, seeds)))
     elif name == "faithful":
         data = datasets.load_old_faithful()
         config = FitConfig(model="mnig", g_init=7, seed=0)
@@ -344,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
             "faithful", "crabs", "fishcatch", "enzyme",
         ],
     )
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--replicates", type=int, default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -21,6 +21,7 @@ from nigmix import (
     simulation_preset,
 )
 from nigmix import datasets
+from nigmix.cli import census, census_line, replicate_seeds
 from nigmix.evaluation import canonicalize, cross_tab, merge_labels
 from nigmix.presets import FISH_MERGE_GROUPS, FISH_VARIABLES
 from nigmix.special import digamma, log_bessel_k
@@ -165,46 +166,19 @@ def test_03_conjugate_update_exactness():
     )
 
 
-def test_04_simulation_study_1():
+def _census_gate(name, study, min_two, min_ari):
     t0 = time.perf_counter()
-    spec, counts = simulation_preset("study1")
-    sizes, aris = [], []
-    for rep in range(100):
-        s = sample_mixture(spec, sum(counts), seed=1000 + rep, counts=counts)
-        res = _fit_unig(s.observations, g_init=10, seed=rep)
-        sizes.append(res.n_components)
-        aris.append(adjusted_rand_index(s.labels, res.labels))
-    two = sum(1 for g in sizes if g == 2)
-    mean_ari = float(np.mean(aris))
-    dt = time.perf_counter() - t0
-    ok = two >= 95 and mean_ari >= 0.95
-    report(
-        "separated univariate study",
-        ok,
-        f"G=2 in {two}/100, mean ARI {mean_ari:.3f} "
-        f"(sd {np.std(aris):.3f}), {dt:.0f}s",
-    )
+    c = census(study, replicate_seeds(100))
+    ok = c.g_counts[2] >= min_two and c.mean_ari >= min_ari
+    report(name, ok, f"{census_line(c)}, {time.perf_counter() - t0:.0f}s")
+
+
+def test_04_simulation_study_1():
+    _census_gate("separated univariate study", "study1", 95, 0.95)
 
 
 def test_05_simulation_study_2():
-    t0 = time.perf_counter()
-    spec, counts = simulation_preset("study2")
-    sizes, aris = [], []
-    for rep in range(100):
-        s = sample_mixture(spec, sum(counts), seed=1000 + rep, counts=counts)
-        res = _fit_unig(s.observations, g_init=10, seed=rep)
-        sizes.append(res.n_components)
-        aris.append(adjusted_rand_index(s.labels, res.labels))
-    two = sum(1 for g in sizes if g == 2)
-    mean_ari = float(np.mean(aris))
-    dt = time.perf_counter() - t0
-    ok = two >= 80 and mean_ari >= 0.85
-    report(
-        "overlapping univariate study",
-        ok,
-        f"G=2 in {two}/100, mean ARI {mean_ari:.3f} "
-        f"(sd {np.std(aris):.3f}), {dt:.0f}s",
-    )
+    _census_gate("overlapping univariate study", "study2", 80, 0.85)
 
 
 def test_06_hyperparameter_insensitivity():
