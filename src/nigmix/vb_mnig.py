@@ -94,9 +94,12 @@ class ExpectationBundleM:
     gamma_t_sq: np.ndarray
 
 
-def posterior_means(h: ComponentHyperM) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means of location and drift from the joint conditional."""
-    D = h.disc[:, None]
+def posterior_means(
+    h: ComponentHyperM, disc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means of location and drift from the joint conditional,
+    given the rows' discriminant ``h.disc``."""
+    D = disc[:, None]
     mu_bar = (h.a3[:, None] * h.a2 - h.a0[:, None] * h.a1) / D
     beta_bar = (h.a4[:, None] * h.a1 - h.a0[:, None] * h.a2) / D
     return mu_bar, beta_bar
@@ -183,7 +186,7 @@ def update_hypers_m(
     a3 = priors.a3 + (z[:, None, :] @ e_u.T[:, :, None])[:, 0, 0]
     a4 = priors.a4 + zu_inv.sum(axis=1)
     h = ComponentHyperM(a0, a1, a2, a3, a4, priors.V)
-    mu_bar, beta_bar = posterior_means(h)
+    mu_bar, beta_bar = posterior_means(h, h.disc)
     scatter = (data * zu_inv[:, :, None]).transpose(0, 2, 1) @ data
     c0, c3, c4 = (a[:, None, None] for a in (a0, a3, a4))
     V = (
@@ -207,7 +210,8 @@ def expectations_from_hypers_m(
     the others; only rows that pass the scalar checks reach the Cholesky."""
     d = h.a1.shape[1]
     live, inverses, dropped = [], [], []
-    checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), h.disc.tolist())
+    D = h.disc
+    checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist())
     for g, (a0, a3, a4, disc) in enumerate(checked):
         if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
             dropped.append((g, "non-positive hyperparameter"))
@@ -222,7 +226,7 @@ def expectations_from_hypers_m(
             except NotPositiveDefinite as exc:
                 dropped.append((g, f"scale accumulator not SPD: {exc}"))
     if dropped:
-        h = take(h, live)
+        h, D = take(h, live), D[live]
     v_inv = np.array([inv for inv, _ in inverses]).reshape(-1, d, d)
     logdet_v = np.array([logdet for _, logdet in inverses])
     # psi without digamma's checks: the loop has checked a0 > d - 1.
@@ -231,11 +235,10 @@ def expectations_from_hypers_m(
         + d * math.log(2.0)
         - logdet_v
     )
-    mu_bar, beta_bar = posterior_means(h)
+    mu_bar, beta_bar = posterior_means(h, D)
     s = np.sqrt(1.0 / (2.0 * h.a3))
     moments = [trunc_normal_moments(m, sg) for m, sg in zip(h.a0 / h.a3, s)]
     gamma_t, gamma_t_sq = np.array(moments).reshape(-1, 2).T
-    D = h.disc
     return ExpectationBundleM(
         log_pi=psi(h.a0) - digamma(total_count_mass),
         elog_det_prec=elog_det_prec,
