@@ -81,9 +81,16 @@ def _config_from_args(args) -> FitConfig:
 
 
 def run_fit(config: FitConfig, data: np.ndarray):
+    """Fit ``data`` with the engine ``config.model`` names, after the input
+    checks that every command shares; a failed check raises ``CliError``."""
     from .vb_mnig import fit_m
     from .vb_unig import fit
 
+    if data.shape[0] <= config.g_init:
+        raise CliError(
+            f"{data.shape[0]} rows, but a fit needs more rows than "
+            f"g_init ({config.g_init})"
+        )
     if config.model == "unig":
         if data.ndim == 2 and data.shape[1] != 1:
             raise CliError("unig model requires one-column data")
@@ -141,11 +148,6 @@ def cmd_fit(args) -> int:
         data, _ = ingest_csv(args.input, config.columns, config.label_column)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(f"ingestion failed: {exc}") from exc
-    if data.shape[0] <= config.g_init:
-        raise CliError(
-            f"{args.input}: {data.shape[0]} rows, but a fit needs more rows "
-            f"than --g-init ({config.g_init})"
-        )
     t0 = time.perf_counter()
     result = run_fit(config, data)
     elapsed = time.perf_counter() - t0
@@ -279,6 +281,13 @@ def cmd_density_grid(args) -> int:
     return EXIT_OK
 
 
+def _load_dataset(loader, *args):
+    try:
+        return loader(*args)
+    except ValueError as exc:
+        raise CliError(f"cannot read dataset: {exc}") from exc
+
+
 def cmd_reproduce(args) -> int:
     """Run a named study end to end and print its headline numbers: a
     simulation study's census over ``--replicates`` (100 by default; study4
@@ -291,18 +300,18 @@ def cmd_reproduce(args) -> int:
         seeds = [(42, 0)] if single else replicate_seeds(args.replicates or 100)
         print(census_line(census(name, seeds)))
     elif name == "faithful":
-        data = datasets.load_old_faithful()
+        data = _load_dataset(datasets.load_old_faithful)
         config = FitConfig(model="mnig", g_init=7, seed=0)
         result = run_fit(config, data)
         print(f"faithful: G={result.n_components}")
     elif name == "crabs":
-        data, truth = datasets.load_crabs()
+        data, truth = _load_dataset(datasets.load_crabs)
         config = FitConfig(model="mnig", g_init=10, seed=0)
         result = run_fit(config, data)
         ari = adjusted_rand_index(truth, result.labels)
         print(f"crabs: G={result.n_components}, ARI {ari:.3f}")
     elif name == "fishcatch":
-        data, species = datasets.load_fish(FISH_VARIABLES["paper"])
+        data, species = _load_dataset(datasets.load_fish, FISH_VARIABLES["paper"])
         config = FitConfig(model="mnig", g_init=10, seed=0)
         result = run_fit(config, data)
         truth = merge_labels(species, FISH_MERGE_GROUPS)
@@ -310,7 +319,7 @@ def cmd_reproduce(args) -> int:
         print(f"fishcatch: G={result.n_components}, merged-truth ARI {ari:.3f}")
         print(cross_tab(species, result.labels))
     elif name == "enzyme":
-        data = datasets.load_enzyme()
+        data = _load_dataset(datasets.load_enzyme)
         config = FitConfig(model="unig", g_init=5, seed=0)
         result = run_fit(config, data)
         print(f"enzyme: G={result.n_components}")

@@ -1,7 +1,11 @@
 """CSV ingestion, JSON persistence, and the command-line surface."""
 
+import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -304,10 +308,97 @@ class TestCliCommands:
             hashes.append(run_record_hash(read_json(out)))
         assert hashes[0] == hashes[1]
 
-    def test_reproduce_small(self, tmp_path, capsys):
-        assert main(["reproduce", "study1", "--replicates", "2"]) == 0
+    @pytest.mark.parametrize("study, expected", [
+        ("study1", ["study1: G=2 in 2/2 runs", "converged 2/2"]),
+        ("study4", ["study4: G=2 in 2/2 runs"]),
+    ], ids=["study1", "study4"])
+    def test_reproduce_small(self, capsys, study, expected):
+        assert main(["reproduce", study, "--replicates", "2"]) == 0
         out = capsys.readouterr().out
-        assert "study1: G=2 in 2/2 runs" in out
+        assert all(text in out for text in expected)
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _preset_sample(preset):
+    spec, counts = simulation_preset(preset)
+    return sample_mixture(spec, sum(counts), seed=42, counts=counts)
+
+
+CRAB_SP_SEX = {1: ("B", "M"), 2: ("O", "F")}
+
+
+@pytest.fixture(scope="module")
+def stand_in_data(tmp_path_factory):
+    """A data directory of stand-ins for the real datasets, drawn from the
+    presets: faithful from study4, crabs (five columns, converted from an
+    R-style export with sp/sex columns by scripts/fetch_datasets.py) and
+    fish (three columns) from study5, and enzyme from study1."""
+    root = tmp_path_factory.mktemp("data")
+    s4, s5, s1 = (_preset_sample(p) for p in ("study4", "study5", "study1"))
+    _write_rows(root / "faithful.csv", ["eruptions", "waiting"],
+                s4.observations.tolist())
+    _write_rows(root / "fish.csv", ["Species", "Length3", "Height", "Width"],
+                [[lab, *row[:3]] for lab, row in
+                 zip(s5.labels.tolist(), s5.observations.tolist())])
+    _write_rows(root / "enzyme.csv", ["activity"],
+                [[v] for v in s1.observations.reshape(-1).tolist()])
+    _write_rows(root / "crabs_raw.csv",
+                ['""', "sp", "sex", "index", "FL", "RW", "CL", "CW", "BD"],
+                [[f'"{i}"', *CRAB_SP_SEX[lab], i, *row[:5]] for i, (lab, row) in
+                 enumerate(zip(s5.labels.tolist(), s5.observations.tolist()), 1)])
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
+    subprocess.run(
+        [sys.executable, str(script), "--convert", str(root / "crabs_raw.csv"),
+         "crabs.csv"],
+        env={**os.environ, "NIGMIX_DATA": str(root)}, check=True,
+        capture_output=True,
+    )
+    return root
+
+
+def test_fetch_datasets_convert_codes_crab_classes(stand_in_data):
+    with open(stand_in_data / "crabs_raw.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    with open(stand_in_data / "crabs.csv", newline="") as fh:
+        converted = list(csv.reader(fh))
+    assert converted[0] == ["class4", "FL", "RW", "CL", "CW", "BD"]
+    class4 = {("B", "M"): "1", ("O", "F"): "4"}
+    assert converted[1:] == [
+        [class4[r["sp"], r["sex"]], r["FL"], r["RW"], r["CL"], r["CW"], r["BD"]]
+        for r in raw
+    ]
+
+
+@pytest.mark.parametrize("study", ["faithful", "crabs", "fishcatch", "enzyme"])
+def test_reproduce_real_data_stand_ins(stand_in_data, monkeypatch, capsys, study):
+    # Exercises the real-data code paths only; the real data stay unbundled.
+    monkeypatch.setenv("NIGMIX_DATA", str(stand_in_data))
+    assert main(["reproduce", study]) == 0
+    assert capsys.readouterr().out.startswith(f"{study}: G=")
+
+
+@pytest.mark.parametrize("make_faithful", [
+    None,
+    lambda lines: ["eruptions,duration\n"] + lines[1:],
+    lambda lines: lines[:3] + [lines[3].split(",")[0] + ",n/a\n"] + lines[4:],
+    lambda lines: lines[:5],
+], ids=["missing", "no-waiting-column", "non-numeric-cell", "four-rows"])
+def test_reproduce_bad_real_data_exits_3(
+    stand_in_data, tmp_path, monkeypatch, capsys, make_faithful
+):
+    if make_faithful is not None:
+        text = (stand_in_data / "faithful.csv").read_text()
+        lines = make_faithful(text.splitlines(keepends=True))
+        (tmp_path / "faithful.csv").write_text("".join(lines))
+    monkeypatch.setenv("NIGMIX_DATA", str(tmp_path))
+    assert main(["reproduce", "faithful"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def readme_commands():
