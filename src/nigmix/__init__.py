@@ -7,7 +7,7 @@ clustering evaluation utilities.
 """
 
 from ._vbcore import DegenerateComponent, DegenerateFit, FitResult
-from .config import FitConfig
+from .config import FitConfig, InvalidData
 from .datasets import DatasetMissing
 from .distributions import (
     LabeledSample,
@@ -30,6 +30,7 @@ __all__ = [
     "DegenerateFit",
     "FitConfig",
     "FitResult",
+    "InvalidData",
     "LabeledSample",
     "MNIGParams",
     "MixtureSpec",

@@ -6,9 +6,9 @@ small seeded Lloyd k-means) and the initial latent moments, both checked
 for squared distances that overflow, the log-sum-exp row normalization
 with its uniform-row underflow fallback, ``gig_responsibilities``, the
 responsibilities step both engines finish with, ``prune``, and
-``run_sweep``, the variational sweep both engines run with their own
-update steps.  A component stack is a dataclass whose every
-field has a leading axis of one row per component.
+``run_sweep``, which checks the shared input and runs the variational
+sweep with each engine's update steps.  A component stack is a dataclass
+whose every field has a leading axis of one row per component.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FitConfig
+from .config import FitConfig, InvalidData
 from .distributions import gig_moments
 from .special import log_bessel_k
 
@@ -119,14 +119,10 @@ def initial_partition(
 ) -> np.ndarray:
     """One-hot initial responsibilities from a random or k-means partition."""
     n = data.shape[0]
-    if g_init >= n:
-        raise ValueError("g_init must be smaller than the number of observations")
     if init_mode == "random":
         labels = rng.integers(0, g_init, size=n)
-    elif init_mode == "kmeans":
-        labels = kmeans_labels(np.asarray(data, dtype=float), g_init, rng)
     else:
-        raise ValueError(f"unknown init_mode {init_mode!r}")
+        labels = kmeans_labels(data, g_init, rng)
     return one_hot(labels, g_init)
 
 
@@ -229,6 +225,9 @@ def run_sweep(
 ) -> FitResult:
     """Run one engine's variational sweep to convergence.
 
+    ``data`` comes shaped by ``fit`` or ``fit_m``; a ``config`` for the other
+    engine, a non-finite value or no more rows than ``config.g_init`` raise
+    InvalidData before ``init``, and every step trusts ``data`` after that.
     ``expectations`` returns the bundle stack of the valid hyper rows and
     the (row, reason) of the others, which are dropped; ``responsibilities``
     raising DegenerateComponent(g, reason) for bundle row g ends the fit
@@ -237,6 +236,13 @@ def run_sweep(
     component fell below ``config.tol``; hitting ``max_iter`` first flags
     the result instead of raising.
     """
+    if config.model != model:
+        raise InvalidData(f"config.model is {config.model!r}, not {model!r}")
+    if not np.isfinite(data).all():
+        raise InvalidData("data must be finite")
+    if data.shape[0] <= config.g_init:
+        n, g = data.shape[0], config.g_init
+        raise InvalidData(f"{n} rows, but a fit needs more rows than g_init ({g})")
     resp, lat, priors = init(
         data, config.g_init, config.init_mode, config.hyper_init, config.seed
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datasets
 from ._vbcore import DegenerateFit
-from .config import FitConfig
+from .config import FitConfig, InvalidData
 from .distributions import sample_mixture
 from .evaluation import adjusted_rand_index, cross_tab, merge_labels
 from .io import (
@@ -63,47 +63,28 @@ def _add_fit_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> FitConfig:
-    try:
-        return FitConfig(
-            model=args.model,
-            g_init=args.g_init,
-            init_mode=args.init_mode,
-            hyper_init=args.hyper_init,
-            prune_threshold=args.prune_threshold,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            columns=args.columns.split(",") if args.columns else None,
-            label_column=args.label_column,
-        )
-    except ValueError as exc:
-        raise CliError(f"invalid settings: {exc}") from exc
+    return FitConfig(
+        model=args.model,
+        g_init=args.g_init,
+        init_mode=args.init_mode,
+        hyper_init=args.hyper_init,
+        prune_threshold=args.prune_threshold,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        seed=args.seed,
+        columns=args.columns.split(",") if args.columns else None,
+        label_column=args.label_column,
+    )
 
 
 def run_fit(config: FitConfig, data: np.ndarray):
-    """Fit ``data`` with the engine ``config.model`` names, after the input
-    checks that every command shares; a failed check raises ``CliError``."""
+    """Fit ``data`` with the engine ``config.model`` names; the engine checks
+    the input and raises ``InvalidData``, which ``main`` maps to exit 3."""
+    # Imported per call, so that a tracer's rebound ``vb_unig.fit`` is called.
     from .vb_mnig import fit_m
     from .vb_unig import fit
 
-    if data.shape[0] <= config.g_init:
-        raise CliError(
-            f"{data.shape[0]} rows, but a fit needs more rows than "
-            f"g_init ({config.g_init})"
-        )
-    if config.model == "unig":
-        if data.ndim == 2 and data.shape[1] != 1:
-            raise CliError("unig model requires one-column data")
-        return fit(data.reshape(-1), config)
-    # The Wishart posteriors need centred columns of full rank, each scaled
-    # to a largest magnitude of one; the engine rejects squares that overflow.
-    centred = data - data.mean(axis=0)
-    scale = np.abs(centred).max(axis=0)
-    if np.isfinite(scale * scale).all() and not (
-        scale.all() and np.linalg.matrix_rank(centred / scale) == data.shape[1]
-    ):
-        raise CliError("mnig needs linearly independent, non-constant columns")
-    return fit_m(data, config)
+    return (fit if config.model == "unig" else fit_m)(data, config)
 
 
 CENSUS_G_INIT = {"study1": 10, "study2": 10, "study4": 5, "study5": 10}
@@ -393,7 +374,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except datasets.DatasetMissing as exc:
+    except (datasets.DatasetMissing, InvalidData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFit as exc:

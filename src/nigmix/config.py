@@ -6,6 +6,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 
+class InvalidData(ValueError):
+    """Settings or data that a fit cannot take; the CLI exits 3 on it."""
+
+
 @dataclass
 class FitConfig:
     """All knobs of a variational fit, with the documented defaults.
@@ -28,21 +32,21 @@ class FitConfig:
 
     def __post_init__(self):
         if self.model not in ("unig", "mnig"):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise InvalidData(f"unknown model {self.model!r}")
         if self.init_mode not in ("random", "kmeans"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+            raise InvalidData(f"unknown init_mode {self.init_mode!r}")
         if self.g_init < 2:
-            raise ValueError("g_init must be >= 2")
+            raise InvalidData("g_init must be >= 2")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidData("max_iter must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InvalidData("seed must be >= 0")
         if not (self.hyper_init > 0.0 and self.prune_threshold > 0.0):
-            raise ValueError("hyper_init and prune_threshold must be positive")
+            raise InvalidData("hyper_init and prune_threshold must be positive")
         # A responsibility change is never below nan or a bound <= 0, so such
         # a tol could only end at max_iter.
         if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and > 0")
+            raise InvalidData("tol must be finite and > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

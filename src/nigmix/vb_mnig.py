@@ -44,7 +44,7 @@ from ._vbcore import (
     run_sweep,
     take,
 )
-from .config import FitConfig
+from .config import FitConfig, InvalidData
 from .distributions import MNIGParams, mnig_log_density
 from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
 from .special import digamma, trunc_normal_moments
@@ -124,16 +124,22 @@ def flat_priors_m(
 def init_fit_m(
     data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
 ):
-    """Initial responsibilities, latent moments, and priors for (n, d) data.
+    """Initial responsibilities, latent moments, and priors for the (n, d)
+    data ``fit_m`` passes; InvalidData unless its columns are of full rank.
 
     Per-component sample means and covariances seed the distance scale of
     the initial GIG latent posterior; drift starts at zero and the tail
     weight at one.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
-    if n == 0:
-        raise ValueError("empty data")
+    # Centred columns, each scaled to a largest magnitude of one; a square
+    # that overflows is left to the distance checks (DegenerateFit).
+    centred = data - data.mean(axis=0)
+    scale = np.abs(centred).max(axis=0)
+    if np.isfinite(scale * scale).all() and not (
+        scale.all() and np.linalg.matrix_rank(centred / scale) == d
+    ):
+        raise InvalidData("mnig needs linearly independent, non-constant columns")
     rng = np.random.default_rng(seed)
     resp = initial_partition(data, g_init, init_mode, rng)
     lam = -(d + 1) / 2.0
@@ -171,7 +177,6 @@ def update_hypers_m(
 ) -> ComponentHyperM:
     """Conjugate updates; note the scalar accumulators carry no 1/2 factors,
     unlike their univariate counterparts."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
     e_u, e_uinv = lat
     z = resp.T
     # numpy sums a contiguous row pairwise, as it sums one strided column,
@@ -256,7 +261,6 @@ def expectations_from_hypers_m(
 def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
     """New responsibilities and latent GIG moments from the bundle stack,
     through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
     d = data.shape[1]
     b = take(bundles, np.s_[:, None])
     e_prec, beta_bar = bundles.e_prec, b.beta_bar.transpose(0, 2, 1)
@@ -270,10 +274,13 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
     """Run the multivariate variational sweep (``_vbcore.run_sweep``) on
-    (n, d) data; contract identical to the univariate ``fit``."""
+    (n, d) data, d >= 1; bad data or settings raise InvalidData."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or not data.shape[1]:
+        raise InvalidData(f"mnig needs (n, d) data, d >= 1, got shape {data.shape}")
     return run_sweep(
         "mnig",
-        np.atleast_2d(np.asarray(data, dtype=float)),
+        data,
         config,
         init_fit_m,
         update_hypers_m,

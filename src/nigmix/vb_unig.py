@@ -38,7 +38,7 @@ from ._vbcore import (
     run_sweep,
     take,
 )
-from .config import FitConfig
+from .config import FitConfig, InvalidData
 from .distributions import UNIGParams, unig_density
 from .special import digamma, trunc_normal_moments
 
@@ -97,15 +97,13 @@ def flat_priors(g: int, hyper_init: float) -> ComponentHyper:
 def init_fit(
     data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
 ):
-    """Initial responsibilities, latent moments, and flat priors.
+    """Initial responsibilities, latent moments, and flat priors for the
+    (n,) data ``fit`` passes.
 
     The initial hard partition fixes per-component sample means; asymmetry
     starts at zero and both scale and tail weight at one, and the latent
     moments follow from the GIG posterior those values induce.
     """
-    data = np.asarray(data, dtype=float).reshape(-1)
-    if data.size == 0:
-        raise ValueError("empty data")
     rng = np.random.default_rng(seed)
     resp = initial_partition(data, g_init, init_mode, rng)
     counts = resp.sum(axis=0)
@@ -125,7 +123,6 @@ def update_hypers(
 ) -> ComponentHyper:
     """Conjugate updates: priors plus responsibility-weighted statistics,
     each summed over one column of ``resp`` as one component's update is."""
-    data = np.asarray(data, dtype=float).reshape(-1)
     e_u, e_uinv = lat
     z = resp.T[:, None, :]
 
@@ -225,10 +222,9 @@ def expectations_from_hypers(
     return ExpectationBundle(*np.array(rows, dtype=float).reshape(-1, 12).T), dropped
 
 
-def update_responsibilities(data: np.ndarray, bundles: ExpectationBundle):
-    """New responsibilities and latent GIG moments from the bundle stack,
-    through the shared ``_vbcore.gig_responsibilities`` at order -1."""
-    y = np.asarray(data, dtype=float).reshape(-1)
+def update_responsibilities(y: np.ndarray, bundles: ExpectationBundle):
+    """New responsibilities and latent GIG moments of ``y`` from the bundle
+    stack, through the shared ``_vbcore.gig_responsibilities`` at order -1."""
     # (k, 1) columns: every broadcast then runs along n, where a (k,) inner
     # axis would cost a loop turn per row.
     b = take(bundles, np.s_[:, None])
@@ -240,11 +236,14 @@ def update_responsibilities(data: np.ndarray, bundles: ExpectationBundle):
 
 
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:
-    """Run the univariate variational sweep (``_vbcore.run_sweep``) to
-    convergence."""
+    """Run the univariate variational sweep (``_vbcore.run_sweep``) on (n,)
+    or (n, 1) data; bad data or settings raise InvalidData."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim not in (1, 2) or data.shape[1:] not in ((), (1,)):
+        raise InvalidData(f"unig needs (n,) or (n, 1) data, got shape {data.shape}")
     return run_sweep(
         "unig",
-        np.asarray(data, dtype=float).reshape(-1),
+        data.reshape(-1),
         config,
         init_fit,
         update_hypers,

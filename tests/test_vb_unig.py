@@ -468,6 +468,6 @@ class TestFit:
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
         assert all(getattr(priors, name).shape == (4,) for name in FIELDS)
         with pytest.raises(ValueError):
-            init_fit(np.array([]), 2, "kmeans", 1e-8, 0)
+            fit(np.array([]), FitConfig(g_init=2))
         with pytest.raises(ValueError):
-            init_fit(data, 40, "kmeans", 1e-8, 0)
+            fit(data, FitConfig(g_init=40))

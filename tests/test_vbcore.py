@@ -9,7 +9,7 @@ from nigmix._vbcore import (
     gig_responsibilities,
     normalize_log_scores,
 )
-from nigmix.config import FitConfig
+from nigmix.config import FitConfig, InvalidData
 from nigmix.distributions import sample_mixture
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import ExpectationBundleM, fit_m, update_responsibilities_m
@@ -95,3 +95,32 @@ def test_no_live_components(step, data):
                                    vectors, vectors, *[np.empty(0)] * 5)
     with pytest.raises(DegenerateFit, match="no live components"):
         step(data, empty)
+
+
+X = np.random.default_rng(0).normal(0.0, 1.0, (150, 2))
+MNIG = FitConfig(model="mnig")
+
+
+# Every input check runs in the engine entry or in the sweep it starts, so
+# library callers get the errors the command line reports as exit 3.
+@pytest.mark.parametrize(
+    "engine, data, config",
+    [
+        (fit, X, FitConfig()),
+        (fit_m, np.column_stack([X, np.full(150, 3.0)]), MNIG),
+        (fit_m, np.column_stack([X, X[:, 0]]), MNIG),
+        (fit_m, X[:, 0], MNIG),
+        (fit, X[:, 0], MNIG),
+        (fit, np.where(np.arange(150) == 7, np.nan, X[:, 0]), FitConfig()),
+        (fit, X[:0, 0], FitConfig()),
+        (fit_m, X[:0], MNIG),
+        (fit, X[:10, 0], FitConfig(g_init=10)),
+        (fit_m, X[:10], MNIG),
+    ],
+    ids=["unig-wide", "mnig-constant-column", "mnig-duplicate-column",
+         "mnig-1d", "unig-mnig-config", "unig-nan", "unig-n0", "mnig-n0",
+         "unig-n-g_init", "mnig-n-g_init"],
+)
+def test_invalid_fit_input_raises(engine, data, config):
+    with pytest.raises(InvalidData):
+        engine(data, config)
