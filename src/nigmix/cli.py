@@ -193,7 +193,13 @@ def _read_labels(path) -> np.ndarray:
         raise CliError(f"cannot read labels from {path}: {exc}") from exc
     if data.shape[1] != 1:
         raise CliError(f"{path}: expected a single label column")
-    return data[:, 0].astype(int)
+    if data.shape[0] < 2:
+        raise CliError(f"{path}: expected at least two labels")
+    labels = data[:, 0]
+    # Doubles hold every integer below 2**53 exactly.
+    if not ((np.abs(labels) < 2.0**53) & (labels == np.floor(labels))).all():
+        raise CliError(f"{path}: labels must be integers below 2**53")
+    return labels.astype(int)
 
 
 def cmd_evaluate(args) -> int:

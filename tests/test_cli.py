@@ -466,6 +466,12 @@ def bad_inputs(tmp_path_factory):
             ",".join([*row[:2], "x3" if i == 0 else third(row), row[2]]) + "\n"
             for i, row in enumerate(study4)
         ))
+    # Label files: header only, one row, and two that do not hold integers.
+    for name, cells in (
+        ("labels0", []), ("labels1", [1]), ("labels_ref", [1, 1, 2, 2]),
+        ("labels_frac", [1.5, 1.2, 2, 2]), ("labels_huge", [1e300, 1, 2, 2]),
+    ):
+        (root / f"{name}.csv").write_text("".join(f"{c}\n" for c in ["label", *cells]))
     return root
 
 
@@ -475,6 +481,10 @@ def fit_argv(csv, *flags):
 
 def grid_argv(*flags):
     return ["density-grid", "{}/fit1.json", "{}/grid.csv", *flags]
+
+
+def evaluate_argv(labels, other):
+    return ["evaluate", f"{{}}/{labels}.csv", f"{{}}/{other}.csv"]
 
 
 def merge_argv(groups):
@@ -513,6 +523,10 @@ def merge_argv(groups):
     (merge_argv("1+x"), 3),
     (merge_argv("+"), 3),
     (merge_argv("1+2,2+3"), 3),
+    (evaluate_argv("labels0", "labels0"), 3),
+    (evaluate_argv("labels1", "labels1"), 3),
+    (evaluate_argv("labels_frac", "labels_ref"), 3),
+    (evaluate_argv("labels_huge", "labels_ref"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.
