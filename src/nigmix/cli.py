@@ -238,32 +238,21 @@ def cmd_density_grid(args) -> int:
     if not result.converged:
         raise CliError("model did not converge", EXIT_NONCONVERGENCE)
 
-    out = Path(args.output)
     if result.model == "unig":
-        lo, hi = args.range
-        grid = np.linspace(lo, hi, args.points)
-        dens = fitted_density(result, grid)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("x,density\n")
-            for x, f in zip(grid, dens):
-                fh.write(f"{float(x)!r},{float(f)!r}\n")
+        ranges, header, density = [args.range], "x", fitted_density
     else:
         d = result.bundles.mu_bar.shape[-1]
         if d != 2:
-            raise CliError(
-                f"lattice export requires 2-dimensional models, got d={d}"
-            )
-        lo, hi = args.range
-        lo2, hi2 = args.range2 if args.range2 else args.range
-        xs = np.linspace(lo, hi, args.points)
-        ys = np.linspace(lo2, hi2, args.points)
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        grid = np.column_stack([xx.reshape(-1), yy.reshape(-1)])
-        dens = fitted_density_m(result, grid)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("x1,x2,density\n")
-            for (x, y), f in zip(grid, dens):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(f)!r}\n")
+            raise CliError(f"lattice export requires 2-dimensional models, got d={d}")
+        ranges, header = [args.range, args.range2 or args.range], "x1,x2"
+        density = fitted_density_m
+    axes = (np.linspace(lo, hi, args.points) for lo, hi in ranges)
+    grid = np.column_stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")])
+    rows = np.column_stack([grid, density(result, grid).reshape(-1)])
+    out = Path(args.output)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(f"{header},density\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     print(f"wrote {out}")
     return EXIT_OK
 
