@@ -4,18 +4,17 @@ Everything Bessel-related is kept on the log scale: the inference loops
 multiply quantities whose product argument can push ``K_nu`` far below the
 smallest representable double, so the raw function value is never
 materialized.  ``log_bessel_k`` works from the exponentially scaled
-``K_nu(x) e^x`` and dispatches on the order:
+``K_nu(x) e^x`` and takes integer and half-integer orders only, the orders
+of the unig engine (1) and the mnig engine ((d+1)/2):
 
 * integer orders recurse upward from ``k0e`` / ``k1e``;
 * half-integer orders recurse upward from the closed form
-  ``K_{1/2}(x) e^x = sqrt(pi / (2x))``;
-* any other order goes through the generic ``kve``.
+  ``K_{1/2}(x) e^x = sqrt(pi / (2x))``.
 
 Upward recurrence ``K_{m+1} = K_{m-1} + (2m/x) K_m`` is the stable direction
-for ``K`` and only adds positive terms.  Both the unig engine (order 1) and
-the mnig engine (order (d+1)/2) take one of the first two paths, which stay
-finite for every argument a double can hold, whereas ``kve`` gives NaN above
-x of about 1e9.  Every value that still comes out non-finite, which is the
+for ``K`` and only adds positive terms.  Both paths stay finite for every
+argument a double can hold, whereas the generic ``kve`` gives NaN above x
+of about 1e9.  Every value that still comes out non-finite, which is the
 small-argument / large-order corner where even the scaled function
 overflows, is recomputed in arbitrary precision.
 """
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, k0e, k1e, kve, psi
+from scipy.special import erfcx, k0e, k1e, psi
 
 __all__ = [
     "log_bessel_k",
@@ -47,7 +46,7 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     Parameters
     ----------
     nu : float
-        Order, ``|nu| <= 64``.
+        Order, an integer or half-integer with ``|nu| <= 64``.
     x : float or ndarray
         Argument, strictly positive.
     pair : bool
@@ -59,8 +58,8 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     float or ndarray, or a tuple of two with ``pair``
     """
     nu = abs(float(nu))
-    if not math.isfinite(nu) or nu > _MAX_ORDER:
-        raise ValueError(f"order out of range: {nu}")
+    if not (nu <= _MAX_ORDER and (2.0 * nu).is_integer()):
+        raise ValueError(f"order must be a whole or half-integer <= 64: {nu}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     # The minimum is NaN when any element is, so NaN fails here too.
@@ -78,20 +77,18 @@ def log_bessel_k(nu: float, x, pair: bool = False):
 
 
 def _scaled_k(nu: float, x: np.ndarray, pair: bool):
-    """K_nu(x) e^x for nu >= 0, by order (see the module docstring), and
-    with ``pair`` K_|nu-1|(x) e^x after it."""
+    """K_nu(x) e^x for an integer or half-integer nu >= 0, by order (see the
+    module docstring), and with ``pair`` K_|nu-1|(x) e^x after it."""
     if nu.is_integer():
         if nu <= 1.0 and not pair:
             return ((k1e if nu else k0e)(x),)
         m, lower, k = 1.0, k0e(x), k1e(x)
         if nu == 0.0:
             return lower, k
-    elif (nu - 0.5).is_integer():
+    else:
         # K_{-1/2} = K_{1/2}
         m, lower = 0.5, np.sqrt(math.pi / (2.0 * x))
         k = lower
-    else:
-        return (kve(nu, x), kve(abs(nu - 1.0), x)) if pair else (kve(nu, x),)
     while m < nu:
         lower, k = k, lower + (2.0 * m / x) * k
         m += 1.0

@@ -41,7 +41,7 @@ class TestGIG:
     def test_moments_match_quadrature(self):
         rng = np.random.default_rng(5)
         lams = [-1.0] + [-(d + 1) / 2.0 for d in (1, 2, 5, 10)] + [0.5, 2.0]
-        lams += [0.0, -0.5, 0.3]
+        lams += [0.0, -0.5]
         for lam in lams:
             for _ in range(4):
                 chi = float(rng.uniform(0.1, 20.0))

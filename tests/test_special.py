@@ -37,7 +37,7 @@ class TestLogBesselK:
                 assert got == pytest.approx(ref, rel=1e-12)
 
     def test_order_symmetry(self):
-        for nu in (0.0, 0.7, 1.0, 3.5, 11.0):
+        for nu in (0.0, 1.0, 3.5, 11.0):
             for x in XS:
                 assert log_bessel_k(-nu, x) == log_bessel_k(nu, x)
 
@@ -112,7 +112,7 @@ class TestLogBesselK:
         # The first argument of each set overflows the scaled function at
         # the higher orders, so the pair reaches the mpmath fallback there.
         for x in (np.array([1e-60, 1e-6, 0.3, 2.0, 40.0, 1e12]), 0.7):
-            for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 5.5, 7.0, 0.3, 1.7, -5.5, 60.5):
+            for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 5.5, 7.0, -5.5, 60.5):
                 got = log_bessel_k(nu, x, pair=True)
                 ref = (log_bessel_k(nu, x), log_bessel_k(abs(abs(nu) - 1.0), x))
                 assert np.array_equal(got, ref), nu
@@ -134,8 +134,9 @@ class TestLogBesselK:
         for bad in (math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
             with pytest.raises(ValueError):
                 log_bessel_k(1.0, bad)
-        with pytest.raises(ValueError):
-            log_bessel_k(100.0, 1.0)
+        for order in (100.0, 0.3):
+            with pytest.raises(ValueError):
+                log_bessel_k(order, 1.0)
 
 
 class TestDigamma:
