@@ -1,8 +1,10 @@
-"""Property: every CSV of finite doubles gets a documented exit code.
+"""Properties: every input of finite doubles gets a documented outcome.
 
-``nigmix fit`` on any such file exits 0 (converged), 2 (not converged),
-3 (input error) or 4 (numerical degeneracy), and an error exit prints one
-``error:`` line; it never raises.
+``nigmix fit`` on any CSV of finite doubles exits 0 (converged),
+2 (not converged), 3 (input error) or 4 (numerical degeneracy), and an
+error exit prints one ``error:`` line; it never raises.  The library's
+``fit`` and ``fit_m`` on any such array return a ``FitResult`` or raise
+``InvalidData`` or ``DegenerateFit``, and nothing else.
 """
 
 import contextlib
@@ -10,25 +12,33 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nigmix import DegenerateFit, FitConfig, FitResult, InvalidData, fit, fit_m
 from nigmix.cli import main
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MODELS = st.sampled_from(["unig", "mnig"])
+INIT_MODES = st.sampled_from(["random", "kmeans"])
+G_INITS = st.integers(2, 4)
+
+
+def finite_rows(d):
+    """Up to 40 rows of d finite doubles."""
+    return st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=0, max_size=40)
 
 
 @st.composite
 def fit_cases(draw):
     d = draw(st.integers(1, 3))
-    rows = draw(
-        st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=0, max_size=40)
-    )
-    model = draw(st.sampled_from(["unig", "mnig"]))
+    rows = draw(finite_rows(d))
+    model = draw(MODELS)
     flags = [
         "--model", model,
-        "--init-mode", draw(st.sampled_from(["random", "kmeans"])),
-        "--g-init", str(draw(st.integers(2, 4))),
+        "--init-mode", draw(INIT_MODES),
+        "--g-init", str(draw(G_INITS)),
         "--max-iter", "20",
     ]
     if model == "unig":
@@ -52,3 +62,30 @@ def test_fit_exit_code_on_any_finite_csv(case):
     if code in (3, 4):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@st.composite
+def library_cases(draw):
+    d = draw(st.integers(1, 3))
+    data = np.array(draw(finite_rows(d)), dtype=float).reshape(-1, d)
+    shape = draw(st.sampled_from(["(n,)", "(n, 1)", "(n, d)"]))
+    if shape != "(n, d)":
+        data = data[:, 0] if shape == "(n,)" else data[:, :1]
+    config = FitConfig(
+        model=draw(MODELS), init_mode=draw(INIT_MODES), g_init=draw(G_INITS),
+        max_iter=20,
+    )
+    return draw(st.sampled_from([fit, fit_m])), data, config
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(library_cases())
+def test_library_fit_outcome_on_any_finite_array(case):
+    engine, data, config = case
+    try:
+        # Floating-point warnings are not outcomes; only what is raised is.
+        with np.errstate(all="ignore"):
+            result = engine(data, config)
+    except (InvalidData, DegenerateFit):
+        return
+    assert isinstance(result, FitResult)
