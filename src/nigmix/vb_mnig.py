@@ -132,8 +132,8 @@ def init_fit_m(
     weight at one.
     """
     n, d = data.shape
-    # Centred columns, each scaled to a largest magnitude of one; a square
-    # that overflows is left to the distance checks (DegenerateFit).
+    # The Wishart posteriors need full-rank columns, tested centred and scaled
+    # to a largest magnitude of one; an overflowing square is left to DegenerateFit.
     centred = data - data.mean(axis=0)
     scale = np.abs(centred).max(axis=0)
     if np.isfinite(scale * scale).all() and not (
