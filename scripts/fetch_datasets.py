@@ -9,9 +9,10 @@ $NIGMIX_DATA) in one of two ways:
   network access.
 * ``--convert SRC.csv NAME``: normalize a CSV you exported yourself (for
   example from R: ``write.csv(faithful, "faithful_raw.csv")``) into the
-  schema the loaders expect.
+  schema that ``nigmix.datasets.load`` expects.
 
-Expected final schemas:
+Expected final schemas (each real study's entry in
+``nigmix.presets.STUDIES`` names its file, fit columns and label column):
 
 * faithful.csv: columns eruptions, waiting (272 rows)
 * crabs.csv: columns class4, FL, RW, CL, CW, BD (200 rows), where class4

@@ -34,7 +34,9 @@ from .io import (
     write_sample_csv,
 )
 from .linalg import NotPositiveDefinite
-from .presets import FISH_MERGE_GROUPS, FISH_VARIABLES, simulation_preset
+from .presets import SIMULATION_PRESETS, STUDIES, simulation_preset
+from .vb_mnig import fit_m
+from .vb_unig import fit
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -49,17 +51,19 @@ class CliError(Exception):
 
 
 def _add_fit_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["unig", "mnig"], default="unig")
-    p.add_argument("--g-init", type=int, default=10)
-    p.add_argument("--init-mode", choices=["random", "kmeans"], default="kmeans")
-    p.add_argument("--hyper-init", type=float, default=1e-8)
-    p.add_argument("--prune-threshold", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--columns", type=str, default=None,
-                   help="comma-separated column selection")
-    p.add_argument("--label-column", type=str, default=None)
+    default = FitConfig()
+    p.add_argument("--model", choices=["unig", "mnig"], default=default.model)
+    p.add_argument("--g-init", type=int, default=default.g_init)
+    p.add_argument("--init-mode", choices=["random", "kmeans"],
+                   default=default.init_mode)
+    p.add_argument("--hyper-init", type=float, default=default.hyper_init)
+    p.add_argument("--prune-threshold", type=float,
+                   default=default.prune_threshold)
+    p.add_argument("--tol", type=float, default=default.tol)
+    p.add_argument("--max-iter", type=int, default=default.max_iter)
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--columns", type=str, help="comma-separated column selection")
+    p.add_argument("--label-column", type=str)
 
 
 def _config_from_args(args) -> FitConfig:
@@ -80,14 +84,9 @@ def _config_from_args(args) -> FitConfig:
 def run_fit(config: FitConfig, data: np.ndarray):
     """Fit ``data`` with the engine ``config.model`` names; the engine checks
     the input and raises ``InvalidData``, which ``main`` maps to exit 3."""
-    # Imported per call, so that a tracer's rebound ``vb_unig.fit`` is called.
-    from .vb_mnig import fit_m
-    from .vb_unig import fit
-
+    # Read from the module globals, which a tracer rebinds; a dict of the
+    # two engines would keep calling the unwrapped functions.
     return (fit if config.model == "unig" else fit_m)(data, config)
-
-
-CENSUS_G_INIT = {"study1": 10, "study2": 10, "study4": 5, "study5": 10}
 
 
 def replicate_seeds(n: int) -> list[tuple[int, int]]:
@@ -96,14 +95,14 @@ def replicate_seeds(n: int) -> list[tuple[int, int]]:
 
 
 def census(name: str, seeds) -> SimpleNamespace:
-    """Fit the preset ``name``, drawn with its exact counts, once per
-    (sample seed, fit seed) pair in ``seeds``, and summarize the fits."""
-    spec, counts = simulation_preset(name)
-    model = "mnig" if spec.is_multivariate else "unig"
+    """Fit the simulation study ``name``, drawn with its exact counts, once
+    per (sample seed, fit seed) pair in ``seeds``, and summarize the fits."""
+    study = STUDIES[name]
+    spec, counts = study.preset()
     fits, aris = [], []
     for sample_seed, fit_seed in seeds:
         sample = sample_mixture(spec, sum(counts), seed=sample_seed, counts=counts)
-        config = FitConfig(model=model, g_init=CENSUS_G_INIT[name], seed=fit_seed)
+        config = FitConfig(model=study.model, g_init=study.g_init, seed=fit_seed)
         fits.append(run_fit(config, sample.observations))
         aris.append(adjusted_rand_index(sample.labels, fits[-1].labels))
     return SimpleNamespace(
@@ -257,50 +256,33 @@ def cmd_density_grid(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(loader, *args):
-    try:
-        return loader(*args)
-    except ValueError as exc:
-        raise CliError(f"cannot read dataset: {exc}") from exc
-
-
 def cmd_reproduce(args) -> int:
     """Run a named study end to end and print its headline numbers: a
     simulation study's census over ``--replicates`` (100 by default; study4
-    and study5 default to one fit at sample seed 42, fit seed 0)."""
-    name = args.study
+    and study5 default to one fit at sample seed 42, fit seed 0), or a real
+    study's G, with the ARI against its truth labels when it has them."""
+    name, study = args.study, STUDIES[args.study]
     if args.replicates is not None and args.replicates < 1:
         raise CliError("--replicates must be >= 1")
-    if name in CENSUS_G_INIT:
+    if study.preset:
         single = args.replicates is None and name in ("study4", "study5")
         seeds = [(42, 0)] if single else replicate_seeds(args.replicates or 100)
         print(census_line(census(name, seeds)))
-    elif name == "faithful":
-        data = _load_dataset(datasets.load_old_faithful)
-        config = FitConfig(model="mnig", g_init=7, seed=0)
-        result = run_fit(config, data)
-        print(f"faithful: G={result.n_components}")
-    elif name == "crabs":
-        data, truth = _load_dataset(datasets.load_crabs)
-        config = FitConfig(model="mnig", g_init=10, seed=0)
-        result = run_fit(config, data)
-        ari = adjusted_rand_index(truth, result.labels)
-        print(f"crabs: G={result.n_components}, ARI {ari:.3f}")
-    elif name == "fishcatch":
-        data, species = _load_dataset(datasets.load_fish, FISH_VARIABLES["paper"])
-        config = FitConfig(model="mnig", g_init=10, seed=0)
-        result = run_fit(config, data)
-        truth = merge_labels(species, FISH_MERGE_GROUPS)
-        ari = adjusted_rand_index(truth, result.labels)
-        print(f"fishcatch: G={result.n_components}, merged-truth ARI {ari:.3f}")
-        print(cross_tab(species, result.labels))
-    elif name == "enzyme":
-        data = _load_dataset(datasets.load_enzyme)
-        config = FitConfig(model="unig", g_init=5, seed=0)
-        result = run_fit(config, data)
-        print(f"enzyme: G={result.n_components}")
-    else:
-        raise CliError(f"unknown study {name!r}")
+        return EXIT_OK
+    try:
+        data, labels = datasets.load(study)
+    except ValueError as exc:
+        raise CliError(f"cannot read dataset: {exc}") from exc
+    result = run_fit(FitConfig(model=study.model, g_init=study.g_init, seed=0), data)
+    line = f"{name}: G={result.n_components}"
+    if study.merge_groups:
+        truth = merge_labels(labels, study.merge_groups)
+        line += f", merged-truth ARI {adjusted_rand_index(truth, result.labels):.3f}"
+    elif labels is not None:
+        line += f", ARI {adjusted_rand_index(labels, result.labels):.3f}"
+    print(line)
+    if study.merge_groups:
+        print(cross_tab(labels, result.labels))
     return EXIT_OK
 
 
@@ -320,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a dataset from a mixture spec")
     p.add_argument("output")
     p.add_argument("--spec", help="mixture spec JSON")
-    p.add_argument("--preset", choices=["study1", "study2", "study4", "study5"])
+    p.add_argument("--preset", choices=list(SIMULATION_PRESETS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
@@ -343,13 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density_grid)
 
     p = sub.add_parser("reproduce", help="run a named study preset end to end")
-    p.add_argument(
-        "study",
-        choices=[
-            "study1", "study2", "study4", "study5",
-            "faithful", "crabs", "fishcatch", "enzyme",
-        ],
-    )
+    p.add_argument("study", choices=list(STUDIES))
     p.add_argument("--replicates", type=int, default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -1,10 +1,11 @@
-"""Loaders for the real benchmark datasets.
+"""The loader of the real benchmark datasets.
 
 The datasets are classic R benchmarks whose redistribution terms are not
 uniformly clear, so they are not shipped inside the package.  Running
 ``scripts/fetch_datasets.py`` (see its docstring) downloads or converts
-them into the data directory; every loader raises DatasetMissing with the
-fetch instructions when its file is absent.
+them into the data directory.  ``load`` reads the file, fit columns and
+label column that a real study's entry in ``presets.STUDIES`` names, and
+raises DatasetMissing with the fetch instructions when the file is absent.
 
 The data directory defaults to ``./data`` relative to the current working
 directory and can be overridden with the ``NIGMIX_DATA`` environment
@@ -19,15 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .io import ingest_csv
+from .presets import Study
 
-__all__ = [
-    "DatasetMissing",
-    "data_dir",
-    "load_old_faithful",
-    "load_crabs",
-    "load_fish",
-    "load_enzyme",
-]
+__all__ = ["DatasetMissing", "data_dir", "load"]
 
 
 class DatasetMissing(FileNotFoundError):
@@ -38,45 +33,14 @@ def data_dir() -> Path:
     return Path(os.environ.get("NIGMIX_DATA", "data"))
 
 
-def _require(name: str) -> Path:
-    path = data_dir() / name
+def load(study: Study) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (n, d) columns a real study fits, and its integer truth labels
+    (None when the study has no label column)."""
+    path = data_dir() / study.file
     if not path.exists():
         raise DatasetMissing(
             f"{path} not found; run scripts/fetch_datasets.py (or its "
             f"--convert mode on a CSV exported from R) to create it"
         )
-    return path
-
-
-def load_old_faithful() -> np.ndarray:
-    """272 eruptions: (duration, waiting-time) pairs."""
-    data, _ = _load(_require("faithful.csv"), ["eruptions", "waiting"])
-    return data
-
-
-def load_crabs() -> tuple[np.ndarray, np.ndarray]:
-    """200 crabs: five morphological measurements plus the 4-class truth
-    (species crossed with sex)."""
-    path = _require("crabs.csv")
-    data, labels = _load(path, ["FL", "RW", "CL", "CW", "BD"], "class4")
-    return data, labels
-
-
-def load_fish(variables: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Fish-catch measurements for the requested variables plus the
-    seven-species labels."""
-    path = _require("fish.csv")
-    return _load(path, variables, "Species")
-
-
-def load_enzyme() -> np.ndarray:
-    """245 blood enzyme activity measurements (optional dataset)."""
-    data, _ = _load(_require("enzyme.csv"), ["activity"])
-    return data.reshape(-1)
-
-
-def _load(path: Path, columns: list[str], label_column: str | None = None):
-    data, labels = ingest_csv(path, columns=columns, label_column=label_column)
-    if labels is not None:
-        labels = labels.astype(int)
-    return data, labels
+    data, labels = ingest_csv(path, list(study.columns), study.label_column)
+    return data, None if labels is None else labels.astype(int)

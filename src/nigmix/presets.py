@@ -1,4 +1,4 @@
-"""Named simulation presets and the real-data analysis configurations.
+"""Named simulation presets and ``STUDIES``, the table of named studies.
 
 The separated and overlapping univariate presets fix parameter values for
 regimes the studies describe only qualitatively; the two-dimensional preset
@@ -8,12 +8,14 @@ a documented choice producing two distinguishable but adjacent components.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .distributions import MixtureSpec, MNIGParams, UNIGParams
 
-__all__ = ["simulation_preset", "SIMULATION_PRESETS", "FISH_MERGE_GROUPS",
-           "FISH_VARIABLES"]
+__all__ = ["simulation_preset", "SIMULATION_PRESETS", "STUDIES", "Study"]
 
 
 def _study1() -> tuple[MixtureSpec, tuple[int, ...]]:
@@ -81,11 +83,46 @@ def _study5() -> tuple[MixtureSpec, tuple[int, ...]]:
     return spec, (150, 200)
 
 
+@dataclass(frozen=True)
+class Study:
+    """How ``nigmix reproduce`` runs a named study: the engine (``model``),
+    the initial component count and the data source.  A simulation study's
+    source is its ``preset``; a real study's is ``file`` in the data
+    directory, with the ``columns`` to fit, the optional ``label_column``
+    holding the truth and optional ``merge_groups`` of truth labels."""
+
+    model: str
+    g_init: int
+    preset: Callable[[], tuple[MixtureSpec, tuple[int, ...]]] | None = None
+    file: str | None = None
+    columns: tuple[str, ...] = ()
+    label_column: str | None = None
+    merge_groups: tuple[frozenset[int], ...] = ()
+
+
+STUDIES = {
+    "study1": Study("unig", 10, preset=_study1),
+    "study2": Study("unig", 10, preset=_study2),
+    "study4": Study("mnig", 5, preset=_study4),
+    "study5": Study("mnig", 10, preset=_study5),
+    "faithful": Study("mnig", 7, file="faithful.csv",
+                      columns=("eruptions", "waiting")),
+    # class4 crosses species with sex.
+    "crabs": Study("mnig", 10, file="crabs.csv",
+                   columns=("FL", "RW", "CL", "CW", "BD"), label_column="class4"),
+    # Species codes follow the source data ordering (1 bream, 2 whitewish,
+    # 3 roach, 4 parkki, 5 smelt, 6 pike, 7 perch).  The published
+    # four-class truth merges bream with parkki and whitewish with roach
+    # and perch.
+    "fishcatch": Study("mnig", 10, file="fish.csv",
+                       columns=("Length3", "Height", "Width"),
+                       label_column="Species",
+                       merge_groups=(frozenset({1, 4}), frozenset({2, 3, 7}))),
+    "enzyme": Study("unig", 5, file="enzyme.csv", columns=("activity",)),
+}
+
 SIMULATION_PRESETS = {
-    "study1": _study1,
-    "study2": _study2,
-    "study4": _study4,
-    "study5": _study5,
+    name: study.preset for name, study in STUDIES.items() if study.preset
 }
 
 
@@ -97,18 +134,3 @@ def simulation_preset(name: str) -> tuple[MixtureSpec, tuple[int, ...]]:
         raise KeyError(
             f"unknown preset {name!r}; choose from {sorted(SIMULATION_PRESETS)}"
         ) from None
-
-
-# Fish-catch analysis: species codes follow the source data ordering
-# (1 bream, 2 whitewish, 3 roach, 4 parkki, 5 smelt, 6 pike, 7 perch).
-# The published four-class truth merges bream with parkki and whitewish
-# with roach and perch.
-FISH_MERGE_GROUPS = [{1, 4}, {2, 3, 7}]
-
-# Two defensible three-variable subsets are described for the fish-catch
-# analysis; "paper" keeps Length3/Height/Width, "em-study" is the subset
-# attributed to the earlier EM-based analysis.
-FISH_VARIABLES = {
-    "paper": ["Length3", "Height", "Width"],
-    "em-study": ["Length3", "Weight", "Width"],
-}

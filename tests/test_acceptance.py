@@ -21,11 +21,10 @@ from nigmix import (
     simulation_preset,
 )
 from nigmix import datasets
-from nigmix.cli import census, census_line, replicate_seeds
+from nigmix.cli import census, census_line, replicate_seeds, run_fit
 from nigmix.evaluation import canonicalize, cross_tab, merge_labels
-from nigmix.presets import FISH_MERGE_GROUPS, FISH_VARIABLES
+from nigmix.presets import STUDIES
 from nigmix.special import digamma, log_bessel_k
-from nigmix.vb_mnig import fit_m
 from nigmix.vb_unig import fit
 
 
@@ -38,15 +37,23 @@ def _fit_unig(data, **kw):
     return fit(data, FitConfig(model="unig", **kw))
 
 
-def _fit_mnig(data, **kw):
-    return fit_m(data, FitConfig(model="mnig", **kw))
+def _fit_study(name, data):
+    """Fit ``data`` with the model and g_init of the study's table entry, at
+    fit seed 0."""
+    study = STUDIES[name]
+    return run_fit(FitConfig(model=study.model, g_init=study.g_init, seed=0), data)
 
 
-def _load_or_skip(loader, *args):
+def _fit_real_study(name):
+    """Fit a real study's data; returns the result, the truth labels and the
+    fit seconds."""
     try:
-        return loader(*args)
+        data, labels = datasets.load(STUDIES[name])
     except DatasetMissing as exc:
         pytest.skip(f"real dataset not bundled and no network to fetch it: {exc}")
+    t0 = time.perf_counter()
+    res = _fit_study(name, data)
+    return res, labels, time.perf_counter() - t0
 
 
 def test_01_special_function_suite():
@@ -206,7 +213,7 @@ def test_07_simulation_study_4():
     t0 = time.perf_counter()
     spec, counts = simulation_preset("study4")
     s = sample_mixture(spec, sum(counts), seed=2, counts=counts)
-    res = _fit_mnig(s.observations, g_init=5, seed=0)
+    res = _fit_study("study4", s.observations)
     ari = adjusted_rand_index(s.labels, res.labels)
     locs = sorted(
         (tuple(mu_bar) for mu_bar in np.round(res.bundles.mu_bar, 3)),
@@ -235,7 +242,7 @@ def test_08_simulation_study_5():
     t0 = time.perf_counter()
     spec, counts = simulation_preset("study5")
     s = sample_mixture(spec, sum(counts), seed=42, counts=counts)
-    res = _fit_mnig(s.observations, g_init=10, seed=0)
+    res = _fit_study("study5", s.observations)
     ari = adjusted_rand_index(s.labels, res.labels)
     dt = time.perf_counter() - t0
     ok = res.n_components == 2 and ari >= 0.98 and dt < 120.0
@@ -247,20 +254,14 @@ def test_08_simulation_study_5():
 
 
 def test_09_old_faithful():
-    data = _load_or_skip(datasets.load_old_faithful)
-    t0 = time.perf_counter()
-    res = _fit_mnig(data, g_init=7, seed=0)
-    dt = time.perf_counter() - t0
+    res, _, dt = _fit_real_study("faithful")
     ok = res.n_components == 2 and dt < 30.0
     report("geyser eruptions", ok, f"G={res.n_components}, {dt:.0f}s")
 
 
 def test_10_crabs():
-    data, truth = _load_or_skip(datasets.load_crabs)
-    t0 = time.perf_counter()
-    res = _fit_mnig(data, g_init=10, seed=0)
+    res, truth, dt = _fit_real_study("crabs")
     ari = adjusted_rand_index(truth, res.labels)
-    dt = time.perf_counter() - t0
     ok = res.n_components == 4 and 0.69 <= ari <= 0.89 and dt < 60.0
     report(
         "crab morphology",
@@ -270,14 +271,11 @@ def test_10_crabs():
 
 
 def test_11_fish_catch():
-    data, species = _load_or_skip(datasets.load_fish, FISH_VARIABLES["paper"])
-    t0 = time.perf_counter()
-    res = _fit_mnig(data, g_init=10, seed=0)
-    merged_truth = merge_labels(species, FISH_MERGE_GROUPS)
+    res, species, dt = _fit_real_study("fishcatch")
+    merged_truth = merge_labels(species, STUDIES["fishcatch"].merge_groups)
     table = cross_tab(merged_truth, res.labels)
     # Block structure: each merged truth class maps to exactly one component.
     pure = all((row > 0).sum() == 1 for row in table)
-    dt = time.perf_counter() - t0
     ok = res.n_components == 4 and pure and dt < 30.0
     report(
         "fish species",
@@ -384,7 +382,7 @@ def test_14_determinism(tmp_path):
     # real datasets join the check when present
     extra = 0
     try:
-        datasets.load_old_faithful()
+        datasets.load(STUDIES["faithful"])
         extra += 1
     except DatasetMissing:
         pass
@@ -397,7 +395,6 @@ def test_14_determinism(tmp_path):
 
 
 def test_15_enzyme_optional():
-    data = _load_or_skip(datasets.load_enzyme)
-    res = _fit_unig(data, g_init=5, seed=0)
+    res, _, _ = _fit_real_study("enzyme")
     ok = res.n_components == 2
     report("enzyme activity", ok, f"G={res.n_components}")
