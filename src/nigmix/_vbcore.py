@@ -1,6 +1,7 @@
 """Machinery shared by the univariate and multivariate engines.
 
-Holds the result containers, the component-stack helper ``take``, the
+Holds the result containers, ``real_array``, the one conversion of fit
+input both engine entries make, the component-stack helper ``take``, the
 deterministic initial-partition helpers (one-hot random assignment and a
 small seeded Lloyd k-means) and the initial latent moments, both checked
 for squared distances that overflow, the log-sum-exp row normalization
@@ -33,6 +34,7 @@ __all__ = [
     "normalize_log_scores",
     "one_hot",
     "prune",
+    "real_array",
     "run_sweep",
     "take",
 ]
@@ -68,6 +70,18 @@ class FitResult:
     @property
     def weights(self) -> np.ndarray:
         return self.hypers.a0 / self.hypers.a0.sum()
+
+
+def real_array(data) -> np.ndarray:
+    """``data`` as a float array; complex, string, object or ragged input
+    raises InvalidData rather than being cast or failing inside numpy."""
+    try:
+        data = np.asarray(data)
+    except ValueError as exc:
+        raise InvalidData(f"data must be a rectangular array: {exc}") from None
+    if data.dtype.kind not in "biuf":
+        raise InvalidData(f"data must be real numbers, got dtype {data.dtype}")
+    return data.astype(float, copy=False)
 
 
 def take(stack, index):
@@ -195,11 +209,10 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
 def prune(resp: np.ndarray, threshold: float):
     """Drop components whose effective count falls below the threshold.
 
-    Returns the renormalized responsibilities and the indices of the kept
-    components; removing every component raises DegenerateFit.
+    ``threshold`` is positive, as ``FitConfig`` checks.  Returns the
+    renormalized responsibilities and the indices of the kept components;
+    removing every component raises DegenerateFit.
     """
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
     keep = np.nonzero(resp.sum(axis=0) >= threshold)[0].tolist()
     if not keep:
         raise DegenerateFit("pruning removed every component")

@@ -41,6 +41,7 @@ from ._vbcore import (
     gig_responsibilities,
     initial_latent_moments,
     initial_partition,
+    real_array,
     run_sweep,
     take,
 )
@@ -275,7 +276,7 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
     """Run the multivariate variational sweep (``_vbcore.run_sweep``) on
     (n, d) data, d >= 1; bad data or settings raise InvalidData."""
-    data = np.asarray(data, dtype=float)
+    data = real_array(data)
     if data.ndim != 2 or not data.shape[1]:
         raise InvalidData(f"mnig needs (n, d) data, d >= 1, got shape {data.shape}")
     return run_sweep(

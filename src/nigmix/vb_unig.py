@@ -35,6 +35,7 @@ from ._vbcore import (
     initial_latent_moments,
     initial_partition,
     prune,
+    real_array,
     run_sweep,
     take,
 )
@@ -238,7 +239,7 @@ def update_responsibilities(y: np.ndarray, bundles: ExpectationBundle):
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     """Run the univariate variational sweep (``_vbcore.run_sweep``) on (n,)
     or (n, 1) data; bad data or settings raise InvalidData."""
-    data = np.asarray(data, dtype=float)
+    data = real_array(data)
     if data.ndim not in (1, 2) or data.shape[1:] not in ((), (1,)):
         raise InvalidData(f"unig needs (n,) or (n, 1) data, got shape {data.shape}")
     return run_sweep(

@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from nigmix import special, vb_unig
 from nigmix._vbcore import DegenerateFit, normalize_log_scores, take
-from nigmix.config import FitConfig
+from nigmix.config import FitConfig, InvalidData
 from nigmix.distributions import gig_moments
 from nigmix.evaluation import adjusted_rand_index
 from nigmix.presets import simulation_preset
@@ -391,8 +391,9 @@ class TestPrune:
             prune(resp, 5.0)
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            prune(np.ones((3, 1)), 0.0)
+        # prune trusts its threshold; FitConfig is where it is checked.
+        with pytest.raises(InvalidData):
+            FitConfig(prune_threshold=0.0)
 
 
 class TestFit:

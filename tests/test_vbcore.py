@@ -1,5 +1,7 @@
 """The sweep driver shared by both engines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,11 +118,35 @@ MNIG = FitConfig(model="mnig")
         (fit_m, X[:0], MNIG),
         (fit, X[:10, 0], FitConfig(g_init=10)),
         (fit_m, X[:10], MNIG),
+        (fit, X[:, 0] + 2j, FitConfig()),
+        (fit_m, X + 2j, MNIG),
+        (fit, X[:, 0].astype(str), FitConfig()),
+        (fit_m, X.astype(str), MNIG),
+        (fit, X[:, 0].astype(object), FitConfig()),
+        (fit_m, X.astype(object), MNIG),
+        (fit, [[1.0]] * 20 + [[2.0, 3.0]], FitConfig()),
+        (fit_m, [[1.0, 2.0]] * 20 + [[3.0]], MNIG),
     ],
     ids=["unig-wide", "mnig-constant-column", "mnig-duplicate-column",
          "mnig-1d", "unig-mnig-config", "unig-nan", "unig-n0", "mnig-n0",
-         "unig-n-g_init", "mnig-n-g_init"],
+         "unig-n-g_init", "mnig-n-g_init", "unig-complex", "mnig-complex",
+         "unig-string", "mnig-string", "unig-object", "mnig-object",
+         "unig-ragged", "mnig-ragged"],
 )
 def test_invalid_fit_input_raises(engine, data, config):
-    with pytest.raises(InvalidData):
-        engine(data, config)
+    with warnings.catch_warnings():
+        # Complex input must not be cast with a ComplexWarning and fitted.
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData):
+            engine(data, config)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+def test_fit_takes_integer_bool_and_float32_data(dtype):
+    # Columns with few distinct values, so that each dtype holds them exactly.
+    cols = np.column_stack([X[:, 0] > 0.0, np.round(X[:, 1]) % 2]).astype(dtype)
+    for engine, data, config in ((fit, cols[:, 0], FitConfig(g_init=2)),
+                                 (fit_m, cols, FitConfig(model="mnig", g_init=2))):
+        got = engine(data, config)
+        ref = engine(data.astype(float), config)
+        assert np.array_equal(got.resp, ref.resp) and got.trace == ref.trace
