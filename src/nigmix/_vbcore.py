@@ -244,10 +244,11 @@ def run_sweep(
     ``expectations`` returns the bundle stack of the valid hyper rows and
     the (row, reason) of the others, which are dropped; ``responsibilities``
     raising DegenerateComponent(g, reason) for bundle row g ends the fit
-    with DegenerateFit.  Convergence means the largest absolute
-    responsibility change in a sweep that neither dropped nor pruned a
-    component fell below ``config.tol``; hitting ``max_iter`` first flags
-    the result instead of raising.
+    with DegenerateFit, and so does a sweep that dropped every row: the
+    responsibilities step raises it on an empty stack.  Convergence means
+    the largest absolute responsibility change in a sweep that neither
+    dropped nor pruned a component fell below ``config.tol``; hitting
+    ``max_iter`` first flags the result instead of raising.
     """
     if config.model != model:
         raise InvalidData(f"config.model is {config.model!r}, not {model!r}")
@@ -275,8 +276,6 @@ def run_sweep(
         if dropped:
             all_flags += [f"degenerate_component:{ids[g]}:{why}" for g, why in dropped]
             live = np.delete(live, [g for g, _ in dropped])
-            if not live.size:
-                raise DegenerateFit("all components degenerate")
 
         try:
             new_resp, lat, flags = responsibilities(data, bundles)

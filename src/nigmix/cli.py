@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import datasets
 from ._vbcore import DegenerateFit
-from .config import FitConfig, InvalidData
+from .config import CHOICES, FitConfig, InvalidData
 from .distributions import sample_mixture
 from .evaluation import adjusted_rand_index, cross_tab, merge_labels
 from .io import (
@@ -48,37 +49,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _add_fit_config_args(p: argparse.ArgumentParser) -> None:
-    default = FitConfig()
-    p.add_argument("--model", choices=["unig", "mnig"], default=default.model)
-    p.add_argument("--g-init", type=int, default=default.g_init)
-    p.add_argument("--init-mode", choices=["random", "kmeans"],
-                   default=default.init_mode)
-    p.add_argument("--hyper-init", type=float, default=default.hyper_init)
-    p.add_argument("--prune-threshold", type=float,
-                   default=default.prune_threshold)
-    p.add_argument("--tol", type=float, default=default.tol)
-    p.add_argument("--max-iter", type=int, default=default.max_iter)
-    p.add_argument("--seed", type=int, default=default.seed)
-    p.add_argument("--columns", type=str, help="comma-separated column selection")
-    p.add_argument("--label-column", type=str)
-
-
-def _config_from_args(args) -> FitConfig:
-    return FitConfig(
-        model=args.model,
-        g_init=args.g_init,
-        init_mode=args.init_mode,
-        hyper_init=args.hyper_init,
-        prune_threshold=args.prune_threshold,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        columns=args.columns.split(",") if args.columns else None,
-        label_column=args.label_column,
-    )
 
 
 def run_fit(config: FitConfig, data: np.ndarray):
@@ -123,17 +93,19 @@ def census_line(c: SimpleNamespace) -> str:
 
 
 def cmd_fit(args) -> int:
-    config = _config_from_args(args)
+    config = FitConfig(**{f.name: getattr(args, f.name) for f in fields(FitConfig)})
+    columns = args.columns.split(",") if args.columns else None
     try:
-        data, _ = ingest_csv(args.input, config.columns, config.label_column)
-    except (FileNotFoundError, ValueError) as exc:
+        data, _ = ingest_csv(args.input, columns, args.label_column)
+    except (OSError, ValueError) as exc:
         raise CliError(f"ingestion failed: {exc}") from exc
     t0 = time.perf_counter()
     result = run_fit(config, data)
     elapsed = time.perf_counter() - t0
 
     record = make_run_record(
-        config, result, file_fingerprint(args.input), {"fit_seconds": elapsed}
+        config, result, file_fingerprint(args.input), {"fit_seconds": elapsed},
+        columns, args.label_column,
     )
     out = Path(args.output)
     write_json(out, record)
@@ -162,7 +134,7 @@ def cmd_simulate(args) -> int:
         try:
             spec = mixture_spec_from_dict(read_json(args.spec))
         except (
-            FileNotFoundError, KeyError, NotPositiveDefinite, TypeError, ValueError
+            OSError, KeyError, NotPositiveDefinite, TypeError, ValueError
         ) as exc:
             raise CliError(f"invalid mixture spec: {exc}") from exc
         counts = None
@@ -188,7 +160,7 @@ def cmd_simulate(args) -> int:
 def _read_labels(path) -> np.ndarray:
     try:
         data, _ = ingest_csv(path)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read labels from {path}: {exc}") from exc
     if data.shape[1] != 1:
         raise CliError(f"{path}: expected a single label column")
@@ -232,7 +204,7 @@ def cmd_density_grid(args) -> int:
     try:
         record = read_json(args.model_path)
         result = result_from_dict(record["result"])
-    except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load model: {exc}") from exc
     if not result.converged:
         raise CliError("model did not converge", EXIT_NONCONVERGENCE)
@@ -296,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a mixture to a CSV dataset")
     p.add_argument("input")
     p.add_argument("output")
-    _add_fit_config_args(p)
+    for f in fields(FitConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default, choices=CHOICES.get(f.name))
+    p.add_argument("--columns", type=str, help="comma-separated column selection")
+    p.add_argument("--label-column", type=str)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="draw a dataset from a mixture spec")
@@ -345,7 +321,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (datasets.DatasetMissing, InvalidData) as exc:
+    except (OSError, InvalidData) as exc:
+        # A path that cannot be read or written, such as a missing dataset
+        # (DatasetMissing is a FileNotFoundError) or a directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFit as exc:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+
+# The values a ``FitConfig`` field may take, where the field has a fixed set.
+CHOICES = {"model": ("unig", "mnig"), "init_mode": ("random", "kmeans")}
 
 
 class InvalidData(ValueError):
@@ -16,7 +19,8 @@ class FitConfig:
 
     ``hyper_init`` is the flat-prior mass placed on every conjugate
     hyperparameter; ``prune_threshold`` is the minimum effective component
-    count kept alive.
+    count kept alive.  ``nigmix fit`` has one flag per field, of the
+    field default's type.
     """
 
     model: str = "unig"
@@ -27,14 +31,11 @@ class FitConfig:
     tol: float = 1e-6
     max_iter: int = 500
     seed: int = 0
-    columns: list[str] | None = field(default=None)
-    label_column: str | None = None
 
     def __post_init__(self):
-        if self.model not in ("unig", "mnig"):
-            raise InvalidData(f"unknown model {self.model!r}")
-        if self.init_mode not in ("random", "kmeans"):
-            raise InvalidData(f"unknown init_mode {self.init_mode!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InvalidData(f"unknown {name} {getattr(self, name)!r}")
         if self.g_init < 2:
             raise InvalidData("g_init must be >= 2")
         if self.max_iter < 1:
@@ -47,6 +48,3 @@ class FitConfig:
         # a tol could only end at max_iter.
         if not 0.0 < self.tol < math.inf:
             raise InvalidData("tol must be finite and > 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)

@@ -19,7 +19,7 @@ provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,11 +119,10 @@ class MixtureSpec:
 
 @dataclass
 class LabeledSample:
-    """Simulator output: observations, 1-based labels, latent u draws."""
+    """Simulator output: observations and 1-based labels."""
 
     observations: np.ndarray
     labels: np.ndarray
-    latents: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,6 @@ def sample_mixture(
         obs = np.empty((n, d))
     else:
         obs = np.empty((n, 1))
-    latents = np.empty(n)
 
     for g, comp in enumerate(spec.components, start=1):
         idx = np.nonzero(labels == g)[0]
@@ -294,6 +292,5 @@ def sample_mixture(
             u = sample_ig(comp.delta, comp.gamma, idx.size, rng)
             z = rng.standard_normal(idx.size)
             obs[idx, 0] = comp.mu + comp.beta * u + np.sqrt(u) * z
-        latents[idx] = u
 
-    return LabeledSample(observations=obs, labels=labels, latents=latents)
+    return LabeledSample(observations=obs, labels=labels)

@@ -203,10 +203,18 @@ def file_fingerprint(path) -> str:
 
 
 def make_run_record(
-    config: FitConfig, result: FitResult, fingerprint: str, timings: dict
+    config: FitConfig,
+    result: FitResult,
+    fingerprint: str,
+    timings: dict,
+    columns: list[str] | None = None,
+    label_column: str | None = None,
 ) -> dict:
+    """The run record of a fit.  Its ``config`` holds the fit settings and
+    the CSV selection (``columns``, ``label_column``) the data were read
+    with."""
     return {
-        "config": config.to_dict(),
+        "config": {**asdict(config), "columns": columns, "label_column": label_column},
         "dataset_fingerprint": fingerprint,
         "result": result_to_dict(result),
         "timings": timings,

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,21 @@ class TestCliCommands:
         record = json.loads(out_path.read_text(), parse_constant=reject)
         changes = [e["max_resp_change"] for e in record["result"]["trace"]]
         assert None in changes
+
+    def test_fit_records_column_selection(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        out_path = tmp_path / "fit.json"
+        assert main(["simulate", str(csv_path), "--preset", "study4",
+                     "--seed", "4"]) == 0
+        assert main(["fit", str(csv_path), str(out_path), "--model", "mnig",
+                     "--g-init", "5", "--columns", "x2,x1",
+                     "--label-column", "label", "--max-iter", "5"]) == 2
+        # The fit settings, then the CSV selection the data were read with.
+        config = read_json(out_path)["config"]
+        names = [f.name for f in fields(FitConfig)]
+        assert list(config) == [*names, "columns", "label_column"]
+        assert config["columns"] == ["x2", "x1"]
+        assert config["label_column"] == "label"
 
     def test_fit_missing_input_exits_3(self, tmp_path):
         code = main(["fit", str(tmp_path / "none.csv"), str(tmp_path / "o.json")])
@@ -482,6 +498,7 @@ def bad_inputs(tmp_path_factory):
         ("labels_frac", [1.5, 1.2, 2, 2]), ("labels_huge", [1e300, 1, 2, 2]),
     ):
         (root / f"{name}.csv").write_text("".join(f"{c}\n" for c in ["label", *cells]))
+    (root / "dir").mkdir()
     return root
 
 
@@ -537,6 +554,13 @@ def merge_argv(groups):
     (evaluate_argv("labels1", "labels1"), 3),
     (evaluate_argv("labels_frac", "labels_ref"), 3),
     (evaluate_argv("labels_huge", "labels_ref"), 3),
+    # Paths that cannot be read or written: a missing directory, or a
+    # directory where a file should be.
+    (["simulate", "{}/nonexistent/x.csv", "--preset", "study1"], 3),
+    (["fit", "{}/study1.csv", "{}/nonexistent/out.json", "--label-column", "label"], 3),
+    (["density-grid", "{}/fit1.json", "{}/nonexistent/g.csv", "--range", "0", "1"], 3),
+    (["fit", "{}/dir", "{}/out.json"], 3),
+    (["evaluate", "{}/dir", "{}/labels_ref.csv"], 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there.

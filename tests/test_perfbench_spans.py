@@ -1,11 +1,17 @@
-"""Every layer the benchmark traces resolves in the package, so a rename
-fails here and not only in the benchmark's own, much slower, test."""
+"""Every layer the benchmark traces, and every setting its workloads pass
+to ``FitConfig``, resolves in the package, so a rename fails here and not
+only in the benchmark's own, much slower, test."""
 
+import ast
 import importlib
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from nigmix.config import FitConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_traced_spans_resolve():
@@ -18,3 +24,14 @@ def test_traced_spans_resolve():
         if not callable(getattr(importlib.import_module(f"nigmix.{module}"), func, None))
     ]
     assert tracing.SPANS and not missing
+
+
+def test_workload_fit_configs_name_fields():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "FitConfig"
+    ]
+    keywords = {k.arg for call in calls for k in call.keywords}
+    assert calls and keywords <= {f.name for f in fields(FitConfig)}
