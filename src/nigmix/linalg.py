@@ -5,12 +5,17 @@ and d <= 10 in every experiment): dense arrays, explicit symmetrization on
 construction, and a LAPACK Cholesky that reports the offending pivot when
 positive definiteness fails so the caller can jitter or prune the
 component.
+
+LAPACK binds on the first factorization, not when this module loads: a
+univariate run needs no matrix algebra, so it never imports
+``scipy.linalg``.  ``NotPositiveDefinite`` and ``as_spd`` need no LAPACK.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 __all__ = [
     "NotPositiveDefinite",
@@ -48,6 +53,14 @@ def as_spd(m) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+@cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported once, at the first factorization."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L @ L.T = m, from LAPACK ``dpotrf``.
 
@@ -56,7 +69,7 @@ def cholesky(m) -> np.ndarray:
     NotPositiveDefinite
         With the index of the first non-positive pivot.
     """
-    L, info = dpotrf(np.asarray(m, dtype=float), lower=True, clean=True)
+    L, info = _lapack().dpotrf(np.asarray(m, dtype=float), lower=True, clean=True)
     # dpotrf stops at the first non-positive pivot (info is its 1-based
     # index) but lets a NaN pivot through with info = 0, so the diagonal of
     # the factor before the reported pivot is checked as well.
@@ -79,7 +92,7 @@ def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
     """
     L = cholesky(m)
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    inv_l, info = dtrtri(L, lower=True)
+    inv_l, info = _lapack().dtrtri(L, lower=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     return inv_l.T @ inv_l, logdet
