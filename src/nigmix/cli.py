@@ -92,6 +92,17 @@ def census_line(c: SimpleNamespace) -> str:
     )
 
 
+def _check_output(path: Path, source) -> None:
+    """Exit 3 now, not after a fit, when ``path`` cannot take a new file or
+    would overwrite the input ``source``."""
+    if not path.parent.is_dir():
+        raise CliError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise CliError(f"cannot write {path}: it is a directory")
+    if path.exists() and path.samefile(source):
+        raise CliError(f"cannot write {path}: it is the input file")
+
+
 def cmd_fit(args) -> int:
     config = FitConfig(**{f.name: getattr(args, f.name) for f in fields(FitConfig)})
     columns = args.columns.split(",") if args.columns else None
@@ -99,6 +110,10 @@ def cmd_fit(args) -> int:
         data, _ = ingest_csv(args.input, columns, args.label_column)
     except (OSError, ValueError) as exc:
         raise CliError(f"ingestion failed: {exc}") from exc
+    out = Path(args.output)
+    _check_output(out, args.input)  # first: "." or "/" has no suffix to swap
+    labels_path = out.with_suffix(".labels.csv")
+    _check_output(labels_path, args.input)
     t0 = time.perf_counter()
     result = run_fit(config, data)
     elapsed = time.perf_counter() - t0
@@ -107,9 +122,7 @@ def cmd_fit(args) -> int:
         config, result, file_fingerprint(args.input), {"fit_seconds": elapsed},
         columns, args.label_column,
     )
-    out = Path(args.output)
     write_json(out, record)
-    labels_path = out.with_suffix(".labels.csv")
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("label\n")
         fh.writelines(f"{int(v)}\n" for v in result.labels)

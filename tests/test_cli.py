@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nigmix import cli
 from nigmix.cli import main
 from nigmix.config import FitConfig
 from nigmix.distributions import MixtureSpec, UNIGParams, sample_mixture
@@ -473,6 +474,8 @@ def bad_inputs(tmp_path_factory):
                  "--label-column", "label", "--g-init", "10", "--seed", "0"]) == 0
     study1 = (root / "study1.csv").read_text()
     study5 = (root / "study5.csv").read_text()
+    # An input that `fit ... s1.json` would overwrite with its labels.
+    (root / "s1.labels.csv").write_text(study1)
     lines = study1.splitlines(keepends=True)
     (root / "header.csv").write_text(lines[0])
     (root / "few.csv").write_text("".join(lines[:4]))
@@ -499,6 +502,7 @@ def bad_inputs(tmp_path_factory):
     ):
         (root / f"{name}.csv").write_text("".join(f"{c}\n" for c in ["label", *cells]))
     (root / "dir").mkdir()
+    (root / "dir_labels.labels.csv").mkdir()
     return root
 
 
@@ -560,14 +564,42 @@ def merge_argv(groups):
     (["fit", "{}/study1.csv", "{}/nonexistent/out.json", "--label-column", "label"], 3),
     (["density-grid", "{}/fit1.json", "{}/nonexistent/g.csv", "--range", "0", "1"], 3),
     (["fit", "{}/dir", "{}/out.json"], 3),
+    (["fit", "{}/study1.csv", "{}/dir", "--label-column", "label"], 3),
     (["evaluate", "{}/dir", "{}/labels_ref.csv"], 3),
+    # A record or labels path that names the input file.
+    (["fit", "{}/study1.csv", "{}/study1.csv", "--label-column", "label"], 3),
+    (["fit", "{}/s1.labels.csv", "{}/s1.json", "--label-column", "label"], 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
-    # One error line on stderr and no warning, which numpy would print there.
+    # One error line on stderr and no warning, which numpy would print there,
+    # and no file written or changed.
+    files = {p: p.read_bytes() for p in bad_inputs.rglob("*") if p.is_file()}
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([a.format(bad_inputs) for a in argv]) == code
     assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert {p: p.read_bytes() for p in bad_inputs.rglob("*") if p.is_file()} == files
+
+
+@pytest.mark.parametrize("source, output", [
+    ("study1.csv", "nonexistent/out.json"),
+    ("study1.csv", "dir"),
+    ("study1.csv", "dir_labels.json"),
+    ("study1.csv", "study1.csv"),
+    ("s1.labels.csv", "s1.json"),
+])
+def test_fit_checks_outputs_before_fitting(bad_inputs, monkeypatch, capsys,
+                                           source, output):
+    # A record or labels path that cannot be written, or that names the
+    # input, exits 3 before the fit starts.
+    def no_fit(config, data):
+        raise AssertionError("run_fit was called")
+
+    monkeypatch.setattr(cli, "run_fit", no_fit)
+    assert main(["fit", str(bad_inputs / source), str(bad_inputs / output),
+                 "--label-column", "label"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,9 +1,17 @@
 """Dense SPD helpers, checked against numpy's native factorizations and a
 column-by-column Cholesky."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nigmix.distributions import sample_mixture
+from nigmix.io import write_sample_csv
 from nigmix.linalg import (
     NotPositiveDefinite,
     as_spd,
@@ -11,6 +19,7 @@ from nigmix.linalg import (
     spd_inverse_logdet,
     spd_inverse_logdet_jittered,
 )
+from nigmix.presets import simulation_preset
 from tests_support_naive import cholesky_loop
 
 
@@ -97,3 +106,33 @@ class TestSmallHelpers:
     def test_as_spd_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             as_spd(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
+def test_lapack_loads_at_first_factorization(tmp_path):
+    # A fresh process, since this one has imported scipy.linalg already: a
+    # univariate run never loads it, and an mnig fit loads it and succeeds.
+    spec, counts = simulation_preset("study5")
+    write_sample_csv(tmp_path / "s5.csv",
+                     sample_mixture(spec, sum(counts), seed=4, counts=counts))
+    script = textwrap.dedent("""
+        import sys
+        from nigmix.cli import main
+
+        def lapack_loaded():
+            return "scipy.linalg" in sys.modules
+
+        assert not lapack_loaded(), "import nigmix.cli"
+        assert main(["simulate", "s1.csv", "--preset", "study1"]) == 0
+        assert not lapack_loaded(), "simulate --preset study1"
+        assert main(["fit", "s1.csv", "s1.json", "--label-column", "label"]) in (0, 2)
+        assert not lapack_loaded(), "unig fit"
+        assert main(["fit", "s5.csv", "s5.json", "--label-column", "label",
+                     "--model", "mnig"]) in (0, 2)
+        assert lapack_loaded(), "mnig fit"
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
