@@ -564,8 +564,8 @@ def merge_argv(groups):
     (["fit", "{}/study1.csv", "{}/nonexistent/out.json", "--label-column", "label"], 3),
     (["density-grid", "{}/fit1.json", "{}/nonexistent/g.csv", "--range", "0", "1"], 3),
     (["fit", "{}/dir", "{}/out.json"], 3),
-    (["fit", "{}/study1.csv", "{}/dir", "--label-column", "label"], 3),
     (["evaluate", "{}/dir", "{}/labels_ref.csv"], 3),
+    (["fit", "{}/study1.csv", "{}/dir", "--label-column", "label"], 3),
     # A record or labels path that names the input file.
     (["fit", "{}/study1.csv", "{}/study1.csv", "--label-column", "label"], 3),
     (["fit", "{}/s1.labels.csv", "{}/s1.json", "--label-column", "label"], 3),
