@@ -2,18 +2,18 @@
 
 All component scale matrices in the multivariate engine are tiny (d <= 64,
 and d <= 10 in every experiment): dense arrays, explicit symmetrization on
-construction, and a LAPACK Cholesky that reports the offending pivot when
+construction, and a Cholesky that reports the offending pivot when
 positive definiteness fails so the caller can jitter or prune the
 component.
 
-LAPACK binds on the first factorization, not when this module loads: a
-univariate run needs no matrix algebra, so it never imports
-``scipy.linalg``.  ``NotPositiveDefinite`` and ``as_spd`` need no LAPACK.
+The factorizations run through ``numpy.linalg``, whose LAPACK numpy has
+already loaded, so no run imports ``scipy.linalg``.  ``cholesky`` and both
+inverses take one (d, d) matrix or a (k, d, d) stack; one matrix goes
+through the stack code as a stack of one, so a matrix gives the same bits
+alone as in a stack.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -53,61 +53,82 @@ def as_spd(m) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@cache
-def _lapack():
-    """``scipy.linalg.lapack``, imported once, at the first factorization."""
-    from scipy.linalg import lapack
+def _factors(stack: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factors of a (k, d, d) stack, or None unless every
+    pivot is > 0.  numpy raises on a non-positive pivot but lets a NaN
+    pivot through, so the factors' diagonals are checked as well."""
+    try:
+        L = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return None
+    return L if (np.diagonal(L, axis1=-2, axis2=-1) > 0.0).all() else None
 
-    return lapack
+
+def _first_bad_pivot(stack: np.ndarray) -> int:
+    """The first pivot that is not > 0, in the first matrix of ``stack``
+    that does not factor: the first leading j x j block that does not
+    factor ends with it."""
+    for m in stack:
+        for j in range(1, m.shape[0] + 1):
+            if _factors(m[None, :j, :j]) is None:
+                return j - 1
+    raise ValueError("every matrix of the stack factors")
+
+
+def _as_stack(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    return m if m.ndim == 3 else m[None]
 
 
 def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = m, from LAPACK ``dpotrf``.
+    """Lower-triangular L with L @ L.T = m, for one matrix or each matrix
+    of a stack, from LAPACK ``dpotrf`` through ``numpy.linalg``.
 
     Raises
     ------
     NotPositiveDefinite
-        With the index of the first non-positive pivot.
+        With the index of the first pivot that is not > 0, NaN included,
+        in the first matrix of the stack that has one.
     """
-    L, info = _lapack().dpotrf(np.asarray(m, dtype=float), lower=True, clean=True)
-    # dpotrf stops at the first non-positive pivot (info is its 1-based
-    # index) but lets a NaN pivot through with info = 0, so the diagonal of
-    # the factor before the reported pivot is checked as well.
-    ok = L.diagonal()[: info - 1 if info > 0 else None] > 0.0
-    if not ok.all():
-        raise NotPositiveDefinite(int(ok.argmin()))
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    return L
+    stack = _as_stack(m)
+    L = _factors(stack)
+    if L is None:
+        raise NotPositiveDefinite(_first_bad_pivot(stack))
+    return L if np.ndim(m) == 3 else L[0]
 
 
-def spd_inverse_logdet(m) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of an SPD matrix via Cholesky: LAPACK
-    ``dtrtri`` inverts the factor L, and inv(L).T @ inv(L) is the inverse.
+def spd_inverse_logdet(m):
+    """Inverse and log-determinant of one SPD matrix, or of each matrix of
+    a stack, via Cholesky: with W the inverse of the factor L,
+    W.T @ W is the inverse.
 
     numpy forms that product of a matrix with its own transpose by the
-    symmetric BLAS update, so the result is exactly symmetric, C-ordered,
-    and the same at any OpenBLAS thread count for d <= 64 (``dpotri`` is
-    not, from d = 5).
+    symmetric BLAS update, so each inverse is exactly symmetric, C-ordered,
+    and the same at any OpenBLAS thread count for d <= 64.
     """
-    L = cholesky(m)
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    inv_l, info = _lapack().dtrtri(L, lower=True)
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    return inv_l.T @ inv_l, logdet
+    stack = _as_stack(m)
+    L = cholesky(stack)
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    inv_l = np.linalg.inv(L)
+    inv = inv_l.transpose(0, 2, 1) @ inv_l
+    return (inv, logdet) if np.ndim(m) == 3 else (inv[0], float(logdet[0]))
 
 
-def spd_inverse_logdet_jittered(m) -> tuple[np.ndarray, float]:
+def spd_inverse_logdet_jittered(m):
     """spd_inverse_logdet with one jitter retry for near-singular inputs.
 
     Jitter is 1e-8 * trace/d on the diagonal; a second failure propagates
-    NotPositiveDefinite so the caller can prune.
+    NotPositiveDefinite so the caller can prune.  A stack that does not
+    factor is redone one matrix at a time, so each matrix is jittered only
+    when it needs it.
     """
     m = np.asarray(m, dtype=float)
     try:
         return spd_inverse_logdet(m)
     except NotPositiveDefinite:
+        if m.ndim == 3:
+            inverses, logdets = zip(*map(spd_inverse_logdet_jittered, m))
+            return np.array(inverses), np.array(logdets)
         eps = 1e-8 * np.trace(m) / m.shape[0]
         if not eps > 0.0:
             eps = 1e-12

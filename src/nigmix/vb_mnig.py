@@ -12,9 +12,10 @@ each component through the floating-point steps of its own update: the
 batched products make the BLAS calls, over the same strides, that one
 column of the responsibilities would, and a0 is squared by
 ``np.float_power``, as a scalar ``a0**2`` is.  Per component run only the
-expectation step's pass over the hyper rows, which checks each row and
-factors the scale accumulator of the rows that pass, and the tail-weight
-moments.
+expectation step's scalar checks of the hyper rows and the tail-weight
+moments.  The scale accumulators of the rows that pass are inverted in one
+stacked call per sweep; only a stack that does not factor is redone one
+row at a time, each row with its own jitter retry.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -47,7 +48,12 @@ from ._vbcore import (
 )
 from .config import FitConfig, InvalidData
 from .distributions import MNIGParams, mnig_log_density
-from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
+from .linalg import (
+    NotPositiveDefinite,
+    as_spd,
+    spd_inverse_logdet,
+    spd_inverse_logdet_jittered,
+)
 from .special import digamma, trunc_normal_moments
 
 __all__ = [
@@ -215,7 +221,7 @@ def expectations_from_hypers_m(
     """The bundle stack of the valid hyper rows, and the (row, reason) of
     the others; only rows that pass the scalar checks reach the Cholesky."""
     d = h.a1.shape[1]
-    live, inverses, dropped = [], [], []
+    live, dropped = [], []
     D = h.disc
     checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist())
     for g, (a0, a3, a4, disc) in enumerate(checked):
@@ -226,15 +232,24 @@ def expectations_from_hypers_m(
         elif not a0 > d - 1.0:
             dropped.append((g, "Wishart degrees of freedom too small"))
         else:
+            live.append(g)
+    try:
+        v_inv, logdet_v = spd_inverse_logdet(h.V[live])
+    except NotPositiveDefinite:
+        # One row at a time, each with its jitter retry: a row that still
+        # fails is dropped with its own pivot, in component order.
+        inverses = []
+        for g in live.copy():
             try:
                 inverses.append(spd_inverse_logdet_jittered(h.V[g]))
-                live.append(g)
             except NotPositiveDefinite as exc:
+                live.remove(g)
                 dropped.append((g, f"scale accumulator not SPD: {exc}"))
+        dropped.sort()
+        v_inv = np.array([inv for inv, _ in inverses]).reshape(-1, d, d)
+        logdet_v = np.array([logdet for _, logdet in inverses])
     if dropped:
         h, D = take(h, live), D[live]
-    v_inv = np.array([inv for inv, _ in inverses]).reshape(-1, d, d)
-    logdet_v = np.array([logdet for _, logdet in inverses])
     # psi without digamma's checks: the loop has checked a0 > d - 1.
     elog_det_prec = (
         psi((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
@@ -294,11 +309,12 @@ def plug_in_params_m(result: FitResult) -> list[MNIGParams]:
     """Posterior-mean plug-in parameters; the scale is the inverse of the
     posterior-mean precision.  Reporting convention only."""
     b = result.bundles
+    sigma_t, _ = spd_inverse_logdet_jittered(b.e_prec)
     return [
         MNIGParams(
             mu_t=b.mu_bar[g],
             beta_t=b.beta_bar[g],
-            sigma_t=spd_inverse_logdet_jittered(b.e_prec[g])[0],
+            sigma_t=sigma_t[g],
             gamma_t=b.gamma_t[g],
         )
         for g in range(len(b.gamma_t))

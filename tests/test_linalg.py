@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nigmix.distributions import sample_mixture
-from nigmix.io import write_sample_csv
 from nigmix.linalg import (
     NotPositiveDefinite,
     as_spd,
@@ -19,7 +17,6 @@ from nigmix.linalg import (
     spd_inverse_logdet,
     spd_inverse_logdet_jittered,
 )
-from nigmix.presets import simulation_preset
 from tests_support_naive import cholesky_loop
 
 
@@ -108,27 +105,74 @@ class TestSmallHelpers:
             as_spd(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
-def test_lapack_loads_at_first_factorization(tmp_path):
-    # A fresh process, since this one has imported scipy.linalg already: a
-    # univariate run never loads it, and an mnig fit loads it and succeeds.
-    spec, counts = simulation_preset("study5")
-    write_sample_csv(tmp_path / "s5.csv",
-                     sample_mixture(spec, sum(counts), seed=4, counts=counts))
+class TestStacks:
+    """A (k, d, d) stack gives each matrix the bits it gets alone."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_stack_equals_one_matrix_at_a_time(self, d):
+        good = np.array([random_spd(d, 300 + 10 * d + i) for i in range(5)])
+        # Singular: the jittered inverse factors it only on its retry, and
+        # the other matrices of the stack take none.
+        singular = good.copy()
+        singular[2] = np.diag(np.r_[np.ones(d - 1), 0.0])
+        assert np.array_equal(cholesky(good), [cholesky(m) for m in good])
+        for inverse, stack in [(spd_inverse_logdet, good),
+                               (spd_inverse_logdet_jittered, good),
+                               (spd_inverse_logdet_jittered, singular)]:
+            inv, logdet = inverse(stack)
+            assert inv.shape == (5, d, d) and inv.flags.c_contiguous
+            for i, m in enumerate(stack):
+                one, one_logdet = inverse(m)
+                assert np.array_equal(inv[i], one) and logdet[i] == one_logdet
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse_logdet(singular)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_reports_the_pivot_of_the_first_bad_matrix(self, d):
+        good = random_spd(d, 400 + d)
+        negative = np.diag(np.r_[np.ones(d - 1), -1.0])
+        nan_first = np.eye(d)
+        nan_first[0, 0] = np.nan
+        cases = [(negative, d - 1), (nan_first, 0)]
+        if d > 1:
+            nan_last = np.eye(d)
+            nan_last[0, -1] = nan_last[-1, 0] = np.nan
+            cases.append((nan_last, d - 1))
+        for bad, pivot in cases:
+            # A second bad matrix, with another pivot, comes after the first.
+            later = nan_first if bad is negative else negative
+            for stack in (np.array([good, bad, good]), np.array([good, bad, later])):
+                for factor in (cholesky, spd_inverse_logdet,
+                               spd_inverse_logdet_jittered):
+                    with pytest.raises(NotPositiveDefinite) as exc:
+                        factor(stack)
+                    assert exc.value.pivot_index == pivot
+
+
+def test_scipy_linalg_never_loads(tmp_path):
+    # A fresh process, since this one may have imported scipy.linalg: no
+    # command, univariate or multivariate, loads it.
     script = textwrap.dedent("""
         import sys
         from nigmix.cli import main
 
-        def lapack_loaded():
-            return "scipy.linalg" in sys.modules
+        def check(step):
+            assert "scipy.linalg" not in sys.modules, step
 
-        assert not lapack_loaded(), "import nigmix.cli"
-        assert main(["simulate", "s1.csv", "--preset", "study1"]) == 0
-        assert not lapack_loaded(), "simulate --preset study1"
-        assert main(["fit", "s1.csv", "s1.json", "--label-column", "label"]) in (0, 2)
-        assert not lapack_loaded(), "unig fit"
-        assert main(["fit", "s5.csv", "s5.json", "--label-column", "label",
-                     "--model", "mnig"]) in (0, 2)
-        assert lapack_loaded(), "mnig fit"
+        check("import nigmix.cli")
+        for preset in ("study1", "study4", "study5"):
+            argv = ["simulate", preset + ".csv", "--preset", preset, "--seed", "1003"]
+            assert main(argv) == 0
+            check("simulate --preset " + preset)
+        assert main(["fit", "study1.csv", "s1.json", "--label-column", "label"]) in (0, 2)
+        check("unig fit")
+        # Converges, so density-grid takes its record.
+        assert main(["fit", "study4.csv", "s4.json", "--label-column", "label",
+                     "--model", "mnig", "--g-init", "5", "--seed", "3"]) == 0
+        check("mnig fit")
+        assert main(["density-grid", "s4.json", "grid.csv", "--range", "-2", "2",
+                     "--points", "4"]) == 0
+        check("density-grid on a d = 2 mnig record")
     """)
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

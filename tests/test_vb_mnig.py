@@ -332,6 +332,28 @@ class TestStackedSteps:
                 assert a.flags.c_contiguous
 
 
+def test_stack_that_does_not_factor_is_redone_row_by_row():
+    # Every row passes the scalar checks.  Rows 1 and 2 have a NaN and a
+    # negative pivot, and each is dropped with its own; row 3 factors only on
+    # its jitter retry, which no other row takes.
+    data, resp, lat, priors = random_m(2, n=60, k=5)
+    hypers = update_hypers_m(priors, resp, lat, data)
+    V = hypers.V.copy()
+    V[1, 1, 2] = V[1, 2, 1] = np.nan
+    V[2] = np.diag([1.0, -1.0, 1.0])
+    V[3] = np.diag([1.0, 1.0, 0.0])
+    hypers = dataclasses.replace(hypers, V=V)
+    got, dropped = expectations_from_hypers_m(hypers, 60.0)
+    ref, ref_dropped = expectations_loop(
+        expectations_one_m, ExpectationBundleM, hypers, 60.0
+    )
+    assert dropped == ref_dropped == [
+        (1, "scale accumulator not SPD: pivot 2 is not positive"),
+        (2, "scale accumulator not SPD: pivot 1 is not positive"),
+    ]
+    assert_stacks_equal(got, ref)
+
+
 class TestFit:
     def test_two_component_recovery(self):
         spec, counts = simulation_preset("study4")
