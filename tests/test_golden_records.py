@@ -21,8 +21,8 @@ from nigmix.io import read_json, run_record_hash
 @pytest.mark.parametrize("preset, model, g_init, prefix", [
     ("study1", "unig", 10, "edbe629996281c7c"),
     ("study2", "unig", 10, "650316d186b550f5"),
-    ("study4", "mnig", 5, "b7cc94f48d6338ff"),
-    ("study5", "mnig", 10, "a766a39268031673"),
+    ("study4", "mnig", 5, "a191b96e12ee721a"),
+    ("study5", "mnig", 10, "8e61a322f52507a7"),
 ])
 def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
     csv_path = tmp_path / f"{preset}.csv"
