@@ -93,27 +93,29 @@ def census_line(c: SimpleNamespace) -> str:
 
 
 def _check_output(path: Path, source) -> None:
-    """Exit 3 now, not after a fit, when ``path`` cannot take a new file or
-    would overwrite the input ``source``."""
+    """Exit 3 before a command reads or computes anything, when ``path``
+    cannot take a new file or would overwrite the input ``source`` (None
+    when there is none; a missing input is left to the command's read)."""
     if not path.parent.is_dir():
         raise CliError(f"cannot write {path}: {path.parent} is not a directory")
     if path.is_dir():
         raise CliError(f"cannot write {path}: it is a directory")
-    if path.exists() and path.samefile(source):
+    if (source is not None and path.exists() and Path(source).exists()
+            and path.samefile(source)):
         raise CliError(f"cannot write {path}: it is the input file")
 
 
 def cmd_fit(args) -> int:
     config = FitConfig(**{f.name: getattr(args, f.name) for f in fields(FitConfig)})
     columns = args.columns.split(",") if args.columns else None
-    try:
-        data, _ = ingest_csv(args.input, columns, args.label_column)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"ingestion failed: {exc}") from exc
     out = Path(args.output)
     _check_output(out, args.input)  # first: "." or "/" has no suffix to swap
     labels_path = out.with_suffix(".labels.csv")
     _check_output(labels_path, args.input)
+    try:
+        data, _ = ingest_csv(args.input, columns, args.label_column)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"ingestion failed: {exc}") from exc
     t0 = time.perf_counter()
     result = run_fit(config, data)
     elapsed = time.perf_counter() - t0
@@ -136,6 +138,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.output)
+    _check_output(out, args.spec)
+    sidecar_path = out.with_suffix(".spec.json")
+    _check_output(sidecar_path, args.spec)
     if args.preset:
         spec, counts = simulation_preset(args.preset)
         if args.n is not None and args.n != sum(counts):
@@ -156,7 +162,6 @@ def cmd_simulate(args) -> int:
         sample = sample_mixture(spec, n, args.seed, counts=counts)
     except ValueError as exc:
         raise CliError(f"invalid settings: {exc}") from exc
-    out = Path(args.output)
     write_sample_csv(out, sample)
     sidecar = {
         "spec": mixture_spec_to_dict(spec),
@@ -165,8 +170,8 @@ def cmd_simulate(args) -> int:
         "counts": list(counts) if counts else None,
         "preset": args.preset,
     }
-    write_json(out.with_suffix(".spec.json"), sidecar)
-    print(f"wrote {n} rows to {out} (sidecar {out.with_suffix('.spec.json')})")
+    write_json(sidecar_path, sidecar)
+    print(f"wrote {n} rows to {out} (sidecar {sidecar_path})")
     return EXIT_OK
 
 
@@ -210,6 +215,8 @@ def cmd_density_grid(args) -> int:
     from .vb_mnig import fitted_density_m
     from .vb_unig import fitted_density
 
+    out = Path(args.output)
+    _check_output(out, args.model_path)
     if args.points < 1:
         raise CliError("--points must be >= 1")
     if not np.isfinite(args.range + (args.range2 or [])).all():
@@ -233,7 +240,6 @@ def cmd_density_grid(args) -> int:
     axes = (np.linspace(lo, hi, args.points) for lo, hi in ranges)
     grid = np.column_stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")])
     rows = np.column_stack([grid, density(result, grid).reshape(-1)])
-    out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"{header},density\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

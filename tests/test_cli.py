@@ -503,6 +503,8 @@ def bad_inputs(tmp_path_factory):
         (root / f"{name}.csv").write_text("".join(f"{c}\n" for c in ["label", *cells]))
     (root / "dir").mkdir()
     (root / "dir_labels.labels.csv").mkdir()
+    # A spec named as `simulate sim.csv` names its own sidecar.
+    write_json(root / "sim.spec.json", mixture_spec_to_dict(spec))
     return root
 
 
@@ -569,6 +571,10 @@ def merge_argv(groups):
     # A record or labels path that names the input file.
     (["fit", "{}/study1.csv", "{}/study1.csv", "--label-column", "label"], 3),
     (["fit", "{}/s1.labels.csv", "{}/s1.json", "--label-column", "label"], 3),
+    # A grid or sidecar path that names the model record or spec read.
+    (["density-grid", "{}/fit1.json", "{}/fit1.json", "--range", "0", "1",
+      "--points", "3"], 3),
+    (["simulate", "{}/sim.csv", "--spec", "{}/sim.spec.json"], 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,
