@@ -56,23 +56,21 @@ def as_spd(m) -> np.ndarray:
 def _factors(stack: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factors of a (k, d, d) stack, or None unless every
     pivot is > 0.  numpy raises on a non-positive pivot but lets a NaN
-    pivot through, so the factors' diagonals are checked as well."""
+    pivot through, so the least diagonal entry, NaN if any is, is checked
+    as well."""
     try:
         L = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
-    return L if (np.diagonal(L, axis1=-2, axis2=-1) > 0.0).all() else None
+    return L if L.diagonal(0, -2, -1).min(initial=np.inf) > 0.0 else None
 
 
 def _first_bad_pivot(stack: np.ndarray) -> int:
     """The first pivot that is not > 0, in the first matrix of ``stack``
     that does not factor: the first leading j x j block that does not
     factor ends with it."""
-    for m in stack:
-        for j in range(1, m.shape[0] + 1):
-            if _factors(m[None, :j, :j]) is None:
-                return j - 1
-    raise ValueError("every matrix of the stack factors")
+    blocks = ((m, j) for m in stack for j in range(1, m.shape[0] + 1))
+    return next(j - 1 for m, j in blocks if _factors(m[None, :j, :j]) is None)
 
 
 def _as_stack(m) -> np.ndarray:
@@ -108,7 +106,7 @@ def spd_inverse_logdet(m):
     """
     stack = _as_stack(m)
     L = cholesky(stack)
-    logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    logdet = 2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1)
     inv_l = np.linalg.inv(L)
     inv = inv_l.transpose(0, 2, 1) @ inv_l
     return (inv, logdet) if np.ndim(m) == 3 else (inv[0], float(logdet[0]))
