@@ -2,8 +2,9 @@
 
 A refactor of the engines must leave every number of a fit, and so the
 hash of its run record, exactly as it was.  Each case simulates a preset
-sample at seed 4 and fits it from the command line at seed 0.  The hash
-must not depend on how many threads OpenBLAS runs either.
+sample at seed 4 and fits it from the command line at seed 0, from a
+k-means start and, for one case per engine, from a random partition.  The
+hash must not depend on how many threads OpenBLAS runs either.
 """
 
 import os
@@ -25,13 +26,33 @@ from nigmix.io import read_json, run_record_hash
     ("study5", "mnig", 10, "8e61a322f52507a7"),
 ])
 def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
+    code, digest = fit_record_hash(tmp_path, preset, model, g_init)
+    assert code in (0, 2)
+    assert digest.startswith(prefix)
+
+
+@pytest.mark.parametrize("preset, model, g_init, prefix", [
+    ("study1", "unig", 10, "a12ab4c528b9859a"),
+    ("study4", "mnig", 5, "99bf2037bc59f914"),
+])
+def test_run_record_hash_random_partition(tmp_path, preset, model, g_init, prefix):
+    # The start from a seeded random partition rather than k-means.
+    code, digest = fit_record_hash(tmp_path, preset, model, g_init,
+                                   "--init-mode", "random")
+    assert code == 0
+    assert digest.startswith(prefix)
+
+
+def fit_record_hash(tmp_path, preset, model, g_init, *flags):
+    """The exit code and run-record hash of a seed-0 fit of the preset's
+    seed-4 sample."""
     csv_path = tmp_path / f"{preset}.csv"
     out = tmp_path / f"{preset}.json"
     assert main(["simulate", str(csv_path), "--preset", preset, "--seed", "4"]) == 0
     code = main(["fit", str(csv_path), str(out), "--model", model,
-                 "--g-init", str(g_init), "--label-column", "label", "--seed", "0"])
-    assert code in (0, 2)
-    assert run_record_hash(read_json(out)).startswith(prefix)
+                 "--g-init", str(g_init), "--label-column", "label", "--seed", "0",
+                 *flags])
+    return code, run_record_hash(read_json(out))
 
 
 def test_run_record_hash_equal_across_blas_threads(tmp_path):
