@@ -3,13 +3,14 @@
 Holds the result containers, ``real_array``, the one conversion of fit
 input both engine entries make, the component-stack helper ``take``, the
 deterministic initial-partition helpers (one-hot random assignment and a
-small seeded Lloyd k-means) and the initial latent moments, both checked
-for squared distances that overflow, the log-sum-exp row normalization
-with its uniform-row underflow fallback, ``gig_responsibilities``, the
-responsibilities step both engines finish with, ``prune``, and
-``run_sweep``, which checks the shared input and runs the variational
-sweep with each engine's update steps.  A component stack is a dataclass
-whose every field has a leading axis of one row per component.
+small seeded Lloyd k-means, which checks for squared distances that
+overflow), the log-sum-exp row normalization with its uniform-row
+underflow fallback, ``gig_responsibilities``, the responsibilities step
+both engines finish with, ``prune``, and ``run_sweep``, which checks the
+shared input, draws the start (the initial partition and its latent
+moments) and runs the variational sweep with each engine's update steps.
+A component stack is a dataclass whose every field has a leading axis of
+one row per component.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "DegenerateFit",
     "FitResult",
     "gig_responsibilities",
-    "initial_latent_moments",
     "initial_partition",
     "kmeans_labels",
     "normalize_log_scores",
@@ -140,15 +140,6 @@ def initial_partition(
     return one_hot(labels, g_init)
 
 
-def initial_latent_moments(lam: float, chi: np.ndarray):
-    """Latent GIG(lam, chi, 1) moments of the initial partition, where
-    ``chi`` is one plus each squared distance to a component centre; a
-    distance that overflowed leaves no moments."""
-    if not chi.max() < math.inf:
-        raise DegenerateFit("squared distances to the initial centres overflow")
-    return gig_moments(lam, chi, np.ones_like(chi))
-
-
 def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Softmax over the components of (k, n) log scores, returned as (n, k)
     C-ordered responsibilities, with a uniform fallback.
@@ -240,7 +231,11 @@ def run_sweep(
 
     ``data`` comes shaped by ``fit`` or ``fit_m``; a ``config`` for the other
     engine, a non-finite value or no more rows than ``config.g_init`` raise
-    InvalidData before ``init``, and every step trusts ``data`` after that.
+    InvalidData, and every step trusts ``data`` after these checks.  Then
+    the start is drawn: the initial partition from ``config.seed``, and
+    ``init``'s GIG order, (n, g) ``chi`` and priors for it, whose latent
+    GIG(order, chi, 1) moments begin the sweep; a ``chi`` that overflowed
+    raises DegenerateFit.
     ``expectations`` returns the bundle stack of the valid hyper rows and
     the (row, reason) of the others, which are dropped; ``responsibilities``
     raising DegenerateComponent(g, reason) for bundle row g ends the fit
@@ -257,9 +252,13 @@ def run_sweep(
     if data.shape[0] <= config.g_init:
         n, g = data.shape[0], config.g_init
         raise InvalidData(f"{n} rows, but a fit needs more rows than g_init ({g})")
-    resp, lat, priors = init(
-        data, config.g_init, config.init_mode, config.hyper_init, config.seed
-    )
+    rng = np.random.default_rng(config.seed)
+    # Called through the module global, which a tracer rebinds.
+    resp = initial_partition(data, config.g_init, config.init_mode, rng)
+    lam, chi, priors = init(data, resp, config.hyper_init)
+    if not chi.max() < math.inf:
+        raise DegenerateFit("squared distances to the initial centres overflow")
+    lat = gig_moments(lam, chi, np.ones_like(chi))
     ids = np.arange(1, config.g_init + 1)
     trace: list[dict] = []
     all_flags: list[str] = []

@@ -40,8 +40,6 @@ from scipy.special import psi
 from ._vbcore import (
     FitResult,
     gig_responsibilities,
-    initial_latent_moments,
-    initial_partition,
     real_array,
     run_sweep,
     take,
@@ -128,17 +126,16 @@ def flat_priors_m(
     )
 
 
-def init_fit_m(
-    data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
-):
-    """Initial responsibilities, latent moments, and priors for the (n, d)
-    data ``fit_m`` passes; InvalidData unless its columns are of full rank.
+def init_fit_m(data: np.ndarray, resp: np.ndarray, hyper_init: float):
+    """GIG order, (n, g) ``chi`` and priors of the start from the (n, g)
+    initial partition ``resp`` of the (n, d) data ``fit_m`` passes;
+    InvalidData unless the columns are of full rank.
 
     Per-component sample means and covariances seed the distance scale of
-    the initial GIG latent posterior; drift starts at zero and the tail
-    weight at one.
+    the latent GIG(-(d+1)/2, chi, 1) posterior of ``_vbcore.run_sweep``'s
+    first sweep; drift starts at zero and the tail weight at one.
     """
-    n, d = data.shape
+    d = data.shape[1]
     # The Wishart posteriors need full-rank columns, tested centred and scaled
     # to a largest magnitude of one; an overflowing square is left to DegenerateFit.
     centred = data - data.mean(axis=0)
@@ -147,12 +144,8 @@ def init_fit_m(
         scale.all() and np.linalg.matrix_rank(centred / scale) == d
     ):
         raise InvalidData("mnig needs linearly independent, non-constant columns")
-    rng = np.random.default_rng(seed)
-    resp = initial_partition(data, g_init, init_mode, rng)
-    lam = -(d + 1) / 2.0
-    chi = np.empty((n, g_init))
-    for g in range(g_init):
-        z = resp[:, g]
+    chi = np.empty(resp.shape)
+    for g, z in enumerate(resp.T):
         total = z.sum()
         mu = data.T @ z / total if total > 0 else data.mean(axis=0)
         centered = data - mu
@@ -166,9 +159,8 @@ def init_fit_m(
         except NotPositiveDefinite:
             prec = np.eye(d) / (np.trace(cov) / d)
         chi[:, g] = 1.0 + np.einsum("ij,ij->i", centered @ prec, centered)
-    lat = initial_latent_moments(lam, chi)
     cov_trace = float(np.trace(np.atleast_2d(np.cov(data.T))))
-    return resp, lat, flat_priors_m(g_init, d, hyper_init, cov_trace)
+    return -(d + 1) / 2.0, chi, flat_priors_m(resp.shape[1], d, hyper_init, cov_trace)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -32,8 +32,6 @@ from scipy.special import gammaincinv, gammaln, psi, xlogy
 from ._vbcore import (
     FitResult,
     gig_responsibilities,
-    initial_latent_moments,
-    initial_partition,
     prune,
     real_array,
     run_sweep,
@@ -95,25 +93,21 @@ def flat_priors(g: int, hyper_init: float) -> ComponentHyper:
     return ComponentHyper(*(np.full(g, float(hyper_init)) for _ in range(5)))
 
 
-def init_fit(
-    data: np.ndarray, g_init: int, init_mode: str, hyper_init: float, seed: int
-):
-    """Initial responsibilities, latent moments, and flat priors for the
-    (n,) data ``fit`` passes.
+def init_fit(data: np.ndarray, resp: np.ndarray, hyper_init: float):
+    """GIG order, (n, g) ``chi`` and flat priors of the start from the (n, g)
+    initial partition ``resp`` of the (n,) data ``fit`` passes.
 
-    The initial hard partition fixes per-component sample means; asymmetry
-    starts at zero and both scale and tail weight at one, and the latent
-    moments follow from the GIG posterior those values induce.
+    The partition fixes per-component sample means; asymmetry starts at
+    zero and both scale and tail weight at one, which gives the latent
+    GIG(-1, chi, 1) posterior of ``_vbcore.run_sweep``'s first sweep.
     """
-    rng = np.random.default_rng(seed)
-    resp = initial_partition(data, g_init, init_mode, rng)
     counts = resp.sum(axis=0)
     mus = np.where(
         counts > 0, resp.T @ data / np.maximum(counts, 1.0), data.mean()
     )
     # delta = gamma = 1, beta = 0: A_ig = 1 + (y_i - mu_g)^2, B_g = 1.
     chi = 1.0 + (data[:, None] - mus[None, :]) ** 2
-    return resp, initial_latent_moments(-1.0, chi), flat_priors(g_init, hyper_init)
+    return -1.0, chi, flat_priors(resp.shape[1], hyper_init)
 
 
 def update_hypers(

@@ -292,13 +292,13 @@ def test_12_cross_engine_identity():
         update_responsibilities,
     )
     from nigmix.vb_mnig import update_responsibilities_m
-    from tests_support_naive import unig_bundle_to_mnig
+    from tests_support_naive import first_sweep_state, unig_bundle_to_mnig
 
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         y = np.concatenate([rng.normal(0, 1, 30), rng.normal(5, 1.5, 30)])
-        resp, lat, priors = init_fit(y, 3, "kmeans", 1e-8, seed)
+        resp, lat, priors = first_sweep_state(init_fit, y, 3, 1e-8, seed)
         hypers = update_hypers(priors, resp, lat, y)
         bundles, _ = expectations_from_hypers(hypers, sum(hypers.a0.tolist()))
         r_uni, _, _ = update_responsibilities(y, bundles)

@@ -28,6 +28,7 @@ import tests_support_naive
 from tests_support_naive import (
     expectations_loop,
     expectations_one_m,
+    first_sweep_state,
     gig_moments_kve,
     log_bessel_k_kve,
     log_score_m,
@@ -222,7 +223,7 @@ def sweep_states():
     for name in ("study4", "study5"):
         spec, counts = simulation_preset(name)
         s = sample_mixture(spec, sum(counts), seed=1000, counts=counts)
-        resp, lat, priors = init_fit_m(s.observations, 10, "kmeans", 1e-8, 0)
+        resp, lat, priors = first_sweep_state(init_fit_m, s.observations, 10, 1e-8, 0)
         yield s.observations, resp, lat, priors
         res = fit_m(s.observations, FitConfig(model="mnig", g_init=10, max_iter=15))
         resp, lat, _ = update_responsibilities_m(s.observations, res.bundles)
@@ -385,8 +386,11 @@ class TestFit:
 
     def test_init_contract(self):
         data = np.random.default_rng(0).normal(0, 1, (50, 2))
-        resp, (e_u, e_uinv), priors = init_fit_m(data, 3, "kmeans", 1e-8, 0)
+        resp, (e_u, e_uinv), _ = first_sweep_state(init_fit_m, data, 3, 1e-8, 0)
         assert resp.shape == (50, 3)
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
+        lam, chi, priors = init_fit_m(data, resp, 1e-8)
+        assert lam == -1.5
+        assert chi.shape == (50, 3) and np.all(chi >= 1.0)
         assert priors.a0.shape == (3,)
         assert priors.V.shape == (3, 2, 2)

@@ -31,6 +31,7 @@ import tests_support_naive
 from tests_support_naive import (
     expectations_loop,
     expectations_one,
+    first_sweep_state,
     gig_moments_kve,
     log_bessel_k_kve,
     log_score_u,
@@ -261,7 +262,7 @@ def unig_states():
         spec, counts = simulation_preset(name)
         y = sample_mixture(spec, sum(counts), seed=1000, counts=counts).observations
         y = y.reshape(-1)
-        resp, lat, priors = init_fit(y, 10, "kmeans", 1e-8, 0)
+        resp, lat, priors = first_sweep_state(init_fit, y, 10, 1e-8, 0)
         yield y, resp, lat, priors
         res = fit(y, FitConfig(model="unig", g_init=10, max_iter=15))
         resp, lat, _ = update_responsibilities(y, res.bundles)
@@ -463,10 +464,13 @@ class TestFit:
 
     def test_init_fit_contract(self):
         data = np.linspace(-2, 10, 40)
-        resp, (e_u, e_uinv), priors = init_fit(data, 4, "kmeans", 1e-8, 0)
+        resp, (e_u, e_uinv), _ = first_sweep_state(init_fit, data, 4, 1e-8, 0)
         assert resp.shape == (40, 4)
         assert set(np.unique(resp)) <= {0.0, 1.0}
         assert np.all(e_u > 0) and np.all(e_uinv > 0)
+        lam, chi, priors = init_fit(data, resp, 1e-8)
+        assert lam == -1.0
+        assert chi.shape == (40, 4) and np.all(chi >= 1.0)
         assert all(getattr(priors, name).shape == (4,) for name in FIELDS)
         with pytest.raises(ValueError):
             fit(np.array([]), FitConfig(g_init=2))

@@ -6,7 +6,8 @@ call, pair-enumeration agreement index, set-partition enumeration, the
 d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
 moments through the generic ``kve`` at three orders, and the univariate
-and multivariate log scores of one bundle written out term by term."""
+and multivariate log scores of one bundle written out term by term, and
+the start of a fit's first sweep."""
 
 import itertools
 import math
@@ -16,8 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import gammaln, kve
 
-from nigmix._vbcore import DegenerateComponent
-from nigmix.distributions import MNIGParams, UNIGParams
+from nigmix._vbcore import DegenerateComponent, initial_partition
+from nigmix.distributions import MNIGParams, UNIGParams, gig_moments
 from nigmix.linalg import NotPositiveDefinite, spd_inverse_logdet_jittered
 from nigmix.special import digamma, log_bessel_k, trunc_normal_moments
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
@@ -43,6 +44,16 @@ def stack(cls, components):
     """The stack of ``cls`` whose rows are the namespaces ``components``."""
     return cls(*(np.array([getattr(c, f.name) for c in components])
                  for f in fields(cls)))
+
+
+def first_sweep_state(init, data, g_init, hyper_init, seed):
+    """(resp, lat, priors) of a k-means start, composed as
+    ``_vbcore.run_sweep`` composes it: the seeded initial partition, the
+    engine ``init``'s order, chi and priors for it, and the latent
+    GIG(order, chi, 1) moments."""
+    resp = initial_partition(data, g_init, "kmeans", np.random.default_rng(seed))
+    lam, chi, priors = init(data, resp, hyper_init)
+    return resp, gig_moments(lam, chi, np.ones_like(chi)), priors
 
 
 def random_u(seed, n=25, k=3):
