@@ -138,6 +138,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if (args.preset is None) == (args.spec is None):
+        raise CliError("exactly one of --preset and --spec is required")
     out = Path(args.output)
     _check_output(out, args.spec)
     sidecar_path = out.with_suffix(".spec.json")
@@ -148,8 +150,6 @@ def cmd_simulate(args) -> int:
             counts = None  # fall back to categorical draws at the requested n
         n = args.n if args.n is not None else sum(counts)
     else:
-        if not args.spec:
-            raise CliError("either --preset or --spec is required")
         try:
             spec = mixture_spec_from_dict(read_json(args.spec))
         except (
@@ -239,7 +239,12 @@ def cmd_density_grid(args) -> int:
         density = fitted_density_m
     axes = (np.linspace(lo, hi, args.points) for lo, hi in ranges)
     grid = np.column_stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")])
-    rows = np.column_stack([grid, density(result, grid).reshape(-1)])
+    try:
+        values = density(result, grid).reshape(-1)
+    except (NotPositiveDefinite, ValueError) as exc:
+        # Bundle values that no NIG density has, such as a negative scale.
+        raise CliError(f"invalid model: {exc}") from exc
+    rows = np.column_stack([grid, values])
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"{header},density\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

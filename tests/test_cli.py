@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -461,7 +462,8 @@ def test_readme_quick_start_runs(capsys):
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A study1, a study4 and a study5 sample, CSVs made bad in one way
-    each, and a converged study1 fit for density-grid."""
+    each, and a converged study1 and study4 fit for density-grid, with
+    copies whose first component holds a value no density has."""
     root = tmp_path_factory.mktemp("bad_inputs")
     for preset in ("study1", "study4", "study5"):
         spec, counts = simulation_preset(preset)
@@ -472,6 +474,18 @@ def bad_inputs(tmp_path_factory):
                      sample_mixture(spec, sum(counts), seed=1000, counts=counts))
     assert main(["fit", str(root / "study1_1000.csv"), str(root / "fit1.json"),
                  "--label-column", "label", "--g-init", "10", "--seed", "0"]) == 0
+    assert main(["fit", str(root / "study4.csv"), str(root / "fit4.json"),
+                 "--label-column", "label", "--model", "mnig", "--g-init", "5",
+                 "--init-mode", "random", "--seed", "0"]) == 0
+    for name, source, field, value in (
+        ("delta_neg", "fit1", "delta", -1.0),
+        ("mu_nan", "fit1", "mu", math.nan),
+        ("prec_indefinite", "fit4", "e_prec", [[1.0, 0.0], [0.0, -1.0]]),
+        ("gamma_neg", "fit4", "gamma_t", -1.0),
+    ):
+        record = read_json(root / f"{source}.json")
+        record["result"]["bundles"][0][field] = value
+        write_json(root / f"{name}.json", record)
     study1 = (root / "study1.csv").read_text()
     study5 = (root / "study5.csv").read_text()
     # An input that `fit ... s1.json` would overwrite with its labels.
@@ -575,6 +589,15 @@ def merge_argv(groups):
     (["density-grid", "{}/fit1.json", "{}/fit1.json", "--range", "0", "1",
       "--points", "3"], 3),
     (["simulate", "{}/sim.csv", "--spec", "{}/sim.spec.json"], 3),
+    # Both sources of the mixture, each valid alone, or neither.
+    (["simulate", "{}/pp.csv", "--preset", "study1", "--spec", "{}/sim.spec.json"], 3),
+    (["simulate", "{}/pp.csv"], 3),
+    # A model record whose bundle values no NIG density has.
+    (["density-grid", "{}/delta_neg.json", "{}/grid.csv", "--range", "0", "1"], 3),
+    (["density-grid", "{}/mu_nan.json", "{}/grid.csv", "--range", "0", "1"], 3),
+    (["density-grid", "{}/prec_indefinite.json", "{}/grid.csv",
+      "--range", "0", "1"], 3),
+    (["density-grid", "{}/gamma_neg.json", "{}/grid.csv", "--range", "0", "1"], 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,
