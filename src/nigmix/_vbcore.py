@@ -9,6 +9,10 @@ underflow fallback, ``gig_responsibilities``, the responsibilities step
 both engines finish with, ``prune``, and ``run_sweep``, which checks the
 shared input, draws the start (the initial partition and its latent
 moments) and runs the variational sweep with each engine's update steps.
+The responsibilities step works in place: it sums the scores into the
+engine's score head and every step it calls writes into the arrays it has
+just made, so a unig fit holds at most about 9 arrays of n x g_init
+doubles at once; an mnig fit adds its score step's (k, n, d) temporaries.
 A component stack is a dataclass whose every field has a leading axis of
 one row per component.
 """
@@ -152,7 +156,8 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
     flags = [f"underflow_row:{i}" for i in np.nonzero(~finite)[0]]
     if flags:
         log_scores = np.where(finite, log_scores, 0.0)
-    resp = np.exp(log_scores - log_scores.max(axis=0))
+    resp = log_scores - log_scores.max(axis=0)
+    np.exp(resp, out=resp)
     # numpy sums a contiguous row of k values in turn below 8 and pairwise
     # from 8 on; only the second needs the row-major copy.
     if resp.shape[0] < 8:
@@ -171,6 +176,8 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     normalizer of the latent GIG(lam, chi, psi) posterior,
     log 2 + (lam/2) log(chi/psi) + log K_lam(sqrt(chi psi)).  ``head`` and
     ``chi`` are (k, n), one row per component, and ``psi`` is (k, 1).
+    The step consumes ``head``, whose buffer becomes the scores, and the
+    caller must not read it afterwards; ``chi`` is only read.
     The argument sqrt(chi psi) and log K_lam are formed once and serve both
     the scores and the latent moments.  Both engines build ``psi`` positive,
     so the one check that the argument is positive and finite is a check of
@@ -179,7 +186,8 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     """
     if head.shape[0] == 0:
         raise DegenerateFit("no live components")
-    omega = np.sqrt(chi * psi)
+    omega = chi * psi
+    np.sqrt(omega, out=omega)
     # Checked before np.log(chi), which would warn on a cancelled chi.
     try:
         log_k = log_bessel_k(lam, omega, pair=True)
@@ -189,12 +197,25 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
     # math.log, not np.log, which differs from it in the last bit on about
     # 1e-4 of arguments: study2 responsibilities would move by up to 5e-11.
     log_psi = np.array([math.log(v) for v in psi.flat])[:, None]
-    scores = head + math.log(2.0) + 0.5 * lam * (np.log(chi) - log_psi) + log_k[0]
-    resp, flags = normalize_log_scores(scores)
+    # head + log 2 + lam/2 (log chi - log psi) + log K, summed into head.
+    scores = head
+    scores += math.log(2.0)
+    log_ratio = np.log(chi)
+    log_ratio -= log_psi
+    log_ratio *= 0.5 * lam
+    scores += log_ratio
+    del log_ratio
+    scores += log_k[0]
+    # The moments come before the softmax, while no responsibilities are
+    # alive yet: this is the step's largest working set.
     e_u, e_uinv = gig_moments(lam, chi, psi, omega, log_k)
+    del omega, log_k
     # C-ordered (n, k) copies: update_hypers' dot products over strided
     # columns would sum in another order and move the answers.
-    return resp, (e_u.T.copy(), e_uinv.T.copy()), flags
+    lat = e_u.T.copy(), e_uinv.T.copy()
+    del e_u, e_uinv
+    resp, flags = normalize_log_scores(scores)
+    return resp, lat, flags
 
 
 def prune(resp: np.ndarray, threshold: float):
@@ -258,7 +279,8 @@ def run_sweep(
     lam, chi, priors = init(data, resp, config.hyper_init)
     if not chi.max() < math.inf:
         raise DegenerateFit("squared distances to the initial centres overflow")
-    lat = gig_moments(lam, chi, np.ones_like(chi))
+    lat = gig_moments(lam, chi, 1.0)
+    del chi
     ids = np.arange(1, config.g_init + 1)
     trace: list[dict] = []
     all_flags: list[str] = []
@@ -268,6 +290,8 @@ def run_sweep(
 
     for iterations in range(1, config.max_iter + 1):
         hypers = update_hypers(priors, resp, lat, data)
+        # Dropped before the responsibilities step forms the next moments.
+        del lat
         # Left to right: numpy sums eight or more values pairwise.
         total_mass = sum(hypers.a0.tolist())
         bundles, dropped = expectations(hypers, total_mass)

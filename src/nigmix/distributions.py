@@ -156,15 +156,25 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
     if omega is None:
         if not (chi.min() > 0.0 and psi.min() > 0.0):
             raise ValueError("GIG moments require chi > 0 and psi > 0")
-        omega = np.sqrt(chi * psi)
+        omega = _in_place(np.sqrt, chi * psi)
         log_k = log_bessel_k(nu, omega, pair=True)
     log_k_nu, log_k_down = log_k
-    down = np.exp(log_k_down - log_k_nu)
-    up = down + 2.0 * nu / omega
+    # Three new arrays in all: each step writes into one made here.
+    down = _in_place(np.exp, log_k_down - log_k_nu)
+    up = 2.0 * nu / omega
+    up += down
     if lam < 0.0:
         down, up = up, down
-    scale = np.sqrt(chi / psi)
-    return scale * up, down / scale
+    scale = _in_place(np.sqrt, chi / psi)
+    up *= scale
+    down /= scale
+    return up, down
+
+
+def _in_place(ufunc, x):
+    """``ufunc(x)``, written over ``x`` when it is an array (a scalar, as
+    0-d operands give, cannot be written)."""
+    return ufunc(x, out=x) if isinstance(x, np.ndarray) else ufunc(x)
 
 
 # ---------------------------------------------------------------------------

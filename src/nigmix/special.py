@@ -66,19 +66,26 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     if not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
+    # At least 1-d, so that every scaled value is an array the log can
+    # overwrite: no step allocates more than its result.
+    x1 = np.atleast_1d(x)
     with np.errstate(over="ignore", divide="ignore"):
-        logs = [np.asarray(np.log(k) - x) for k in _scaled_k(nu, x, pair)]
+        logs = _scaled_k(nu, x1, pair)
+        for out in logs:
+            np.log(out, out=out)
+            out -= x1
     outs = []
     for order, out in zip((nu, abs(nu - 1.0)), logs):
         for i in np.flatnonzero(~np.isfinite(out)):
-            out.flat[i] = _log_k_mpmath(order, float(x.flat[i]))
-        outs.append(float(out) if scalar else out)
+            out.flat[i] = _log_k_mpmath(order, float(x1.flat[i]))
+        outs.append(float(out[0]) if scalar else out.reshape(x.shape))
     return tuple(outs) if pair else outs[0]
 
 
 def _scaled_k(nu: float, x: np.ndarray, pair: bool):
     """K_nu(x) e^x for an integer or half-integer nu >= 0, by order (see the
-    module docstring), and with ``pair`` K_|nu-1|(x) e^x after it."""
+    module docstring), and with ``pair`` K_|nu-1|(x) e^x after it, each a
+    new array of the shape of the array ``x``."""
     if nu.is_integer():
         if nu <= 1.0 and not pair:
             return ((k1e if nu else k0e)(x),)
@@ -86,13 +93,22 @@ def _scaled_k(nu: float, x: np.ndarray, pair: bool):
         if nu == 0.0:
             return lower, k
     else:
-        # K_{-1/2} = K_{1/2}
-        m, lower = 0.5, np.sqrt(math.pi / (2.0 * x))
+        # K_{-1/2} = K_{1/2} = sqrt(pi / (2x)) e^-x
+        m, lower = 0.5, 2.0 * x
+        np.divide(math.pi, lower, out=lower)
+        np.sqrt(lower, out=lower)
         k = lower
     while m < nu:
-        lower, k = k, lower + (2.0 * m / x) * k
+        # lower + (2m / x) k, written into the one new array.
+        step = 2.0 * m / x
+        step *= k
+        step += lower
+        lower, k = k, step
         m += 1.0
-    return (k, lower) if pair else (k,)
+    if not pair:
+        return (k,)
+    # At nu = 1/2 both orders are the one array, which the caller logs in place.
+    return k, (lower.copy() if lower is k else lower)
 
 
 def _log_k_mpmath(nu: float, x: float) -> float:

@@ -275,8 +275,9 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
     centered = data - b.mu_bar
     chi = 1.0 + np.einsum("kij,kij->ki", centered @ e_prec, centered) + d * b.c_mu
     psi = b.gamma_t_sq + (b.beta_bar @ e_prec @ beta_bar)[:, :, 0] + d * b.c_beta
-    e_c = b.gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * b.c_cross
-    head = b.log_pi + 0.5 * b.elog_det_prec + e_c
+    head = b.gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * b.c_cross
+    # The (k, 1) constants plus E[c], in E[c]'s buffer.
+    head += b.log_pi + 0.5 * b.elog_det_prec
     return gig_responsibilities(-(d + 1) / 2.0, head, chi, psi)
 
 

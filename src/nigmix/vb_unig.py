@@ -225,8 +225,9 @@ def update_responsibilities(y: np.ndarray, bundles: ExpectationBundle):
     b = take(bundles, np.s_[:, None])
     e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
     e_b = b.gamma_sq + b.beta_sq
-    e_c = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
-    head = b.log_pi + 0.5 * b.log_delta_sq + e_c
+    head = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
+    # The (k, 1) constants plus E[c], in E[c]'s buffer.
+    head += b.log_pi + 0.5 * b.log_delta_sq
     return gig_responsibilities(-1.0, head, e_a, e_b)
 
 

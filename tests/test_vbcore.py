@@ -1,5 +1,6 @@
 """The sweep driver shared by both engines."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +13,9 @@ from nigmix._vbcore import (
     normalize_log_scores,
 )
 from nigmix.config import FitConfig, InvalidData
-from nigmix.distributions import sample_mixture
+from nigmix.distributions import gig_moments, sample_mixture
 from nigmix.presets import simulation_preset
+from nigmix.special import log_bessel_k
 from nigmix.vb_mnig import ExpectationBundleM, fit_m, update_responsibilities_m
 from nigmix.vb_unig import ExpectationBundle, fit, update_responsibilities
 from tests_support_naive import softmax_rows
@@ -150,3 +152,53 @@ def test_fit_takes_integer_bool_and_float32_data(dtype):
         got = engine(data, config)
         ref = engine(data.astype(float), config)
         assert np.array_equal(got.resp, ref.resp) and got.trace == ref.trace
+
+
+def test_fit_working_set():
+    # The responsibilities step writes into buffers it owns, so a fit never
+    # holds more than 10 arrays of n x g_init doubles at once (17 when each
+    # step allocated its result).
+    spec, _ = simulation_preset("study1")
+    data = sample_mixture(spec, 3000, seed=1).observations
+    config = FitConfig(g_init=10, max_iter=5)
+    tracemalloc.start()
+    try:
+        fit(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 3000 * 10 * 8
+
+
+def test_step_functions_leave_their_arguments_unchanged():
+    # Only gig_responsibilities writes into what it is given; the functions
+    # it calls write into the arrays they made.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(1e-3, 30.0, (3, 40))
+    for nu in (0.5, 1.0, 1.5, 5.5):
+        for pair in (False, True):
+            arg = x.copy()
+            got = log_bessel_k(nu, arg, pair=pair)
+            outs = got if pair else (got,)
+            assert np.array_equal(arg, x)
+            assert all(not np.shares_memory(out, arg) for out in outs)
+            if pair:
+                assert not np.shares_memory(*outs)
+    chi = rng.uniform(0.5, 20.0, (3, 40))
+    psi = rng.uniform(0.5, 5.0, (3, 1))
+    for lam in (-1.0, -1.5, 2.5):
+        omega = np.sqrt(chi * psi)
+        log_k = log_bessel_k(lam, omega, pair=True)
+        for extra in ((), (omega, log_k)):
+            args = (chi, psi, *extra)
+            before = [a.copy() for a in (chi, psi, omega, *log_k)]
+            e_u, e_uinv = gig_moments(lam, *args)
+            after = (chi, psi, omega, *log_k)
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+            assert not any(np.shares_memory(e, a) for e in (e_u, e_uinv) for a in after)
+    scores = rng.normal(0.0, 3.0, (12, 40))
+    scores[:, 3] = -np.inf
+    before = scores.copy()
+    resp, _ = normalize_log_scores(scores)
+    assert np.array_equal(scores, before, equal_nan=True)
+    assert not np.shares_memory(resp, scores)
