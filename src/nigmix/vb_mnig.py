@@ -128,22 +128,13 @@ def flat_priors_m(
 
 def init_fit_m(data: np.ndarray, resp: np.ndarray, hyper_init: float):
     """GIG order, (n, g) ``chi`` and priors of the start from the (n, g)
-    initial partition ``resp`` of the (n, d) data ``fit_m`` passes;
-    InvalidData unless the columns are of full rank.
+    initial partition ``resp`` of the (n, d) data ``fit_m`` passes.
 
     Per-component sample means and covariances seed the distance scale of
     the latent GIG(-(d+1)/2, chi, 1) posterior of ``_vbcore.run_sweep``'s
     first sweep; drift starts at zero and the tail weight at one.
     """
     d = data.shape[1]
-    # The Wishart posteriors need full-rank columns, tested centred and scaled
-    # to a largest magnitude of one; an overflowing square is left to DegenerateFit.
-    centred = data - data.mean(axis=0)
-    scale = np.abs(centred).max(axis=0)
-    if np.isfinite(scale * scale).all() and not (
-        scale.all() and np.linalg.matrix_rank(centred / scale) == d
-    ):
-        raise InvalidData("mnig needs linearly independent, non-constant columns")
     chi = np.empty(resp.shape)
     for g, z in enumerate(resp.T):
         total = z.sum()
@@ -283,10 +274,22 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
     """Run the multivariate variational sweep (``_vbcore.run_sweep``) on
-    (n, d) data, d >= 1; bad data or settings raise InvalidData."""
+    (n, d) data, d >= 1; bad data or settings raise InvalidData, and so do
+    columns that are not of full rank."""
     data = real_array(data)
     if data.ndim != 2 or not data.shape[1]:
         raise InvalidData(f"mnig needs (n, d) data, d >= 1, got shape {data.shape}")
+    # The Wishart posteriors need full-rank columns, tested centred and scaled
+    # to a largest magnitude of one.  The test comes before the start, whose
+    # k-means can overflow on a column it rejects; empty or non-finite data
+    # are left to run_sweep's checks, and an overflowing square to DegenerateFit.
+    if data.size and np.isfinite(data).all():
+        centred = data - data.mean(axis=0)
+        scale = np.abs(centred).max(axis=0)
+        if np.isfinite(scale * scale).all() and not (
+            scale.all() and np.linalg.matrix_rank(centred / scale) == data.shape[1]
+        ):
+            raise InvalidData("mnig needs linearly independent, non-constant columns")
     return run_sweep(
         "mnig",
         data,

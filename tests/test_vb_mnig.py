@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from nigmix import vb_mnig
 from nigmix._vbcore import normalize_log_scores, take
-from nigmix.config import FitConfig
+from nigmix.config import FitConfig, InvalidData
 from nigmix.distributions import gig_moments, sample_mixture
 from nigmix.evaluation import adjusted_rand_index
 from nigmix.presets import simulation_preset
@@ -383,6 +383,17 @@ class TestFit:
             expected = g_prev * cfg.hyper_init + n
             assert entry["count_mass"] == pytest.approx(expected, abs=1e-10)
             g_prev = entry["g_alive"]
+
+    @pytest.mark.parametrize("init_mode", ["kmeans", "random"])
+    def test_rank_check_comes_before_the_start(self, init_mode):
+        # k-means squared distances overflow on these columns, while each
+        # column's centred range squared does not: the rank check rejects
+        # them under either start.
+        rng = np.random.default_rng(0)
+        data = np.column_stack([np.full(50, 3.0), rng.uniform(-1e154, 1e154, 50)])
+        config = FitConfig(model="mnig", g_init=3, init_mode=init_mode)
+        with pytest.raises(InvalidData):
+            fit_m(data, config)
 
     def test_init_contract(self):
         data = np.random.default_rng(0).normal(0, 1, (50, 2))
