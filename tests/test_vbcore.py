@@ -189,16 +189,17 @@ def test_step_functions_leave_their_arguments_unchanged():
     for lam in (-1.0, -1.5, 2.5):
         omega = np.sqrt(chi * psi)
         log_k = log_bessel_k(lam, omega, pair=True)
+        args = (chi, psi, omega, *log_k)
+        before = [a.copy() for a in args]
         for extra in ((), (omega, log_k)):
-            args = (chi, psi, *extra)
-            before = [a.copy() for a in (chi, psi, omega, *log_k)]
-            e_u, e_uinv = gig_moments(lam, *args)
-            after = (chi, psi, omega, *log_k)
-            assert all(np.array_equal(a, b) for a, b in zip(after, before))
-            assert not any(np.shares_memory(e, a) for e in (e_u, e_uinv) for a in after)
-    scores = rng.normal(0.0, 3.0, (12, 40))
-    scores[:, 3] = -np.inf
-    before = scores.copy()
-    resp, _ = normalize_log_scores(scores)
-    assert np.array_equal(scores, before, equal_nan=True)
-    assert not np.shares_memory(resp, scores)
+            moments = gig_moments(lam, chi, psi, *extra)
+            assert all(np.array_equal(a, b) for a, b in zip(args, before))
+            assert not any(np.shares_memory(m, a) for m in moments for a in args)
+    # Both of the softmax's summation paths, with an underflow row.
+    for k in (3, 12):
+        scores = rng.normal(0.0, 3.0, (k, 40))
+        scores[:, 3] = -np.inf
+        before = scores.copy()
+        resp, _ = normalize_log_scores(scores)
+        assert np.array_equal(scores, before)
+        assert not np.shares_memory(resp, scores)
