@@ -30,11 +30,13 @@ class NotPositiveDefinite(Exception):
     """Raised when a Cholesky pivot is not strictly positive.
 
     Recoverable by design: fitting code adds jitter and retries once, then
-    prunes the component.
+    prunes the component.  ``spd_inverse_logdet_jittered`` on a stack sets
+    ``row``, the index of the matrix that failed; it is None otherwise.
     """
 
-    def __init__(self, pivot_index: int):
+    def __init__(self, pivot_index: int, row: int | None = None):
         self.pivot_index = pivot_index
+        self.row = row
         super().__init__(f"pivot {pivot_index} is not positive")
 
 
@@ -118,15 +120,21 @@ def spd_inverse_logdet_jittered(m):
     Jitter is 1e-8 * trace/d on the diagonal; a second failure propagates
     NotPositiveDefinite so the caller can prune.  A stack that does not
     factor is redone one matrix at a time, so each matrix is jittered only
-    when it needs it.
+    when it needs it, and the first matrix that fails even so is named by
+    the exception's ``row``.
     """
     m = np.asarray(m, dtype=float)
     try:
         return spd_inverse_logdet(m)
     except NotPositiveDefinite:
         if m.ndim == 3:
-            inverses, logdets = zip(*map(spd_inverse_logdet_jittered, m))
-            return np.array(inverses), np.array(logdets)
+            inv, logdet = np.empty(m.shape), np.empty(len(m))
+            for row, matrix in enumerate(m):
+                try:
+                    inv[row], logdet[row] = spd_inverse_logdet_jittered(matrix)
+                except NotPositiveDefinite as exc:
+                    raise NotPositiveDefinite(exc.pivot_index, row) from None
+            return inv, logdet
         eps = 1e-8 * np.trace(m) / m.shape[0]
         if not eps > 0.0:
             eps = 1e-12

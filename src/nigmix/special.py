@@ -24,15 +24,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, k0e, k1e, psi
+from scipy.special import erfcx, k0e, k1e
 
 __all__ = [
     "log_bessel_k",
-    "digamma",
     "trunc_normal_moments",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_ORDER = 64.0
 
 
@@ -120,17 +118,6 @@ def _log_k_mpmath(nu: float, x: float) -> float:
         return float(mp.log(mp.besselk(nu, x)))
 
 
-def digamma(x):
-    """Digamma function Psi(x) for x > 0; a float (``np.float64`` too) skips
-    the array checks, which cost far more than ``psi`` on a scalar."""
-    if isinstance(x, float) and math.isfinite(x) and x > 0.0:
-        return float(psi(x))
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("digamma requires x > 0")
-    return psi(x)
-
-
 def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
     """Mean and second moment of N(m, s^2) truncated to (0, inf).
 
@@ -145,12 +132,9 @@ def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
     if not (s > 0.0) or not math.isfinite(m) or not math.isfinite(s):
         raise ValueError("truncated normal requires finite m and s > 0")
     h = m / s
-    # phi(h) / Phi(h) without forming either factor.
-    denom = erfcx(-h / math.sqrt(2.0))
-    if not math.isfinite(denom):
-        # Location so far above zero that the scaled erfc overflows; the
-        # truncation correction is below double precision there.
-        return m, s * s + m * m
+    # phi(h) / Phi(h) without either factor; 0 where erfcx overflows, which
+    # leaves (m, s^2 + m^2).  Python floats overflow there with no warning.
+    denom = float(erfcx(-h / math.sqrt(2.0)))
     if denom == 0.0:
         raise FloatingPointError(
             "truncated normal survival mass underflowed (all mass below 0)"
@@ -159,6 +143,7 @@ def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
     mean = m + s * mills
     # Var = s^2 (1 + alpha*lambda - lambda^2) with alpha = -h, lambda = mills.
     var = s * s * (1.0 - h * mills - mills * mills)
-    var = max(var, 0.0)
+    # 0.0 first: max drops the NaN of inf * 0 where m / s overflows.
+    var = max(0.0, var)
     return mean, var + mean * mean
 

@@ -13,9 +13,10 @@ batched products make the BLAS calls, over the same strides, that one
 column of the responsibilities would, and a0 is squared by
 ``np.float_power``, as a scalar ``a0**2`` is.  Per component run only the
 expectation step's scalar checks of the hyper rows and the tail-weight
-moments.  The scale accumulators of the rows that pass are inverted in one
-stacked call per sweep; only a stack that does not factor is redone one
-row at a time, each row with its own jitter retry.
+moments.  The scale accumulators of the rows that pass go to one stacked
+``linalg.spd_inverse_logdet_jittered`` call per sweep, whose jitter retry
+is linalg's; a row that fails even so is dropped and the rest are inverted
+again.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -46,13 +47,8 @@ from ._vbcore import (
 )
 from .config import FitConfig, InvalidData
 from .distributions import MNIGParams, mnig_log_density
-from .linalg import (
-    NotPositiveDefinite,
-    as_spd,
-    spd_inverse_logdet,
-    spd_inverse_logdet_jittered,
-)
-from .special import digamma, trunc_normal_moments
+from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
+from .special import trunc_normal_moments
 
 __all__ = [
     "ComponentHyperM",
@@ -216,24 +212,16 @@ def expectations_from_hypers_m(
             dropped.append((g, "Wishart degrees of freedom too small"))
         else:
             live.append(g)
-    try:
-        v_inv, logdet_v = spd_inverse_logdet(h.V[live])
-    except NotPositiveDefinite:
-        # One row at a time, each with its jitter retry: a row that still
-        # fails is dropped with its own pivot, in component order.
-        inverses = []
-        for g in live.copy():
-            try:
-                inverses.append(spd_inverse_logdet_jittered(h.V[g]))
-            except NotPositiveDefinite as exc:
-                live.remove(g)
-                dropped.append((g, f"scale accumulator not SPD: {exc}"))
-        dropped.sort()
-        v_inv = np.array([inv for inv, _ in inverses]).reshape(-1, d, d)
-        logdet_v = np.array([logdet for _, logdet in inverses])
+    # A row that fails even with its jitter is dropped with its own pivot.
+    while True:
+        try:
+            v_inv, logdet_v = spd_inverse_logdet_jittered(h.V[live])
+            break
+        except NotPositiveDefinite as exc:
+            dropped.append((live.pop(exc.row), f"scale accumulator not SPD: {exc}"))
+    dropped.sort()
     if dropped:
         h, D = take(h, live), D[live]
-    # psi without digamma's checks: the loop has checked a0 > d - 1.
     elog_det_prec = (
         psi((h.a0[:, None] + 1.0 - np.arange(1, d + 1)) / 2.0).sum(axis=1)
         + d * math.log(2.0)
@@ -244,7 +232,7 @@ def expectations_from_hypers_m(
     moments = [trunc_normal_moments(m, sg) for m, sg in zip(h.a0 / h.a3, s)]
     gamma_t, gamma_t_sq = np.array(moments).reshape(-1, 2).T
     return ExpectationBundleM(
-        log_pi=psi(h.a0) - digamma(total_count_mass),
+        log_pi=psi(h.a0) - psi(total_count_mass),
         elog_det_prec=elog_det_prec,
         e_prec=h.a0[:, None, None] * v_inv,
         mu_bar=mu_bar,

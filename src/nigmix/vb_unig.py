@@ -39,7 +39,7 @@ from ._vbcore import (
 )
 from .config import FitConfig, InvalidData
 from .distributions import UNIGParams, unig_density
-from .special import digamma, trunc_normal_moments
+from .special import trunc_normal_moments
 
 __all__ = [
     "ComponentHyper",
@@ -170,7 +170,7 @@ def expectations_from_hypers(
     """All expectations a score evaluation needs: the bundle stack of the
     valid hyper rows, and the (row, reason) of the others.  The normalizer
     ``total_count_mass`` is the summed Dirichlet mass (prior mass plus n)."""
-    psi_total = digamma(total_count_mass)
+    psi_total = psi(total_count_mass)
     rows, dropped = [], []
     columns = zip(*(v.tolist() for v in vars(h).values()))
     for g, (a0, a1, a2, a3, a4) in enumerate(columns):

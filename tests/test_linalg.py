@@ -147,6 +147,10 @@ class TestStacks:
                     with pytest.raises(NotPositiveDefinite) as exc:
                         factor(stack)
                     assert exc.value.pivot_index == pivot
+                    # Only the jittered inverse, which redoes the stack one
+                    # matrix at a time, names the matrix.
+                    jittered = factor is spd_inverse_logdet_jittered
+                    assert exc.value.row == (1 if jittered else None)
 
 
 def test_scipy_linalg_never_loads(tmp_path):

@@ -272,7 +272,8 @@ class TestStackedSteps:
 
     def test_drop_reasons_in_component_order(self, monkeypatch):
         # Rows 1-3 fail the scalar checks and never reach the Cholesky;
-        # row 4 passes them and fails it.
+        # row 4 passes them and fails it, and the rows left are inverted
+        # again.
         data, resp, lat, priors = random_m(1, k=3)
         valid = update_hypers_m(priors, resp, lat, data)
         d = data.shape[1]
@@ -292,7 +293,9 @@ class TestStackedSteps:
         inverse = vb_mnig.spd_inverse_logdet_jittered
         monkeypatch.setattr(vb_mnig, "spd_inverse_logdet_jittered", recorded)
         got, dropped = expectations_from_hypers_m(hypers, 60.0)
-        assert np.array_equal(factored, hypers.V[[0, 4, 5]])
+        assert len(factored) == 2
+        assert np.array_equal(factored[0], hypers.V[[0, 4, 5]])
+        assert np.array_equal(factored[1], hypers.V[[0, 5]])
         ref, ref_dropped = expectations_loop(
             expectations_one_m, ExpectationBundleM, hypers, 60.0
         )

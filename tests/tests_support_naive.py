@@ -15,12 +15,12 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gammaln, kve
+from scipy.special import gammaln, kve, psi
 
 from nigmix._vbcore import DegenerateComponent, initial_partition
 from nigmix.distributions import MNIGParams, UNIGParams, gig_moments
 from nigmix.linalg import NotPositiveDefinite, spd_inverse_logdet_jittered
-from nigmix.special import digamma, log_bessel_k, trunc_normal_moments
+from nigmix.special import log_bessel_k, trunc_normal_moments
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
 from nigmix.vb_unig import (
     _TRUNC_SAFE_RATIO,
@@ -193,8 +193,8 @@ def expectations_one(h, total_count_mass):
     mu_bar, beta_bar, s2_mu, s2_beta, cov = _posterior_mu_beta(h)
     gamma, gamma_sq, delta_gamma = _gamma_moments(h, rate, delta, delta_sq)
     return SimpleNamespace(
-        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
-        log_delta_sq=float(digamma(shape)) - math.log(rate),
+        log_pi=float(psi(h.a0) - psi(total_count_mass)),
+        log_delta_sq=float(psi(shape)) - math.log(rate),
         delta_sq=delta_sq,
         delta=delta,
         mu=mu_bar,
@@ -224,7 +224,7 @@ def expectations_one_m(h, total_count_mass):
     except NotPositiveDefinite as exc:
         raise DegenerateComponent(f"scale accumulator not SPD: {exc}") from exc
     elog_det_prec = (
-        float(digamma((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0).sum())
+        float(psi((h.a0 + 1.0 - np.arange(1, d + 1)) / 2.0).sum())
         + d * math.log(2.0)
         - logdet_v
     )
@@ -232,7 +232,7 @@ def expectations_one_m(h, total_count_mass):
         h.a0 / h.a3, math.sqrt(1.0 / (2.0 * h.a3))
     )
     return SimpleNamespace(
-        log_pi=float(digamma(h.a0) - digamma(total_count_mass)),
+        log_pi=float(psi(h.a0) - psi(total_count_mass)),
         elog_det_prec=elog_det_prec,
         e_prec=h.a0 * v_inv,
         mu_bar=(h.a3 * h.a2 - h.a0 * h.a1) / disc,
