@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 # The values a ``FitConfig`` field may take, where the field has a fixed set.
 CHOICES = {"model": ("unig", "mnig"), "init_mode": ("random", "kmeans")}
@@ -36,12 +37,10 @@ class FitConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise InvalidData(f"unknown {name} {getattr(self, name)!r}")
-        if self.g_init < 2:
-            raise InvalidData("g_init must be >= 2")
-        if self.max_iter < 1:
-            raise InvalidData("max_iter must be >= 1")
-        if self.seed < 0:
-            raise InvalidData("seed must be >= 0")
+        for name, least in (("g_init", 2), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise InvalidData(f"{name} must be an integer >= {least}")
         if not (self.hyper_init > 0.0 and self.prune_threshold > 0.0):
             raise InvalidData("hyper_init and prune_threshold must be positive")
         # A responsibility change is never below nan or a bound <= 0, so such

@@ -84,6 +84,8 @@ def ingest_csv(
                     f"column {columns[j]!r}"
                 ) from None
         if lab_idx is not None:
+            if lab_idx >= len(row):
+                raise ValueError(f"{path}: row {i + 2} has no {label_column!r} cell")
             raw_labels.append(row[lab_idx].strip())
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

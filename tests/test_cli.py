@@ -497,6 +497,8 @@ def bad_inputs(tmp_path_factory):
         bad_row = cell + "," + lines[4].split(",", 1)[1]
         (root / f"{cell}.csv").write_text("".join(lines[:4] + [bad_row] + lines[5:]))
     (root / "far1.csv").write_text(study1 + "1e100,1\n")
+    # A first row that stops before its label cell, then eleven full rows.
+    (root / "short_label.csv").write_text("".join([lines[0], "1.0\n", *lines[1:12]]))
     (root / "huge1.csv").write_text(study1 + "1e200,1\n-1e200,2\n")
     (root / "huge5.csv").write_text(
         study5 + ",".join(["1e200"] * 10) + ",1\n"
@@ -598,6 +600,7 @@ def merge_argv(groups):
     (["density-grid", "{}/prec_indefinite.json", "{}/grid.csv",
       "--range", "0", "1"], 3),
     (["density-grid", "{}/gamma_neg.json", "{}/grid.csv", "--range", "0", "1"], 3),
+    (fit_argv("short_label.csv", "--g-init", "2"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,

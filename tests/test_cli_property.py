@@ -1,8 +1,9 @@
 """Properties: every input of finite doubles gets a documented outcome.
 
-``nigmix fit`` on any CSV of finite doubles exits 0 (converged),
-2 (not converged), 3 (input error) or 4 (numerical degeneracy), and an
-error exit prints one ``error:`` line; it never raises.  The library's
+``nigmix fit`` on any CSV of finite doubles, with or without a label
+column and with rows cut short anywhere, exits 0 (converged), 2 (not
+converged), 3 (input error) or 4 (numerical degeneracy), and an error exit
+prints one ``error:`` line; it never raises.  The library's
 ``fit`` and ``fit_m`` on any such array return a ``FitResult`` or raise
 ``InvalidData`` or ``DegenerateFit``, and nothing else.
 """
@@ -33,7 +34,7 @@ def finite_rows(d):
 @st.composite
 def fit_cases(draw):
     d = draw(st.integers(1, 3))
-    rows = draw(finite_rows(d))
+    header = [f"x{j + 1}" for j in range(d)]
     model = draw(MODELS)
     flags = [
         "--model", model,
@@ -43,16 +44,25 @@ def fit_cases(draw):
     ]
     if model == "unig":
         flags += ["--columns", "x1"]
-    return d, rows, flags
+    if draw(st.booleans()):
+        # A label column at any place among the data columns.
+        header.insert(draw(st.integers(0, d)), "label")
+        flags += ["--label-column", "label"]
+    rows = draw(finite_rows(len(header)))
+    if rows:
+        # Up to three rows stop early, before any cell, data or label.
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            rows[i] = rows[i][: draw(st.integers(0, len(header) - 1))]
+    return header, rows, flags
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(fit_cases())
 def test_fit_exit_code_on_any_finite_csv(case):
-    d, rows, flags = case
+    header, rows, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "data.csv"
-        lines = [",".join(f"x{j + 1}" for j in range(d))]
+        lines = [",".join(header)]
         lines += [",".join(repr(v) for v in row) for row in rows]
         csv_path.write_text("\n".join(lines) + "\n")
         err = io.StringIO()

@@ -143,6 +143,19 @@ def test_invalid_fit_input_raises(engine, data, config):
             engine(data, config)
 
 
+@pytest.mark.parametrize("field", ["g_init", "max_iter", "seed"])
+def test_config_counts_must_be_integers(field):
+    # Caught by the config, not as a numpy TypeError inside the start.
+    for value in (2.5, 3.0, "3"):
+        with pytest.raises(InvalidData):
+            FitConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = FitConfig(g_init=np.int64(2), max_iter=np.int32(5), seed=np.uint8(1))
+    assert fit(X[:, 0], config).iterations <= 5
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
 def test_fit_takes_integer_bool_and_float32_data(dtype):
     # Columns with few distinct values, so that each dtype holds them exactly.
