@@ -2,34 +2,35 @@
 """Fetch or convert the real datasets used by the analyses.
 
 The package does not bundle the Old Faithful, crabs, fish-catch, or enzyme
-data.  This script populates the data directory (./data by default, or
-$NIGMIX_DATA) in one of two ways:
+data.  This script populates the data directory that
+``nigmix.datasets.data_dir`` names (./data by default, or $NIGMIX_DATA) in
+one of two ways:
 
 * ``--download``: pull the CSVs from public mirrors.  Requires outbound
   network access.
 * ``--convert SRC.csv NAME``: normalize a CSV you exported yourself (for
   example from R: ``write.csv(faithful, "faithful_raw.csv")``) into the
-  schema that ``nigmix.datasets.load`` expects.
+  file ``NAME`` that ``nigmix.datasets.load`` reads.
 
-Expected final schemas (each real study's entry in
-``nigmix.presets.STUDIES`` names its file, fit columns and label column):
-
-* faithful.csv: columns eruptions, waiting (272 rows)
-* crabs.csv: columns class4, FL, RW, CL, CW, BD (200 rows), where class4
-  codes the species-by-sex cross as B-M=1, B-F=2, O-M=3, O-F=4
-* fish.csv: column Species plus Weight, Length1, Length2, Length3,
-  Height, Width (159 rows, fishcatch; rows with missing values kept)
-* enzyme.csv: column activity (245 rows)
+Each file holds exactly the columns that its real study's entry in
+``nigmix.presets.STUDIES`` names: the label column, if any, then the fit
+columns.  A crabs export without a class4 column gets one from its sp and
+sex columns, coding the species-by-sex cross as B-M=1, B-F=2, O-M=3, O-F=4.
+The script runs from a checkout without installing the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import urllib.request
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nigmix.datasets import data_dir  # noqa: E402
+from nigmix.presets import STUDIES  # noqa: E402
 
 SOURCES = {
     "faithful.csv": "https://vincentarelbundock.github.io/Rdatasets/csv/datasets/faithful.csv",
@@ -38,13 +39,11 @@ SOURCES = {
     "enzyme.csv": "https://vincentarelbundock.github.io/Rdatasets/csv/mixAK/Enzyme.csv",
 }
 
-# Columns to keep per target, in order; None keeps everything.
-KEEP = {
-    "faithful.csv": ["eruptions", "waiting"],
-    "crabs.csv": ["class4", "FL", "RW", "CL", "CW", "BD"],
-    "fish.csv": ["Species", "Weight", "Length1", "Length2", "Length3",
-                 "Height", "Width"],
-    "enzyme.csv": ["activity"],
+# The columns of each real study's file: its label column, then its fit
+# columns.
+COLUMNS = {
+    study.file: [c for c in (study.label_column, *study.columns) if c]
+    for study in STUDIES.values() if study.file
 }
 
 # Alternative header spellings seen in the wild, mapped to ours.
@@ -52,9 +51,6 @@ ALIASES = {
     "eruption": "eruptions",
     "wait": "waiting",
     "species": "Species",
-    "weight": "Weight",
-    "length1": "Length1",
-    "length2": "Length2",
     "length3": "Length3",
     "height": "Height",
     "width": "Width",
@@ -63,15 +59,11 @@ ALIASES = {
 }
 
 
-def data_dir() -> Path:
-    return Path(os.environ.get("NIGMIX_DATA", "data"))
-
-
 _CRAB_CLASS = {("B", "M"): "1", ("B", "F"): "2", ("O", "M"): "3", ("O", "F"): "4"}
 
 
 def normalize(rows: list[dict], target: str) -> list[dict]:
-    keep = KEEP[target]
+    keep = COLUMNS[target]
     out = []
     for row in rows:
         fixed = {}
@@ -100,7 +92,7 @@ def normalize(rows: list[dict], target: str) -> list[dict]:
 def write_csv(path: Path, rows: list[dict], target: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=KEEP[target])
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS[target])
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -145,8 +137,8 @@ def main(argv=None) -> int:
     if args.download:
         return download_all()
     src, name = args.convert
-    if name not in KEEP:
-        parser.error(f"NAME must be one of {sorted(KEEP)}")
+    if name not in COLUMNS:
+        parser.error(f"NAME must be one of {sorted(COLUMNS)}")
     rows = normalize(read_csv(Path(src)), name)
     write_csv(data_dir() / name, rows, name)
     return 0

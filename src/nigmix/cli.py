@@ -31,6 +31,7 @@ from .io import (
     read_json,
     result_from_dict,
     run_record_hash,
+    whole_labels,
     write_json,
     write_sample_csv,
 )
@@ -184,11 +185,10 @@ def _read_labels(path) -> np.ndarray:
         raise CliError(f"{path}: expected a single label column")
     if data.shape[0] < 2:
         raise CliError(f"{path}: expected at least two labels")
-    labels = data[:, 0]
-    # Doubles hold every integer below 2**53 exactly.
-    if not ((np.abs(labels) < 2.0**53) & (labels == np.floor(labels))).all():
+    labels = whole_labels(data[:, 0])
+    if labels is None:
         raise CliError(f"{path}: labels must be integers below 2**53")
-    return labels.astype(int)
+    return labels
 
 
 def cmd_evaluate(args) -> int:

@@ -42,5 +42,4 @@ def load(study: Study) -> tuple[np.ndarray, np.ndarray | None]:
             f"{path} not found; run scripts/fetch_datasets.py (or its "
             f"--convert mode on a CSV exported from R) to create it"
         )
-    data, labels = ingest_csv(path, list(study.columns), study.label_column)
-    return data, None if labels is None else labels.astype(int)
+    return ingest_csv(path, list(study.columns), study.label_column)

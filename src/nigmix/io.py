@@ -19,11 +19,13 @@ import numpy as np
 from ._vbcore import FitResult, take
 from .config import FitConfig
 from .distributions import LabeledSample, MixtureSpec, MNIGParams, UNIGParams
+from .evaluation import canonicalize
 from .vb_mnig import ComponentHyperM, ExpectationBundleM
 from .vb_unig import ComponentHyper, ExpectationBundle
 
 __all__ = [
     "ingest_csv",
+    "whole_labels",
     "write_sample_csv",
     "mixture_spec_to_dict",
     "mixture_spec_from_dict",
@@ -46,9 +48,10 @@ def ingest_csv(
 
     ``columns`` selects and orders the numeric columns (default: all except
     the label column).  Non-numeric and non-finite cells in selected
-    columns are rejected with the offending row index.  Label columns may
-    be non-numeric; string labels are coded 1..k in order of first
-    appearance.
+    columns are rejected with the offending row index.  A label column of
+    whole numbers (see ``whole_labels``) keeps its values; any other label
+    column, of text or of numbers such as ``2.5`` or ``inf``, is coded
+    1..k in order of first appearance.
     """
     path = Path(path)
     if not path.exists():
@@ -94,16 +97,21 @@ def ingest_csv(
             f"{path}: non-finite cell in row {i + 2}, column {columns[j]!r}"
         )
 
-    labels = None
-    if lab_idx is not None:
-        try:
-            labels = np.array([int(float(v)) for v in raw_labels])
-        except ValueError:
-            seen: dict[str, int] = {}
-            labels = np.array(
-                [seen.setdefault(v, len(seen) + 1) for v in raw_labels]
-            )
-    return data, labels
+    if lab_idx is None:
+        return data, None
+    try:
+        labels = whole_labels([float(v) for v in raw_labels])
+    except ValueError:  # a cell that is no number
+        labels = None
+    return data, canonicalize(raw_labels) if labels is None else labels
+
+
+def whole_labels(values) -> np.ndarray | None:
+    """``values`` as integers when each is a whole number below 2**53 in
+    magnitude, every one of which a double holds exactly; else None."""
+    values = np.asarray(values, dtype=float)
+    whole = (np.abs(values) < 2.0**53) & (values == np.floor(values))
+    return values.astype(int) if whole.all() else None
 
 
 def write_sample_csv(path, sample: LabeledSample) -> None:

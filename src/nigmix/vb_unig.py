@@ -53,8 +53,11 @@ __all__ = [
     "fitted_density",
 ]
 
-# Location-to-scale ratio above which the truncation of the tail-weight
-# posterior is numerically invisible and the untruncated closed forms apply.
+# Location-to-scale ratio from which the untruncated closed forms stand in
+# for the tail-weight posterior's truncated moments.  They are not exact
+# there: the truncated mean differs from them by 1.0e-9 relative at the
+# ratio 6, 1.3e-12 at 7 and 6.3e-16 at 8, and falls below machine precision
+# only from about 8.5.
 _TRUNC_SAFE_RATIO = 6.0
 _QUAD_NODES = 96
 
@@ -198,8 +201,8 @@ def expectations_from_hypers(
             s2_beta = 1.0 / (2.0 * one_minus * a3)
             mu_bar = s2_mu * (a2 - a0 * a1 / two_a3)
             beta_bar = s2_beta * (a1 - a0 * a2 / (2.0 * a4))
-            # Tail-weight moments: far from the truncation boundary the
-            # untruncated closed forms are exact to machine precision.
+            # Tail-weight moments: far from the truncation boundary, the
+            # untruncated closed forms (see _TRUNC_SAFE_RATIO for their error).
             ratio = a0 / two_a3
             s = math.sqrt(1.0 / two_a3)
             gamma = ratio * delta

@@ -1,6 +1,7 @@
 """CSV ingestion, JSON persistence, and the command-line surface."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from nigmix.io import (
     write_json,
     write_sample_csv,
 )
-from nigmix.presets import simulation_preset
+from nigmix.presets import STUDIES, simulation_preset
 from nigmix.vb_mnig import fit_m
 from nigmix.vb_unig import fit
 
@@ -73,6 +74,22 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("cells, coded", [
+        (["2", "1"], [2, 1]),
+        (["1.0", "-3", "9007199254740991"], [1, -3, 2**53 - 1]),
+        (["1", "2.5", "2"], [1, 2, 3]),
+        (["1", "inf"], [1, 2]),
+        (["-inf", "1e400", "-inf", "nan"], [1, 2, 1, 3]),
+        (["1", "9007199254740992"], [1, 2]),
+    ])
+    def test_label_column_coding(self, tmp_path, cells, coded):
+        # Whole numbers below 2**53 keep their values; any other column is
+        # coded by first appearance, as text is.
+        p = tmp_path / "lab.csv"
+        p.write_text("x,label\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)))
+        _, labels = ingest_csv(p, label_column="label")
+        assert labels.dtype == int and labels.tolist() == coded
 
 
 class TestSerialization:
@@ -116,6 +133,25 @@ class TestSerialization:
         r1 = make_run_record(cfg, res, file_fingerprint(path), {"fit_seconds": 1.0})
         r2 = make_run_record(cfg, res, file_fingerprint(path), {"fit_seconds": 99.0})
         assert run_record_hash(r1) == run_record_hash(r2)
+
+    @pytest.mark.parametrize("given, plain", [
+        ({"g_init": np.int64(5)}, {"g_init": 5}),
+        ({"max_iter": np.int32(40)}, {"max_iter": 40}),
+        ({"seed": True}, {"seed": 1}),
+        ({"tol": np.float32(1e-6)}, {"tol": float(np.float32(1e-6))}),
+        ({"prune_threshold": 2}, {"prune_threshold": 2.0}),
+    ], ids=["int64", "int32", "bool", "float32", "int-float"])
+    def test_config_records_plain_numbers(self, study1_csv, tmp_path, given, plain):
+        # A numpy or bool setting records and hashes as its plain twin.
+        path, sample = study1_csv
+        hashes = []
+        for settings in (given, plain):
+            cfg = FitConfig(**{"g_init": 5, "max_iter": 40, **settings})
+            record = make_run_record(cfg, fit(sample.observations, cfg),
+                                     file_fingerprint(path), {})
+            write_json(tmp_path / "record.json", record)
+            hashes.append(run_record_hash(record))
+        assert hashes[0] == hashes[1]
 
 
 class TestCliCommands:
@@ -249,6 +285,35 @@ class TestCliCommands:
         a.write_text("label\n1\n2\n")
         b.write_text("label\n1\n")
         assert main(["evaluate", str(a), str(b)]) == 3
+
+    @pytest.mark.parametrize("cell", ["2.5", "9007199254740992"])
+    def test_evaluate_rejects_labels_that_are_not_whole(self, tmp_path, capsys, cell):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(f"label\n1\n{cell}\n2\n")
+        b.write_text("label\n1\n2\n2\n")
+        assert main(["evaluate", str(a), str(b)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {a}: labels must be integers below 2**53\n"
+        )
+
+    @pytest.mark.parametrize("cells", [
+        ["1", "2.5"], ["1", "inf"], ["-inf", "1e400"], ["nan", "cat"],
+    ], ids=["decimal", "inf", "-inf-1e400", "nan-text"])
+    def test_fit_takes_any_label_column(self, study1_csv, tmp_path, cells):
+        # The label column is left out of the fit, whatever its cells hold.
+        path, _ = study1_csv
+        lines = path.read_text().splitlines(keepends=True)
+        relabeled = tmp_path / "relabeled.csv"
+        relabeled.write_text(lines[0] + "".join(
+            line.rsplit(",", 1)[0] + f",{cells[i % 2]}\n"
+            for i, line in enumerate(lines[1:])
+        ))
+        argv = ["--label-column", "label", "--g-init", "5", "--seed", "0"]
+        assert main(["fit", str(path), str(tmp_path / "a.json"), *argv]) == 0
+        assert main(["fit", str(relabeled), str(tmp_path / "b.json"), *argv]) == 0
+        a, b = (read_json(tmp_path / n) for n in ("a.json", "b.json"))
+        assert a["result"] == b["result"]
 
     def test_density_grid(self, tmp_path):
         csv_path = tmp_path / "sim.csv"
@@ -390,6 +455,43 @@ def test_fetch_datasets_convert_codes_crab_classes(stand_in_data):
         [class4[r["sp"], r["sex"]], r["FL"], r["RW"], r["CL"], r["CW"], r["BD"]]
         for r in raw
     ]
+
+
+def _fetch_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
+    spec = importlib.util.spec_from_file_location("fetch_datasets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fetch_datasets_mirrors_every_real_study():
+    files = {study.file for study in STUDIES.values() if study.file}
+    assert files <= set(_fetch_script().SOURCES)
+
+
+def test_fetch_datasets_convert_keeps_study_columns(tmp_path):
+    # An rrcov-style fish export, with columns no study reads, converted by
+    # the script run from the checkout without the package on the path.
+    raw = [["", "Weight", "Length1", "Length2", "Length3", "Height", "Width",
+            "Species"]]
+    raw += [[str(i), "242", "23.2", "25.4", f"30.{i}", "38.4", "13.4", str(i % 7 + 1)]
+            for i in range(1, 6)]
+    _write_rows(tmp_path / "fish_raw.csv", raw[0], raw[1:])
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, str(script), "--convert", str(tmp_path / "fish_raw.csv"),
+         "fish.csv"],
+        env={**env, "NIGMIX_DATA": str(tmp_path / "data")}, cwd=tmp_path,
+        check=True, capture_output=True,
+    )
+    with open(tmp_path / "data" / "fish.csv", newline="") as fh:
+        converted = list(csv.reader(fh))
+    fishcatch = STUDIES["fishcatch"]
+    assert converted[0] == [fishcatch.label_column, *fishcatch.columns]
+    assert converted[0] == ["Species", "Length3", "Height", "Width"]
+    assert converted[1:] == [[r[7], r[4], r[5], r[6]] for r in raw[1:]]
 
 
 # The stand-ins' whole output, so that any change to the real-data path

@@ -1,7 +1,8 @@
 """Properties: every input of finite doubles gets a documented outcome.
 
 ``nigmix fit`` on any CSV of finite doubles, with or without a label
-column and with rows cut short anywhere, exits 0 (converged), 2 (not
+column, whose cells may be whole numbers, decimals, infinities, ``nan``
+or text, and with rows cut short anywhere, exits 0 (converged), 2 (not
 converged), 3 (input error) or 4 (numerical degeneracy), and an error exit
 prints one ``error:`` line; it never raises.  The library's
 ``fit`` and ``fit_m`` on any such array return a ``FitResult`` or raise
@@ -24,6 +25,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 MODELS = st.sampled_from(["unig", "mnig"])
 INIT_MODES = st.sampled_from(["random", "kmeans"])
 G_INITS = st.integers(2, 4)
+# Label cells: whole numbers, which a label column keeps, and every other
+# kind of cell, which it codes by first appearance.
+LABEL_CELLS = st.one_of(
+    st.integers(-3, 3).map(str),
+    FINITE.map(repr),
+    st.sampled_from(["2.5", "inf", "-inf", "1e400", "nan", "cat"]),
+)
 
 
 def finite_rows(d):
@@ -44,11 +52,14 @@ def fit_cases(draw):
     ]
     if model == "unig":
         flags += ["--columns", "x1"]
+    rows = [[repr(v) for v in row] for row in draw(finite_rows(d))]
     if draw(st.booleans()):
         # A label column at any place among the data columns.
-        header.insert(draw(st.integers(0, d)), "label")
+        at = draw(st.integers(0, d))
+        header.insert(at, "label")
+        for row in rows:
+            row.insert(at, draw(LABEL_CELLS))
         flags += ["--label-column", "label"]
-    rows = draw(finite_rows(len(header)))
     if rows:
         # Up to three rows stop early, before any cell, data or label.
         for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
@@ -63,7 +74,7 @@ def test_fit_exit_code_on_any_finite_csv(case):
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "data.csv"
         lines = [",".join(header)]
-        lines += [",".join(repr(v) for v in row) for row in rows]
+        lines += [",".join(row) for row in rows]
         csv_path.write_text("\n".join(lines) + "\n")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
