@@ -129,7 +129,7 @@ class LabeledSample:
 # Generalized inverse Gaussian moments
 # ---------------------------------------------------------------------------
 
-def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
+def gig_moments(lam: float, chi, psi, omega=None, ratio=None):
     """First moment and inverse moment of GIG(lam, chi, psi), the law with
     density proportional to u^(lam-1) exp(-(chi/u + psi*u)/2).
 
@@ -141,10 +141,14 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
     2 nu / w; which moment takes which depends on the sign of lam.  Every
     term is positive, and only the orders nu and |nu-1| are evaluated, on
     the log scale, so arguments deep in the underflow region of the raw
-    function are fine.  ``chi`` and ``psi`` broadcast elementwise.
-    ``omega`` and ``log_k``, given together, are w and the pair
-    (log K_nu(w), log K_|nu-1|(w)) as the caller has already formed and
-    checked them; without them chi and psi are checked here.
+    function are fine.  ``chi`` and ``psi`` broadcast elementwise and are
+    only read.
+    ``omega`` and ``ratio``, given together, are w and
+    K_|nu-1|(w)/K_nu(w) = exp(log K_|nu-1|(w) - log K_nu(w)) as the caller
+    has already formed and checked them.  The step consumes both: the
+    moments are written into their buffers, and the caller must not read
+    them afterwards.  Without them chi and psi are checked here, and w and
+    the ratio are formed in new arrays, so no argument is written.
 
     Returns
     -------
@@ -157,11 +161,13 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
         if not (chi.min() > 0.0 and psi.min() > 0.0):
             raise ValueError("GIG moments require chi > 0 and psi > 0")
         omega = _in_place(np.sqrt, chi * psi)
-        log_k = log_bessel_k(nu, omega, pair=True)
-    log_k_nu, log_k_down = log_k
-    # Three new arrays in all: each step writes into one made here.
-    down = _in_place(np.exp, log_k_down - log_k_nu)
-    up = 2.0 * nu / omega
+        log_k, ratio = log_bessel_k(nu, omega, pair=True)
+        ratio -= log_k
+        del log_k
+        ratio = _in_place(np.exp, ratio)
+    # One new array in all, the scale: 2 nu / w goes into w's buffer.
+    down = ratio
+    up = _in_place(np.divide, 2.0 * nu, omega)
     up += down
     if lam < 0.0:
         down, up = up, down
@@ -171,10 +177,11 @@ def gig_moments(lam: float, chi, psi, omega=None, log_k=None):
     return up, down
 
 
-def _in_place(ufunc, x):
-    """``ufunc(x)``, written over ``x`` when it is an array (a scalar, as
-    0-d operands give, cannot be written)."""
-    return ufunc(x, out=x) if isinstance(x, np.ndarray) else ufunc(x)
+def _in_place(ufunc, *args):
+    """``ufunc(*args)``, written over the last argument when it is an array
+    (a scalar, as 0-d operands give, cannot be written)."""
+    x = args[-1]
+    return ufunc(*args, out=x) if isinstance(x, np.ndarray) else ufunc(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,16 @@ def make_run_record(
 
 
 def run_record_hash(record: dict) -> str:
-    """Hash of the reproducible payload (everything except timings)."""
+    """Hash of the reproducible payload (everything except timings): the
+    sha256 of its compact, sorted-key JSON.  The JSON is streamed into the
+    hash chunk by chunk and never held whole, so hashing a record takes
+    next to no memory beside it."""
     payload = {k: v for k, v in record.items() if k != "timings"}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256()
+    for chunk in encoder.iterencode(payload):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def write_json(path, obj) -> None:

@@ -29,7 +29,8 @@ def test_normalize_log_scores_is_the_row_softmax(k):
     scores[:, 7] = -np.inf
     scores[0, 9] = -np.inf
     scores[:, 11] = np.nan
-    resp, flags = normalize_log_scores(scores)
+    # The softmax consumes its argument, so the reference reads the original.
+    resp, flags = normalize_log_scores(scores.copy())
     ref, ref_flags = softmax_rows(scores.T)
     assert np.array_equal(resp, ref)
     underflow = (7, 9, 11) if k == 1 else (7, 11)
@@ -167,25 +168,36 @@ def test_fit_takes_integer_bool_and_float32_data(dtype):
         assert np.array_equal(got.resp, ref.resp) and got.trace == ref.trace
 
 
-def test_fit_working_set():
-    # The responsibilities step writes into buffers it owns, so a fit never
-    # holds more than 10 arrays of n x g_init doubles at once (17 when each
-    # step allocated its result).
-    spec, _ = simulation_preset("study1")
-    data = sample_mixture(spec, 3000, seed=1).observations
-    config = FitConfig(g_init=10, max_iter=5)
+def fit_peak(engine, model: str, preset: str, n: int) -> int:
+    """tracemalloc's peak over five sweeps at g_init 10 on n draws."""
+    spec, _ = simulation_preset(preset)
+    data = sample_mixture(spec, n, seed=1).observations
+    config = FitConfig(model=model, g_init=10, max_iter=5)
     tracemalloc.start()
     try:
-        fit(data, config)
-        peak = tracemalloc.get_traced_memory()[1]
+        engine(data, config)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 3000 * 10 * 8
 
 
-def test_step_functions_leave_their_arguments_unchanged():
-    # Only gig_responsibilities writes into what it is given; the functions
-    # it calls write into the arrays they made.
+def test_fit_working_set():
+    # The responsibilities step writes each intermediate into a buffer it
+    # owns, so a unig fit never holds more than 7 arrays of n x g_init
+    # doubles at once (6.5 measured; 9.3 with an array per intermediate).
+    assert fit_peak(fit, "unig", "study1", 3000) <= 7 * 3000 * 10 * 8
+
+
+def test_fit_working_set_m():
+    # An mnig fit holds its score step's (k, n, d) temporaries as well:
+    # 23.1 arrays of n x g_init doubles at d = 10.
+    assert fit_peak(fit_m, "mnig", "study5", 3500) <= 24 * 3500 * 10 * 8
+
+
+def test_step_functions_own_only_the_buffers_they_consume():
+    # The responsibilities step writes into the head it is given and into
+    # the arrays it made, and hands those on to the steps it calls, which
+    # write into them; chi and psi are only read throughout.
     rng = np.random.default_rng(5)
     x = rng.uniform(1e-3, 30.0, (3, 40))
     for nu in (0.5, 1.0, 1.5, 5.5):
@@ -200,19 +212,32 @@ def test_step_functions_leave_their_arguments_unchanged():
     chi = rng.uniform(0.5, 20.0, (3, 40))
     psi = rng.uniform(0.5, 5.0, (3, 1))
     for lam in (-1.0, -1.5, 2.5):
+        before = chi.copy(), psi.copy()
+        # Without buffers every argument is left as it was.
+        ref = gig_moments(lam, chi, psi)
+        assert not any(np.shares_memory(m, a) for m in ref for a in (chi, psi))
+        # With them, the moments are written into the two buffers given.
         omega = np.sqrt(chi * psi)
-        log_k = log_bessel_k(lam, omega, pair=True)
-        args = (chi, psi, omega, *log_k)
-        before = [a.copy() for a in args]
-        for extra in ((), (omega, log_k)):
-            moments = gig_moments(lam, chi, psi, *extra)
-            assert all(np.array_equal(a, b) for a, b in zip(args, before))
-            assert not any(np.shares_memory(m, a) for m in moments for a in args)
-    # Both of the softmax's summation paths, with an underflow row.
+        log_k, ratio = log_bessel_k(lam, omega, pair=True)
+        ratio = np.exp(ratio - log_k)
+        moments = gig_moments(lam, chi, psi, omega, ratio)
+        assert {id(m) for m in moments} == {id(omega), id(ratio)}
+        assert all(np.array_equal(m, r) for m, r in zip(moments, ref))
+        assert np.array_equal(chi, before[0]) and np.array_equal(psi, before[1])
+        # The shared step consumes the head alone.
+        head = rng.normal(0.0, 1.0, chi.shape)
+        resp, lat, _ = gig_responsibilities(lam, head, chi, psi)
+        assert np.array_equal(chi, before[0]) and np.array_equal(psi, before[1])
+        for out in (resp, *lat):
+            assert out.flags.c_contiguous and out.shape == chi.T.shape
+            assert not any(np.shares_memory(out, a) for a in (head, chi, psi))
+    # Both of the softmax's summation paths, with an underflow row: the
+    # softmax runs in the scores it is given and returns a new array.
     for k in (3, 12):
         scores = rng.normal(0.0, 3.0, (k, 40))
         scores[:, 3] = -np.inf
-        before = scores.copy()
-        resp, _ = normalize_log_scores(scores)
-        assert np.array_equal(scores, before)
-        assert not np.shares_memory(resp, scores)
+        ref, _ = softmax_rows(scores.T)
+        resp, _ = normalize_log_scores(given := scores.copy())
+        assert np.array_equal(resp, ref)
+        assert not np.shares_memory(resp, given)
+        assert not np.array_equal(given, scores)
