@@ -165,7 +165,7 @@ def gig_moments(lam: float, chi, psi, omega=None, ratio=None):
         ratio -= log_k
         del log_k
         ratio = _in_place(np.exp, ratio)
-    # One new array in all, the scale: 2 nu / w goes into w's buffer.
+    # From here one new array, the scale: 2 nu / w goes into w's buffer.
     down = ratio
     up = _in_place(np.divide, 2.0 * nu, omega)
     up += down
