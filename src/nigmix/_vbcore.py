@@ -14,8 +14,9 @@ engine's score head, forms the Bessel ratio in the buffer of its own log,
 and hands its buffers on to ``gig_moments`` and ``normalize_log_scores``,
 which write into them.  So a unig fit holds at most about 6.5 arrays of
 n x g_init doubles at once (tracemalloc: 1.55 MB at n = 3000 and 14.8 MB
-at n = 30000, g_init 10); an mnig fit adds its score step's (k, n, d)
-temporaries.
+at n = 30000, g_init 10), and an mnig fit 7.2 (2.0 MB at n = 3500, d = 10,
+g_init 10): its (n, d) terms, and the k-means distances, are formed one
+component or centre at a time.
 A component stack is a dataclass whose every field has a leading axis of
 one row per component.
 """
@@ -122,8 +123,15 @@ def kmeans_labels(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         centers[j] = data[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, np.sum((data - centers[j]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
+    # One centre's (n, d) squares at a time, summed along d as the seeding
+    # sums them, into the columns of the (n, k) distances.
+    diff = np.empty(data.shape)
+    dist = np.empty((n, k))
     for _ in range(100):
-        dist = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        for j, center in enumerate(centers):
+            np.subtract(data, center, out=diff)
+            np.square(diff, out=diff)
+            dist[:, j] = diff.sum(axis=1)
         new_labels = dist.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break

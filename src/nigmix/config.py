@@ -44,11 +44,10 @@ class FitConfig:
             # Plain numbers, so that the run record is JSON and a numpy or
             # bool twin of a value records and hashes as the value does.
             setattr(self, name, int(value))
-        if not (self.hyper_init > 0.0 and self.prune_threshold > 0.0):
-            raise InvalidData("hyper_init and prune_threshold must be positive")
-        # A responsibility change is never below nan or a bound <= 0, so such
-        # a tol could only end at max_iter.
-        if not 0.0 < self.tol < math.inf:
-            raise InvalidData("tol must be finite and > 0")
+        # An infinite prior mass or count threshold leaves no live component,
+        # and a responsibility change is never below nan or a bound <= 0, so
+        # such a tol could only end at max_iter.
         for name in ("hyper_init", "prune_threshold", "tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidData(f"{name} must be finite and > 0")
             setattr(self, name, float(getattr(self, name)))

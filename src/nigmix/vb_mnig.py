@@ -7,16 +7,19 @@ posterior on each component precision, a joint conditional normal on
 component scale, and a truncated normal on the tail weight.  The latent
 subordinator posterior is GIG of order -(d+1)/2.
 
-Every step works on all components at once, in (k, ...) stacks, and takes
-each component through the floating-point steps of its own update: the
-batched products make the BLAS calls, over the same strides, that one
-column of the responsibilities would, and a0 is squared by
-``np.float_power``, as a scalar ``a0**2`` is.  Per component run only the
-expectation step's scalar checks of the hyper rows and the tail-weight
-moments.  The scale accumulators of the rows that pass go to one stacked
-``linalg.spd_inverse_logdet_jittered`` call per sweep, whose jitter retry
-is linalg's; a row that fails even so is dropped and the rest are inverted
-again.
+Every step keeps its components in (k, ...) stacks and takes each
+component through the floating-point steps of its own update: the batched
+products make the BLAS calls, over the same strides, that one column of
+the responsibilities would, and a0 is squared by ``np.float_power``, as a
+scalar ``a0**2`` is.  Per component run the expectation step's scalar
+checks of the hyper rows and the tail-weight moments, and the terms that
+are (n, d) for each component: the scatter of the hyper update and the
+centred rows of the score step.  These go through (n, d) buffers made
+once per call, with the BLAS calls one (k, n, d) batch would make, so no
+step holds a (k, n, d) array.  The scale accumulators of the rows that
+pass go to one stacked ``linalg.spd_inverse_logdet_jittered`` call per
+sweep, whose jitter retry is linalg's; a row that fails even so is
+dropped and the rest are inverted again.
 
 Conventions pinned here (the displays leave them implicit):
 
@@ -33,7 +36,7 @@ Conventions pinned here (the displays leave them implicit):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import psi
@@ -178,20 +181,31 @@ def update_hypers_m(
     a4 = priors.a4 + zu_inv.sum(axis=1)
     h = ComponentHyperM(a0, a1, a2, a3, a4, priors.V)
     mu_bar, beta_bar = posterior_means(h, h.disc)
-    scatter = (data * zu_inv[:, :, None]).transpose(0, 2, 1) @ data
+    # One component's weighted rows at a time, in one buffer; the transpose
+    # takes the BLAS path of a slice of the (k, d, n) batch.
+    scatter = np.empty(priors.V.shape)
+    weighted = np.empty(data.shape)
+    for g, row in enumerate(zu_inv):
+        np.multiply(data, row[:, None], out=weighted)
+        np.matmul(weighted.T, data, out=scatter[g])
+    del weighted
     c0, c3, c4 = (a[:, None, None] for a in (a0, a3, a4))
+    # x_i y_j = y_j x_i, so the mirrored outer products are transposed views.
+    a2_mu, beta_a1 = _outer(a2, mu_bar), _outer(beta_bar, a1)
+    beta_mu = _outer(beta_bar, mu_bar)
     V = (
         priors.V
         + scatter
-        - _outer(a2, mu_bar)
-        - _outer(mu_bar, a2)
+        - a2_mu
+        - a2_mu.transpose(0, 2, 1)
         + c4 * _outer(mu_bar, mu_bar)
-        - _outer(beta_bar, a1)
-        - _outer(a1, beta_bar)
-        + c0 * (_outer(beta_bar, mu_bar) + _outer(mu_bar, beta_bar))
+        - beta_a1
+        - beta_a1.transpose(0, 2, 1)
+        + c0 * (beta_mu + beta_mu.transpose(0, 2, 1))
         + c3 * _outer(beta_bar, beta_bar)
     )
-    return replace(h, V=0.5 * (V + V.transpose(0, 2, 1)))
+    h.V = 0.5 * (V + V.transpose(0, 2, 1))
+    return h
 
 
 def expectations_from_hypers_m(
@@ -247,17 +261,56 @@ def expectations_from_hypers_m(
 
 def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
     """New responsibilities and latent GIG moments from the bundle stack,
-    through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2."""
+    through the shared ``_vbcore.gig_responsibilities`` at order -(d+1)/2.
+
+    Each component's (n, d) terms go through two buffers made once per
+    call, with the BLAS calls and reductions one (k, n, d) batch would make
+    for that component; they are released before the shared step runs.
+    """
     d = data.shape[1]
-    b = take(bundles, np.s_[:, None])
-    e_prec, beta_bar = bundles.e_prec, b.beta_bar.transpose(0, 2, 1)
-    centered = data - b.mu_bar
-    chi = 1.0 + np.einsum("kij,kij->ki", centered @ e_prec, centered) + d * b.c_mu
-    psi = b.gamma_t_sq + (b.beta_bar @ e_prec @ beta_bar)[:, :, 0] + d * b.c_beta
-    head = b.gamma_t + (centered @ (e_prec @ beta_bar))[..., 0] + d * b.c_cross
+    e_prec, mu_bar = bundles.e_prec, bundles.mu_bar
+    beta_bar = bundles.beta_bar[:, :, None]
+    psi = (
+        bundles.gamma_t_sq[:, None]
+        + (beta_bar.transpose(0, 2, 1) @ e_prec @ beta_bar)[:, :, 0]
+        + d * bundles.c_beta[:, None]
+    )
+    drift = (e_prec @ beta_bar)[..., 0]
+    chi = np.empty((len(mu_bar), data.shape[0]))
+    head = np.empty_like(chi)
+    centered = np.empty(data.shape)
+    scaled = np.empty(data.shape)
+    for g in range(len(mu_bar)):
+        np.subtract(data, mu_bar[g], out=centered)
+        np.matmul(centered, e_prec[g], out=scaled)
+        np.einsum("ij,ij->i", scaled, centered, out=chi[g])
+        np.matmul(centered, drift[g], out=head[g])
+    del centered, scaled
+    chi += 1.0
+    chi += d * bundles.c_mu[:, None]
+    head += bundles.gamma_t[:, None]
+    head += d * bundles.c_cross[:, None]
     # The (k, 1) constants plus E[c], in E[c]'s buffer.
-    head += b.log_pi + 0.5 * b.elog_det_prec
+    head += (bundles.log_pi + 0.5 * bundles.elog_det_prec)[:, None]
     return gig_responsibilities(-(d + 1) / 2.0, head, chi, psi)
+
+
+def _check_rank(data: np.ndarray) -> None:
+    """Raise InvalidData unless the (n, d) columns have full rank.
+
+    The Wishart posteriors need full-rank columns, tested centred and scaled
+    to a largest magnitude of one.  The test comes before the start, whose
+    k-means can overflow on a column it rejects; empty or non-finite data
+    are left to run_sweep's checks, and an overflowing square to DegenerateFit.
+    Its (n, d) copies are released on return, before the sweep.
+    """
+    if data.size and np.isfinite(data).all():
+        centred = data - data.mean(axis=0)
+        scale = np.abs(centred).max(axis=0)
+        if np.isfinite(scale * scale).all() and not (
+            scale.all() and np.linalg.matrix_rank(centred / scale) == data.shape[1]
+        ):
+            raise InvalidData("mnig needs linearly independent, non-constant columns")
 
 
 def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
@@ -267,17 +320,7 @@ def fit_m(data: np.ndarray, config: FitConfig) -> FitResult:
     data = real_array(data)
     if data.ndim != 2 or not data.shape[1]:
         raise InvalidData(f"mnig needs (n, d) data, d >= 1, got shape {data.shape}")
-    # The Wishart posteriors need full-rank columns, tested centred and scaled
-    # to a largest magnitude of one.  The test comes before the start, whose
-    # k-means can overflow on a column it rejects; empty or non-finite data
-    # are left to run_sweep's checks, and an overflowing square to DegenerateFit.
-    if data.size and np.isfinite(data).all():
-        centred = data - data.mean(axis=0)
-        scale = np.abs(centred).max(axis=0)
-        if np.isfinite(scale * scale).all() and not (
-            scale.all() and np.linalg.matrix_rank(centred / scale) == data.shape[1]
-        ):
-            raise InvalidData("mnig needs linearly independent, non-constant columns")
+    _check_rank(data)
     return run_sweep(
         "mnig",
         data,
