@@ -723,6 +723,8 @@ def merge_argv(groups):
       "--range", "0", "1"], 3),
     (["density-grid", "{}/gamma_neg.json", "{}/grid.csv", "--range", "0", "1"], 3),
     (fit_argv("short_label.csv", "--g-init", "2"), 3),
+    (fit_argv("study1.csv", "--hyper-init", "inf"), 3),
+    (fit_argv("study1.csv", "--prune-threshold", "inf"), 3),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,

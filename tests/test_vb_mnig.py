@@ -336,6 +336,29 @@ class TestStackedSteps:
                 assert a.flags.c_contiguous
 
 
+def test_steps_write_only_buffers_they_own():
+    # The hyper and score steps write each component's (n, d) terms into
+    # buffers of their own: the data, resp, the latent moments and the
+    # prior, hyper and bundle stacks are only read, and nothing returned
+    # shares memory with them.
+    states = [random_m(7 * d + k, n=30 * k, k=k, d=d)
+              for d in (1, 2, 10) for k in (1, 3, 8)]
+    for data, resp, lat, priors in states:
+        inputs = [data, resp, *lat, *vars(priors).values()]
+        before = [a.copy() for a in inputs]
+        hypers = update_hypers_m(priors, resp, lat, data)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert not any(np.shares_memory(h, a)
+                       for h in vars(hypers).values() for a in inputs)
+        bundles, _ = expectations_from_hypers_m(hypers, sum(hypers.a0.tolist()))
+        read = [data, *vars(hypers).values(), *vars(bundles).values()]
+        before = [a.copy() for a in read]
+        new_resp, new_lat, _ = update_responsibilities_m(data, bundles)
+        assert all(np.array_equal(a, b) for a, b in zip(read, before))
+        assert not any(np.shares_memory(out, a)
+                       for out in (new_resp, *new_lat) for a in (*inputs, *read))
+
+
 def test_stack_that_does_not_factor_is_redone_row_by_row():
     # Every row passes the scalar checks.  Rows 1 and 2 have a NaN and a
     # negative pivot, and each is dropped with its own; row 3 factors only on

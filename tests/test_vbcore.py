@@ -1,5 +1,6 @@
 """The sweep driver shared by both engines."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -10,6 +11,8 @@ from nigmix._vbcore import (
     DegenerateComponent,
     DegenerateFit,
     gig_responsibilities,
+    initial_partition,
+    kmeans_labels,
     normalize_log_scores,
 )
 from nigmix.config import FitConfig, InvalidData
@@ -18,7 +21,7 @@ from nigmix.presets import simulation_preset
 from nigmix.special import log_bessel_k
 from nigmix.vb_mnig import ExpectationBundleM, fit_m, update_responsibilities_m
 from nigmix.vb_unig import ExpectationBundle, fit, update_responsibilities
-from tests_support_naive import softmax_rows
+from tests_support_naive import kmeans_labels_broadcast, softmax_rows
 
 
 # k = 8..12 and 16 take numpy's eight-accumulator fold, 129 and 200 its halving.
@@ -152,6 +155,15 @@ def test_config_counts_must_be_integers(field):
             FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["hyper_init", "prune_threshold", "tol"])
+def test_config_amounts_must_be_finite_and_positive(field):
+    # An infinite prior mass or count threshold would leave no live
+    # component, which is a degenerate fit rather than bad input.
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidData):
+            FitConfig(**{field: value})
+
+
 def test_config_takes_numpy_integers():
     config = FitConfig(g_init=np.int64(2), max_iter=np.int32(5), seed=np.uint8(1))
     assert fit(X[:, 0], config).iterations <= 5
@@ -168,17 +180,21 @@ def test_fit_takes_integer_bool_and_float32_data(dtype):
         assert np.array_equal(got.resp, ref.resp) and got.trace == ref.trace
 
 
+def traced_peak(step, *args) -> int:
+    """tracemalloc's peak over one call of ``step``."""
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def fit_peak(engine, model: str, preset: str, n: int) -> int:
     """tracemalloc's peak over five sweeps at g_init 10 on n draws."""
     spec, _ = simulation_preset(preset)
     data = sample_mixture(spec, n, seed=1).observations
-    config = FitConfig(model=model, g_init=10, max_iter=5)
-    tracemalloc.start()
-    try:
-        engine(data, config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(engine, data, FitConfig(model=model, g_init=10, max_iter=5))
 
 
 def test_fit_working_set():
@@ -189,9 +205,36 @@ def test_fit_working_set():
 
 
 def test_fit_working_set_m():
-    # An mnig fit holds its score step's (k, n, d) temporaries as well:
-    # 23.1 arrays of n x g_init doubles at d = 10.
-    assert fit_peak(fit_m, "mnig", "study5", 3500) <= 24 * 3500 * 10 * 8
+    # The mnig steps form their (n, d) terms one component at a time in
+    # buffers released before the shared responsibilities step, so at d = 10
+    # an mnig fit holds 7.2 arrays of n x g_init doubles, where (k, n, d)
+    # temporaries took it to 23.1.
+    assert fit_peak(fit_m, "mnig", "study5", 3500) <= 8 * 3500 * 10 * 8
+
+
+def test_initial_partition_working_set():
+    # The Lloyd step forms one centre's (n, d) squares at a time: 2.7 arrays
+    # of n x g_init doubles at d = 10, 12.3 with the (n, k, d) broadcast.
+    spec, _ = simulation_preset("study5")
+    data = sample_mixture(spec, 3500, seed=1).observations
+    rng = np.random.default_rng(0)
+    assert traced_peak(initial_partition, data, 10, "kmeans", rng) <= 3 * 3500 * 10 * 8
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_kmeans_labels_equal_the_broadcast_step(d):
+    # Summing one centre's squares along d takes the broadcast's reduction,
+    # so the labels are the same; the grid data repeat rows and tie the
+    # distances to several centres, where argmin keeps the first.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for data in (rng.normal(0.0, 2.0, (90, d)),
+                     rng.integers(-2, 3, (90, d)).astype(float)):
+            data = data[:, 0] if d == 1 and seed % 2 else data
+            for k in range(2, 11):
+                got = kmeans_labels(data, k, np.random.default_rng(seed + k))
+                ref = kmeans_labels_broadcast(data, k, np.random.default_rng(seed + k))
+                assert np.array_equal(got, ref), (seed, k)
 
 
 def test_step_functions_own_only_the_buffers_they_consume():

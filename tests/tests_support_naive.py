@@ -6,8 +6,9 @@ call, pair-enumeration agreement index, set-partition enumeration, the
 d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
 moments through the generic ``kve`` at three orders, and the univariate
-and multivariate log scores of one bundle written out term by term, and
-the start of a fit's first sweep."""
+and multivariate log scores of one bundle written out term by term, the
+start of a fit's first sweep, and the k-means start with its Lloyd
+distances to all centres broadcast at once."""
 
 import itertools
 import math
@@ -54,6 +55,32 @@ def first_sweep_state(init, data, g_init, hyper_init, seed):
     resp = initial_partition(data, g_init, "kmeans", np.random.default_rng(seed))
     lam, chi, priors = init(data, resp, hyper_init)
     return resp, gig_moments(lam, chi, np.ones_like(chi)), priors
+
+
+def kmeans_labels_broadcast(data, k, rng):
+    """``kmeans_labels`` with each Lloyd step's squared distances to every
+    centre broadcast as one (n, k, d) array and summed along d."""
+    data = np.atleast_2d(data.T).T if data.ndim == 1 else data
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        centers[j] = data[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, np.sum((data - centers[j]) ** 2, axis=1))
+    labels = np.zeros(n, dtype=int)
+    for _ in range(100):
+        dist = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centers[j] = data[mask].mean(axis=0)
+    return labels
 
 
 def random_u(seed, n=25, k=3):
