@@ -1,4 +1,5 @@
-"""Numerically robust scalar special functions used throughout inference.
+"""Numerically robust special functions used throughout inference, each
+taking a float or an ndarray.
 
 Everything Bessel-related is kept on the log scale: the inference loops
 multiply quantities whose product argument can push ``K_nu`` far below the
@@ -58,25 +59,33 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     nu = abs(float(nu))
     if not (nu <= _MAX_ORDER and (2.0 * nu).is_integer()):
         raise ValueError(f"order must be a whole or half-integer <= 64: {nu}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
+    # A float array of at least one dimension, as the engines pass, is used
+    # as it is; anything else goes through a 1-d float view and back.
+    scalar, shape = False, None
+    if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim == 0:
+        scalar, shape = np.isscalar(x), np.shape(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
     # The minimum is NaN when any element is, so NaN fails here too.
     if not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
-    # At least 1-d, so that every scaled value is an array the log can
-    # overwrite: no step allocates more than its result.
-    x1 = np.atleast_1d(x)
+    # Every scaled value is an array the log can overwrite: no step
+    # allocates more than its result.
     with np.errstate(over="ignore", divide="ignore"):
-        logs = _scaled_k(nu, x1, pair)
+        logs = _scaled_k(nu, x, pair)
         for out in logs:
             np.log(out, out=out)
-            out -= x1
+            out -= x
     outs = []
     for order, out in zip((nu, abs(nu - 1.0)), logs):
-        for i in np.flatnonzero(~np.isfinite(out)):
-            out.flat[i] = _log_k_mpmath(order, float(x1.flat[i]))
-        outs.append(float(out[0]) if scalar else out.reshape(x.shape))
+        if not np.isfinite(out).all():
+            for i in np.flatnonzero(~np.isfinite(out)):
+                out.flat[i] = _log_k_mpmath(order, float(x.flat[i]))
+        if scalar:
+            out = float(out[0])
+        elif shape is not None:
+            out = out.reshape(shape)
+        outs.append(out)
     return tuple(outs) if pair else outs[0]
 
 
@@ -118,36 +127,50 @@ def _log_k_mpmath(nu: float, x: float) -> float:
         return float(mp.log(mp.besselk(nu, x)))
 
 
-def trunc_normal_moments(m: float, s: float) -> tuple[float, float]:
+def trunc_normal_moments(m, s):
     """Mean and second moment of N(m, s^2) truncated to (0, inf).
 
-    The inverse Mills ratio is computed through the scaled complementary
-    error function, so it does not underflow at locations many scales
-    below or above the truncation point.  The mean ``m + s * mills`` is
-    accurate for m >= 0, which every engine call passes (unig passes
-    ratio * delta and mnig passes a0 / a3, both positive).  Far below zero
-    its two terms cancel: at (m, s) = (-1e5, 1) it loses 3.4e-7 relative,
-    and at (-1e8, 1) it comes out negative.
+    ``m`` and ``s`` are floats or ndarrays, broadcast against each other;
+    each element gets the bits of its own float computation.  The inverse
+    Mills ratio is computed through the scaled complementary error
+    function, so it does not underflow at locations many scales below or
+    above the truncation point.  The mean ``m + s * mills`` is accurate for
+    m >= 0, which every engine call passes (unig passes ratio * delta and
+    mnig passes a0 / a3, both positive).  Far below zero its two terms
+    cancel: at (m, s) = (-1e5, 1) it loses 3.4e-7 relative, and at
+    (-1e8, 1) it comes out negative.
 
     Returns
     -------
-    (mean, second_moment)
+    (mean, second_moment), floats when both inputs are 0-d and arrays
+    otherwise
     """
-    if not (s > 0.0) or not math.isfinite(m) or not math.isfinite(s):
+    m = np.asarray(m, dtype=float)
+    s = np.asarray(s, dtype=float)
+    # One reduction: the engines pass a few rows, where each call costs more
+    # than its arithmetic.
+    if not (np.isfinite(m) & np.isfinite(s) & (s > 0.0)).all():
         raise ValueError("truncated normal requires finite m and s > 0")
-    h = m / s
-    # phi(h) / Phi(h) without either factor; 0 where erfcx overflows, which
-    # leaves (m, s^2 + m^2).  Python floats overflow there with no warning.
-    denom = float(erfcx(-h / math.sqrt(2.0)))
-    if denom == 0.0:
-        raise FloatingPointError(
-            "truncated normal survival mass underflowed (all mass below 0)"
-        )
-    mills = math.sqrt(2.0 / math.pi) / denom
-    mean = m + s * mills
-    # Var = s^2 (1 + alpha*lambda - lambda^2) with alpha = -h, lambda = mills.
-    var = s * s * (1.0 - h * mills - mills * mills)
-    # 0.0 first: max drops the NaN of inf * 0 where m / s overflows.
-    var = max(0.0, var)
-    return mean, var + mean * mean
-
+    # Overflow and inf * 0 carry inf and NaN silently, as float arithmetic
+    # does: m / s can overflow, and so can the second moment.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = m / s
+        # phi(h) / Phi(h) without either factor; 0 where erfcx overflows,
+        # which leaves (m, s^2 + m^2).
+        denom = erfcx(-h / math.sqrt(2.0))
+        if not denom.all():
+            raise FloatingPointError(
+                "truncated normal survival mass underflowed (all mass below 0)"
+            )
+        mills = math.sqrt(2.0 / math.pi) / denom
+        mean = m + s * mills
+        # Var = s^2 (1 + alpha*lambda - lambda^2), alpha = -h, lambda = mills.
+        var = s * s * (1.0 - h * mills - mills * mills)
+        # 0 for a negative variance and for the NaN of inf * 0 where m / s
+        # overflows, as max(0.0, var) gives (fmax drops a NaN, and a -0.0 it
+        # may keep adds to mean^2 as 0.0 does).
+        second = np.fmax(var, 0.0)
+        second += mean * mean
+    if m.ndim == s.ndim == 0:
+        return float(mean), float(second)
+    return mean, second

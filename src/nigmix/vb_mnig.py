@@ -243,8 +243,7 @@ def expectations_from_hypers_m(
     )
     mu_bar, beta_bar = posterior_means(h, D)
     s = np.sqrt(1.0 / (2.0 * h.a3))
-    moments = [trunc_normal_moments(m, sg) for m, sg in zip(h.a0 / h.a3, s)]
-    gamma_t, gamma_t_sq = np.array(moments).reshape(-1, 2).T
+    gamma_t, gamma_t_sq = trunc_normal_moments(h.a0 / h.a3, s)
     return ExpectationBundleM(
         log_pi=psi(h.a0) - psi(total_count_mass),
         elog_det_prec=elog_det_prec,

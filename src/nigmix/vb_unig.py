@@ -22,7 +22,6 @@ ones until pruning removes them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ from ._vbcore import (
     prune,
     real_array,
     run_sweep,
-    take,
 )
 from .config import FitConfig, InvalidData
 from .distributions import UNIGParams, unig_density
@@ -59,7 +57,6 @@ __all__ = [
 # ratio 6, 1.3e-12 at 7 and 6.3e-16 at 8, and falls below machine precision
 # only from about 8.5.
 _TRUNC_SAFE_RATIO = 6.0
-_QUAD_NODES = 96
 
 
 @dataclass
@@ -136,19 +133,76 @@ def update_hypers(
     )
 
 
-@functools.cache
+# The positive half of the 96-point Gauss-Legendre rule, (node, weight) in
+# shortest repr: numpy's ``leggauss(96)`` symmetrizes its output, so these
+# rebuild its nodes and weights bit for bit without its eigenvalue solve.
+_LEGENDRE_HALF = (
+    (0.016276744849602967, 0.03255061449236328),
+    (0.04881298513604974, 0.03251611871386895),
+    (0.08129749546442555, 0.0324471637140644),
+    (0.11369585011066592, 0.03234382256857602),
+    (0.14597371465489695, 0.03220620479403032),
+    (0.17809688236761861, 0.032034456231992796),
+    (0.2100313104605672, 0.03182875889441112),
+    (0.24174315616384, 0.03158933077072725),
+    (0.27319881259104917, 0.03131642559686141),
+    (0.30436494435449635, 0.03101033258631393),
+    (0.3352085228926254, 0.030671376123669266),
+    (0.3656968614723136, 0.03029991542082777),
+    (0.3957976498289086, 0.029896344136328506),
+    (0.42547898840730053, 0.029461089958168016),
+    (0.454709422167743, 0.02899461415055532),
+    (0.48345797392059636, 0.028497411065085413),
+    (0.5116941771546677, 0.02797000761684837),
+    (0.5393881083243575, 0.027412962726029232),
+    (0.5665104185613972, 0.02682686672559185),
+    (0.593032364777572, 0.026212340735672593),
+    (0.6189258401254686, 0.025570036005349364),
+    (0.6441634037849671, 0.024900633222483814),
+    (0.6687183100439161, 0.02420484179236482),
+    (0.6925645366421715, 0.023483399085926292),
+    (0.7156768123489676, 0.022737069658329466),
+    (0.7380306437444001, 0.02196664443874457),
+    (0.7596023411766475, 0.021172939892191354),
+    (0.7803690438674332, 0.020356797154333365),
+    (0.8003087441391408, 0.019519081140145382),
+    (0.8194003107379316, 0.01866067962741174),
+    (0.8376235112281871, 0.017782502316045286),
+    (0.8549590334346014, 0.016885479864245195),
+    (0.8713885059092965, 0.015970562902562345),
+    (0.8868945174024204, 0.015038721026994927),
+    (0.9014606353158523, 0.014090941772314894),
+    (0.9150714231208981, 0.013128229566961646),
+    (0.9277124567223087, 0.012151604671088057),
+    (0.9393703397527552, 0.01116210209983861),
+    (0.9500327177844377, 0.010160770535008306),
+    (0.9596882914487426, 0.009148671230783011),
+    (0.9683268284632642, 0.0081268769256983),
+    (0.9759391745851365, 0.007096470791153821),
+    (0.9825172635630147, 0.006058545504235195),
+    (0.9880541263296237, 0.005014202742928604),
+    (0.9925439003237626, 0.003964554338444405),
+    (0.9959818429872093, 0.0029107318179352943),
+    (0.9983643758631817, 0.0018539607889441585),
+    (0.9996895038832307, 0.0007967920655518723),
+)
+_HALF_NODES, _HALF_WEIGHTS = np.array(_LEGENDRE_HALF).T
+_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
+
+
 def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``_gamma_quadrature``, built on
-    first use and shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    """Gauss-Legendre nodes and weights of ``_gamma_quadrature``, ascending
+    and read-only, rebuilt from the pinned half table."""
+    return _NODES, _WEIGHTS
 
 
 def _gamma_quadrature(a0: float, rate: float, ratio: float, s: float):
     """E[gamma], E[gamma^2], E[delta*gamma] of one component near the
     truncation boundary: the tail weight's truncated-normal moments averaged
-    over the scale posterior by Gauss-Legendre quadrature."""
+    over the scale posterior by Gauss-Legendre quadrature, with the moments
+    of every node from one array call."""
     shape = a0 / 2.0 + 1.0
     scale = 1.0 / rate
     lo = gammaincinv(shape, 1e-10) * scale
@@ -160,10 +214,7 @@ def _gamma_quadrature(a0: float, rate: float, ratio: float, s: float):
     w = weights * 0.5 * (hi - lo) * pdf
     w /= w.sum()
     deltas = np.sqrt(t)
-    means = np.empty_like(deltas)
-    seconds = np.empty_like(deltas)
-    for i, dlt in enumerate(deltas):
-        means[i], seconds[i] = trunc_normal_moments(ratio * dlt, s)
+    means, seconds = trunc_normal_moments(ratio * deltas, s)
     return float(w @ means), float(w @ seconds), float(w @ (deltas * means))
 
 
@@ -223,14 +274,15 @@ def expectations_from_hypers(
 def update_responsibilities(y: np.ndarray, bundles: ExpectationBundle):
     """New responsibilities and latent GIG moments of ``y`` from the bundle
     stack, through the shared ``_vbcore.gig_responsibilities`` at order -1."""
-    # (k, 1) columns: every broadcast then runs along n, where a (k,) inner
-    # axis would cost a loop turn per row.
-    b = take(bundles, np.s_[:, None])
-    e_a = b.delta_sq + y * y - 2.0 * y * b.mu + b.mu_sq
-    e_b = b.gamma_sq + b.beta_sq
-    head = b.delta_gamma + y * b.beta - (b.mu * b.beta + b.cov_mu_beta)
+    # (k, 1) column views: every broadcast then runs along n, where a (k,)
+    # inner axis would cost a loop turn per row.
+    b = bundles
+    mu, beta = b.mu[:, None], b.beta[:, None]
+    e_a = b.delta_sq[:, None] + y * y - 2.0 * y * mu + b.mu_sq[:, None]
+    e_b = b.gamma_sq[:, None] + b.beta_sq[:, None]
+    head = b.delta_gamma[:, None] + y * beta - (mu * beta + b.cov_mu_beta[:, None])
     # The (k, 1) constants plus E[c], in E[c]'s buffer.
-    head += b.log_pi + 0.5 * b.log_delta_sq
+    head += b.log_pi[:, None] + 0.5 * b.log_delta_sq[:, None]
     return gig_responsibilities(-1.0, head, e_a, e_b)
 
 
