@@ -176,6 +176,7 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
         top[~finite] = 0.0
     resp = log_scores
     resp -= top
+    del top
     np.exp(resp, out=resp)
     # numpy sums a contiguous row of k values in turn below 8 and pairwise
     # from 8 on; only the second needs the row-major copy.
