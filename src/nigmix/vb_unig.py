@@ -13,7 +13,10 @@ alternates three moves until the responsibilities stop moving:
 The first and third moves take all components at once, as (k,) stacks.
 The second makes one pass over the hyper rows in Python floats: it checks
 each row, records the reason of a row that fails, and forms the closed
-forms of the others, which the pass stacks once at its end.
+forms of the others, which the pass stacks once at its end.  A row near
+the tail weight's truncation boundary takes its tail-weight moments from a
+96-node quadrature over the scale posterior instead, evaluated as one
+array call on nodes pinned in this module.
 
 Model selection is a by-product: the engine starts with more components
 than expected and the Dirichlet log-weight expectation starves redundant

@@ -1,6 +1,7 @@
 """Special-function checks against closed forms and quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from scipy.stats import norm
 
 from nigmix import special
 from nigmix.special import log_bessel_k, trunc_normal_moments
-from tests_support_naive import log_bessel_k_kve, sqrt_gamma_moment
+from tests_support_naive import (
+    log_bessel_k_kve,
+    sqrt_gamma_moment,
+    trunc_normal_moments_scalar,
+)
 
 XS = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0]
 
@@ -135,6 +140,30 @@ class TestLogBesselK:
                 log_bessel_k(order, 1.0)
 
 
+def _trunc_rows():
+    rng = np.random.default_rng(0)
+    n = 10_000
+    # Locations from far below to far above the truncation point, on scales
+    # from 1e-6 to 1e6.
+    s = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    m = s * np.concatenate([rng.uniform(-40.0, 60.0, n // 2),
+                            -(10.0 ** rng.uniform(0.0, 8.0, n - n // 2))])
+    far = [(38.5, 1.0), (50.0, 1.0), (4e3, 2.0), (1e10, 3.0), (2.5, 1e-20),
+           (1e150, 1e-3), (1e300, 1.0), (1e300, 1e150)]
+    # A variance that rounds below 0 far below zero, and the NaN of inf * 0
+    # where m / s overflows: both are clamped to 0.
+    clamped = [(-1e4, 1.0), (-7e5, 1.0), (-1e7, 1.0), (1.0, 1e-310),
+               (1e300, 1e-10), (5.0, 1e-308)]
+    return {
+        "random": (m, s),
+        "far_above": tuple(np.array(far).T),
+        "clamped": tuple(np.array(clamped).T),
+    }
+
+
+TRUNC_ROWS = _trunc_rows()
+
+
 class TestTruncNormalMoments:
     @pytest.mark.parametrize(
         "m,s",
@@ -162,6 +191,47 @@ class TestTruncNormalMoments:
                      (1.0, 1e-310)]:
             assert math.isinf(erfcx(-m / s / math.sqrt(2.0)))
             assert trunc_normal_moments(m, s) == (m, s * s + m * m)
+
+    @pytest.mark.parametrize("rows", ["random", "far_above", "clamped"])
+    def test_array_equals_the_scalar_reference(self, rows):
+        m, s = TRUNC_ROWS[rows]
+        pairs = zip(m.tolist(), s.tolist())
+        ref = np.array([trunc_normal_moments_scalar(a, b) for a, b in pairs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.column_stack(trunc_normal_moments(m, s))
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        if rows == "clamped":
+            # A variance of 0 leaves the second moment at mean^2 (inf at
+            # m = 1e300).
+            with np.errstate(over="ignore"):
+                assert np.array_equal(got[:, 1], got[:, 0] * got[:, 0])
+
+    def test_scalar_scale_broadcasts(self):
+        # The unig quadrature passes one s for all of its nodes.
+        m = TRUNC_ROWS["random"][0][:96]
+        ref = np.array([trunc_normal_moments_scalar(a, 0.7) for a in m.tolist()])
+        got = np.column_stack(trunc_normal_moments(m, 0.7))
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "m,s,error",
+        [(0.0, 0.0, ValueError), (math.nan, 1.0, ValueError),
+         (1.0, -1.0, ValueError), (math.inf, 1.0, ValueError),
+         (1.0, math.inf, ValueError),
+         # m / s overflows to -inf, where erfcx underflows to 0.
+         (-1e300, 1e-10, FloatingPointError)],
+    )
+    def test_errors_match_the_scalar_reference(self, m, s, error):
+        with pytest.raises(error) as want:
+            trunc_normal_moments_scalar(m, s)
+        good = TRUNC_ROWS["random"]
+        for args in ((m, s), (np.append(good[0][:5], m), np.append(good[1][:5], s))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as got:
+                    trunc_normal_moments(*args)
+            assert str(got.value) == str(want.value)
 
     def test_domain(self):
         with pytest.raises(ValueError):

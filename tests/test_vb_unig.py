@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from tests_support_naive import (
     expectations_loop,
     expectations_one,
     first_sweep_state,
+    gamma_quadrature_loop,
     gig_moments_kve,
     log_bessel_k_kve,
     log_score_u,
@@ -370,6 +376,82 @@ class TestStackedSteps:
             (2, "correlation at the boundary"),
         ]
         assert_stacks_equal(got, ref)
+
+
+def quadrature_calls(name, replicates, monkeypatch):
+    """The (a0, rate, ratio, s) of every ``_gamma_quadrature`` call in the
+    first ten sweeps of the census fits of ``name``: sample seed 1000 + r,
+    fit seed r, g_init 10."""
+    calls = []
+    quadrature = vb_unig._gamma_quadrature
+
+    def recorded(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    spec, counts = simulation_preset(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(vb_unig, "_gamma_quadrature", recorded)
+        for r in replicates:
+            y = sample_mixture(spec, sum(counts), seed=1000 + r, counts=counts)
+            fit(y.observations, FitConfig(model="unig", g_init=10, seed=r,
+                                          max_iter=10))
+    return calls
+
+
+class TestQuadrature:
+    """The tail-weight quadrature takes its nodes from a pinned table and
+    the moments of all nodes from one array call, with the bits of
+    ``leggauss`` and of one scalar call per node."""
+
+    def test_nodes_are_leggauss_bit_for_bit(self):
+        nodes, weights = vb_unig._legendre_nodes()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(96)
+        assert np.array_equal(nodes.view(np.int64), ref_nodes.view(np.int64))
+        assert np.array_equal(weights.view(np.int64), ref_weights.view(np.int64))
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
+    @pytest.mark.parametrize("name", ["study1", "study2"])
+    def test_equals_the_node_loop_on_fit_states(self, name, monkeypatch):
+        calls = quadrature_calls(name, range(4), monkeypatch)
+        assert len(calls) >= 20
+        for args in calls:
+            assert vb_unig._gamma_quadrature(*args) == gamma_quadrature_loop(*args)
+
+    def test_equals_the_node_loop_on_random_rows(self):
+        h = random_hypers_u(3, 500)
+        for a0, a3, a4 in zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist()):
+            args = (a0, a4 - a0**2 / (4.0 * a3), a0 / (2.0 * a3),
+                    math.sqrt(1.0 / (2.0 * a3)))
+            assert vb_unig._gamma_quadrature(*args) == gamma_quadrature_loop(*args)
+
+    def test_fit_makes_no_eigenvalue_solve(self):
+        # A fresh process, with numpy patched before nigmix is imported, so
+        # an eigenvalue solve anywhere in the import or the fit fails it.
+        code = textwrap.dedent("""
+            import numpy as np
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("eigenvalue solve in a unig fit")
+
+            np.polynomial.legendre.leggauss = refuse
+            np.linalg.eigvalsh = refuse
+            import nigmix
+            from nigmix import vb_unig
+            from nigmix.distributions import sample_mixture
+
+            calls = []
+            quadrature = vb_unig._gamma_quadrature
+            vb_unig._gamma_quadrature = lambda *a: calls.append(a) or quadrature(*a)
+            spec, counts = nigmix.simulation_preset("study2")
+            y = sample_mixture(spec, sum(counts), seed=1000, counts=counts)
+            nigmix.fit(y.observations, nigmix.FitConfig(model="unig", g_init=10))
+            assert calls
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(vb_unig.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPrune:

@@ -1,8 +1,9 @@
 """Shared slow oracles for the test suite: literal summation mirrors of the
 conjugate updates, the hyper, expectation and responsibility steps of both
 engines one component at a time (with the scalar E[sqrt(X)] of a gamma
-variable), the row-by-row softmax with log K at each order from its own
-call, pair-enumeration agreement index, set-partition enumeration, the
+variable, and the tail-weight quadrature with one scalar truncated-normal
+call per node), the row-by-row softmax with log K at each order from its
+own call, pair-enumeration agreement index, set-partition enumeration, the
 d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
 moments through the generic ``kve`` at three orders, and the univariate
@@ -16,19 +17,14 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gammaln, kve, psi
+from scipy.special import erfcx, gammaincinv, gammaln, kve, psi, xlogy
 
 from nigmix._vbcore import DegenerateComponent, initial_partition
 from nigmix.distributions import MNIGParams, UNIGParams, gig_moments
 from nigmix.linalg import NotPositiveDefinite, spd_inverse_logdet_jittered
-from nigmix.special import log_bessel_k, trunc_normal_moments
+from nigmix.special import log_bessel_k
 from nigmix.vb_mnig import ComponentHyperM, ExpectationBundleM, flat_priors_m
-from nigmix.vb_unig import (
-    _TRUNC_SAFE_RATIO,
-    ComponentHyper,
-    _gamma_quadrature,
-    flat_priors,
-)
+from nigmix.vb_unig import _TRUNC_SAFE_RATIO, ComponentHyper, flat_priors
 
 
 def row(stack, g):
@@ -181,6 +177,46 @@ def sqrt_gamma_moment(shape: float, rate: float) -> float:
     return math.exp(gammaln(shape + 0.5) - gammaln(shape)) / math.sqrt(rate)
 
 
+def trunc_normal_moments_scalar(m: float, s: float) -> tuple[float, float]:
+    """Mean and second moment of N(m, s^2) truncated to (0, inf), in Python
+    floats, one (m, s) at a time."""
+    if not (s > 0.0) or not math.isfinite(m) or not math.isfinite(s):
+        raise ValueError("truncated normal requires finite m and s > 0")
+    h = m / s
+    # Python floats overflow to inf with no warning, and inf * 0 is NaN.
+    denom = float(erfcx(-h / math.sqrt(2.0)))
+    if denom == 0.0:
+        raise FloatingPointError(
+            "truncated normal survival mass underflowed (all mass below 0)"
+        )
+    mills = math.sqrt(2.0 / math.pi) / denom
+    mean = m + s * mills
+    var = s * s * (1.0 - h * mills - mills * mills)
+    var = max(0.0, var)
+    return mean, var + mean * mean
+
+
+def gamma_quadrature_loop(a0: float, rate: float, ratio: float, s: float):
+    """``vb_unig._gamma_quadrature`` on the nodes of ``leggauss(96)``, with
+    the truncated-normal moments of one node per scalar call."""
+    shape = a0 / 2.0 + 1.0
+    scale = 1.0 / rate
+    lo = gammaincinv(shape, 1e-10) * scale
+    hi = gammaincinv(shape, 1.0 - 1e-10) * scale
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    x = t / scale
+    pdf = np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape)) / scale
+    w = weights * 0.5 * (hi - lo) * pdf
+    w /= w.sum()
+    deltas = np.sqrt(t)
+    means = np.empty_like(deltas)
+    seconds = np.empty_like(deltas)
+    for i, dlt in enumerate(deltas):
+        means[i], seconds[i] = trunc_normal_moments_scalar(ratio * dlt, s)
+    return float(w @ means), float(w @ seconds), float(w @ (deltas * means))
+
+
 def _posterior_mu_beta(h):
     rho = -h.a0 / (2.0 * math.sqrt(h.a3 * h.a4))
     one_minus = 1.0 - rho * rho
@@ -203,7 +239,7 @@ def _gamma_moments(h, rate, e_delta, e_delta_sq):
             ratio**2 * e_delta_sq + s * s,
             ratio * e_delta_sq,
         )
-    return _gamma_quadrature(h.a0, rate, ratio, s)
+    return gamma_quadrature_loop(h.a0, rate, ratio, s)
 
 
 def expectations_one(h, total_count_mass):
@@ -255,7 +291,7 @@ def expectations_one_m(h, total_count_mass):
         + d * math.log(2.0)
         - logdet_v
     )
-    gamma_t, gamma_t_sq = trunc_normal_moments(
+    gamma_t, gamma_t_sq = trunc_normal_moments_scalar(
         h.a0 / h.a3, math.sqrt(1.0 / (2.0 * h.a3))
     )
     return SimpleNamespace(
