@@ -166,17 +166,12 @@ def normalize_log_scores(log_scores: np.ndarray) -> tuple[np.ndarray, list[str]]
     in the returned flags.  The result is bit for bit the row-wise softmax
     of the (n, k) scores.
     """
-    top = log_scores.max(axis=0)
-    flags = []
-    # Only a column whose max is not finite can hold no finite score.
-    if not np.isfinite(top).all():
-        finite = np.isfinite(log_scores).any(axis=0)
-        flags = [f"underflow_row:{i}" for i in np.nonzero(~finite)[0]]
+    finite = np.isfinite(log_scores).any(axis=0)
+    flags = [f"underflow_row:{i}" for i in np.nonzero(~finite)[0]]
+    if flags:
         log_scores[:, ~finite] = 0.0
-        top[~finite] = 0.0
     resp = log_scores
-    resp -= top
-    del top
+    resp -= resp.max(axis=0)
     np.exp(resp, out=resp)
     # numpy sums a contiguous row of k values in turn below 8 and pairwise
     # from 8 on; only the second needs the row-major copy.
@@ -251,12 +246,11 @@ def prune(resp: np.ndarray, threshold: float):
     renormalized responsibilities and the indices of the kept components;
     removing every component raises DegenerateFit.
     """
-    passing = resp.sum(axis=0) >= threshold
-    if passing.all() and passing.size:
-        return resp, list(range(passing.size))
-    keep = np.nonzero(passing)[0].tolist()
+    keep = np.nonzero(resp.sum(axis=0) >= threshold)[0].tolist()
     if not keep:
         raise DegenerateFit("pruning removed every component")
+    if len(keep) == resp.shape[1]:
+        return resp, keep
     resp = resp[:, keep]
     row_sums = resp.sum(axis=1, keepdims=True)
     dead_rows = row_sums[:, 0] <= 0.0

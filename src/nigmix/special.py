@@ -59,33 +59,25 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     nu = abs(float(nu))
     if not (nu <= _MAX_ORDER and (2.0 * nu).is_integer()):
         raise ValueError(f"order must be a whole or half-integer <= 64: {nu}")
-    # A float array of at least one dimension, as the engines pass, is used
-    # as it is; anything else goes through a 1-d float view and back.
-    scalar, shape = False, None
-    if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim == 0:
-        scalar, shape = np.isscalar(x), np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    scalar = np.isscalar(x)
+    x = np.asarray(x, dtype=float)
     # The minimum is NaN when any element is, so NaN fails here too.
     if not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("argument of log_bessel_k must be finite and > 0")
 
-    # Every scaled value is an array the log can overwrite: no step
-    # allocates more than its result.
+    # At least 1-d, so that every scaled value is an array the log can
+    # overwrite: no step allocates more than its result.
+    x1 = np.atleast_1d(x)
     with np.errstate(over="ignore", divide="ignore"):
-        logs = _scaled_k(nu, x, pair)
+        logs = _scaled_k(nu, x1, pair)
         for out in logs:
             np.log(out, out=out)
-            out -= x
+            out -= x1
     outs = []
     for order, out in zip((nu, abs(nu - 1.0)), logs):
-        if not np.isfinite(out).all():
-            for i in np.flatnonzero(~np.isfinite(out)):
-                out.flat[i] = _log_k_mpmath(order, float(x.flat[i]))
-        if scalar:
-            out = float(out[0])
-        elif shape is not None:
-            out = out.reshape(shape)
-        outs.append(out)
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out.flat[i] = _log_k_mpmath(order, float(x1.flat[i]))
+        outs.append(float(out[0]) if scalar else out.reshape(x.shape))
     return tuple(outs) if pair else outs[0]
 
 

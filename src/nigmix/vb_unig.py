@@ -189,16 +189,11 @@ _LEGENDRE_HALF = (
     (0.9983643758631817, 0.0018539607889441585),
     (0.9996895038832307, 0.0007967920655518723),
 )
-_HALF_NODES, _HALF_WEIGHTS = np.array(_LEGENDRE_HALF).T
-_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
-_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+# Nodes and weights of ``_gamma_quadrature``, ascending and read-only.
+_NODES, _WEIGHTS = np.array(_LEGENDRE_HALF).T
+_NODES = np.concatenate((-_NODES[::-1], _NODES))
+_WEIGHTS = np.concatenate((_WEIGHTS[::-1], _WEIGHTS))
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
-
-
-def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``_gamma_quadrature``, ascending
-    and read-only, rebuilt from the pinned half table."""
-    return _NODES, _WEIGHTS
 
 
 def _gamma_quadrature(a0: float, rate: float, ratio: float, s: float):
@@ -210,11 +205,10 @@ def _gamma_quadrature(a0: float, rate: float, ratio: float, s: float):
     scale = 1.0 / rate
     lo = gammaincinv(shape, 1e-10) * scale
     hi = gammaincinv(shape, 1.0 - 1e-10) * scale
-    nodes, weights = _legendre_nodes()
-    t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    t = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
     x = t / scale
     pdf = np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape)) / scale
-    w = weights * 0.5 * (hi - lo) * pdf
+    w = _WEIGHTS * 0.5 * (hi - lo) * pdf
     w /= w.sum()
     deltas = np.sqrt(t)
     means, seconds = trunc_normal_moments(ratio * deltas, s)

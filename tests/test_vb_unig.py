@@ -405,7 +405,7 @@ class TestQuadrature:
     ``leggauss`` and of one scalar call per node."""
 
     def test_nodes_are_leggauss_bit_for_bit(self):
-        nodes, weights = vb_unig._legendre_nodes()
+        nodes, weights = vb_unig._NODES, vb_unig._WEIGHTS
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(96)
         assert np.array_equal(nodes.view(np.int64), ref_nodes.view(np.int64))
         assert np.array_equal(weights.view(np.int64), ref_weights.view(np.int64))
