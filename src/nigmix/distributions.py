@@ -158,7 +158,7 @@ def gig_moments(lam: float, chi, psi, omega=None, ratio=None):
     psi = np.asarray(psi, dtype=float)
     nu = abs(lam)
     if omega is None:
-        if not (chi.min() > 0.0 and psi.min() > 0.0):
+        if not (chi.min(initial=math.inf) > 0.0 and psi.min(initial=math.inf) > 0.0):
             raise ValueError("GIG moments require chi > 0 and psi > 0")
         omega = _in_place(np.sqrt, chi * psi)
         log_k, ratio = log_bessel_k(nu, omega, pair=True)

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from ._vbcore import (
     FitResult,
@@ -51,7 +50,7 @@ from ._vbcore import (
 from .config import FitConfig, InvalidData
 from .distributions import MNIGParams, mnig_log_density
 from .linalg import NotPositiveDefinite, as_spd, spd_inverse_logdet_jittered
-from .special import trunc_normal_moments
+from .special import psi, trunc_normal_moments
 
 __all__ = [
     "ComponentHyperM",

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, psi, xlogy
 
 from ._vbcore import (
     FitResult,
@@ -40,7 +39,7 @@ from ._vbcore import (
 )
 from .config import FitConfig, InvalidData
 from .distributions import UNIGParams, unig_density
-from .special import trunc_normal_moments
+from .special import gammaincinv, gammaln, psi, trunc_normal_moments, xlogy
 
 __all__ = [
     "ComponentHyper",
