@@ -38,7 +38,10 @@ the extension modules loaded under it, is dropped again after it, so a
 later ``import scipy.special`` runs its init as usual and binds the same
 ufunc objects.  nigmix thus calls the same functions in either import
 order, and ``scipy.special.seterr`` governs both.  A scipy whose
-``_ufuncs`` lacks one of the seven names fails here, at import.
+``_ufuncs`` lacks one of the seven names fails here, at import.  Another
+thread that imports ``scipy.special`` while that statement runs gets the
+empty stand-in, so a threaded program imports nigmix before it starts
+such threads.
 """
 
 from __future__ import annotations

@@ -72,6 +72,11 @@ class TestGIG:
         assert e_u[1, 0] == pytest.approx(
             gig_moments(-1.0, 3.0, 0.5)[0], rel=1e-14
         )
+        e_u, e_uinv = gig_moments(-1.0, np.empty((0, 2)), psi)
+        assert e_u.shape == e_uinv.shape == (0, 2)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="chi > 0 and psi > 0"):
+                gig_moments(-1.0, chi, np.array([0.5, bad]))
 
     def test_ig_is_gig_special_case(self):
         # IG(delta, gamma) = GIG(-1/2, delta^2, gamma^2)
@@ -169,6 +174,8 @@ class TestMNIGDensity:
         batch = mnig_log_density(np.zeros((3, 2)), p)
         assert isinstance(single, float)
         assert batch.shape == (3,)
+        assert mnig_log_density(np.empty((0, 2)), p).shape == (0,)
+        assert unig_density(np.array([]), UNIG_CASES[0]).shape == (0,)
         with pytest.raises(ValueError):
             mnig_log_density(np.zeros((3, 4)), p)
 

@@ -153,15 +153,17 @@ class TestStacks:
                     assert exc.value.row == (1 if jittered else None)
 
 
-def test_scipy_linalg_never_loads(tmp_path):
-    # A fresh process, since this one may have imported scipy.linalg: no
-    # command, univariate or multivariate, loads it.
+def test_scipy_linalg_and_special_never_load(tmp_path):
+    # A fresh process, since this one may have imported scipy.linalg and
+    # scipy.special: no command, univariate or multivariate, loads either
+    # package (nigmix reads scipy.special's compiled ufuncs only).
     script = textwrap.dedent("""
         import sys
         from nigmix.cli import main
 
         def check(step):
             assert "scipy.linalg" not in sys.modules, step
+            assert "scipy.special" not in sys.modules, step
 
         check("import nigmix.cli")
         for preset in ("study1", "study4", "study5"):

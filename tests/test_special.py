@@ -1,7 +1,12 @@
 """Special-function checks against closed forms and quadrature oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +129,11 @@ class TestLogBesselK:
         assert out.shape == xs.shape
         for x, v in zip(xs, out):
             assert v == log_bessel_k(1.0, float(x))
+        # An empty argument gives empty results, at every order and paired.
+        for nu in (0.0, 0.5, 1.0, 5.5):
+            assert log_bessel_k(nu, np.array([])).shape == (0,)
+            pair = log_bessel_k(nu, np.empty((0, 3)), pair=True)
+            assert [a.shape for a in pair] == [(0, 3), (0, 3)]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -132,8 +142,9 @@ class TestLogBesselK:
             log_bessel_k(1.0, -1.0)
         with pytest.raises(ValueError):
             log_bessel_k(1.0, math.nan)
-        for bad in (math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
-            with pytest.raises(ValueError):
+        for bad in (math.inf, -math.inf, np.array([1.0, math.nan, 2.0]),
+                    np.array([[1.0], [0.0]])):
+            with pytest.raises(ValueError, match="finite and > 0"):
                 log_bessel_k(1.0, bad)
         for order in (100.0, 0.3):
             with pytest.raises(ValueError):
@@ -256,3 +267,44 @@ class TestSqrtGammaMoment:
             sqrt_gamma_moment(0.0, 1.0)
         with pytest.raises(ValueError):
             sqrt_gamma_moment(1.0, -1.0)
+
+
+@pytest.mark.parametrize("order", ["nigmix first", "scipy.special first"])
+def test_same_ufuncs_in_either_import_order(order):
+    # A fresh process, since this one has imported scipy.special: importing
+    # nigmix first leaves no scipy.special entry behind, and in both orders
+    # nigmix's seven ufuncs are scipy.special's objects, under its seterr.
+    script = textwrap.dedent("""
+        import sys
+        import warnings
+
+        if ORDER == "nigmix first":
+            import nigmix
+            left = [m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"]]
+            assert not left, left
+            import scipy.special
+        else:
+            import scipy.special
+            import nigmix
+        from nigmix import special, vb_mnig, vb_unig
+
+        names = {
+            special: ["erfcx", "gammaincinv", "gammaln", "k0e", "k1e", "psi", "xlogy"],
+            vb_unig: ["gammaincinv", "gammaln", "psi", "xlogy"],
+            vb_mnig: ["psi"],
+        }
+        for module, attrs in names.items():
+            for name in attrs:
+                assert getattr(module, name) is getattr(scipy.special, name), name
+        scipy.special.seterr(all="warn")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            special.k0e(-1.0)
+        assert [w.category for w in caught] == [scipy.special.SpecialFunctionWarning]
+    """).replace("ORDER", repr(order))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr

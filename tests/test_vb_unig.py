@@ -543,6 +543,7 @@ class TestFit:
             limit=300,
         )
         assert total == pytest.approx(1.0, rel=1e-4)
+        assert fitted_density(res, []).shape == (0,)
 
     def test_init_fit_contract(self):
         data = np.linspace(-2, 10, 40)
