@@ -15,15 +15,16 @@ each study and seed base it holds the census line ``nigmix reproduce``
 prints.  ``--compare`` prints every fit whose entry differs from OLD.json
 and the fields that moved, and exits 1 when any did.
 
-The fits go through ``cli.census`` and ``cli.run_fit``; no package code
-serves this script.  It runs from a checkout without installing the
+Each census set's fits and ARIs are the ``fits`` and ``aris`` of the
+summary ``cli.census`` returns, and the n = 3000 fit is one
+``cli.run_fit`` call; the script rebinds nothing in ``cli``, and no other
+package code serves it.  It runs from a checkout without installing the
 package, in about ten seconds on one core.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
@@ -60,27 +61,6 @@ def entry(result, ari: float) -> dict:
     }
 
 
-@contextlib.contextmanager
-def recorded(results: list, aris: list):
-    """Keep each fit and ARI ``cli.census`` makes, through the module
-    globals it calls them by."""
-    run_fit, ari = cli.run_fit, cli.adjusted_rand_index
-
-    def record_fit(*args):
-        results.append(run_fit(*args))
-        return results[-1]
-
-    def record_ari(*args):
-        aris.append(ari(*args))
-        return aris[-1]
-
-    cli.run_fit, cli.adjusted_rand_index = record_fit, record_ari
-    try:
-        yield
-    finally:
-        cli.run_fit, cli.adjusted_rand_index = run_fit, ari
-
-
 def census_sets() -> list[tuple[str, int, list[tuple[int, int]]]]:
     """(study, sample seed base, (sample seed, fit seed) pairs) per census."""
     at_2000 = [(s + 1000, f) for s, f in cli.replicate_seeds(8)]
@@ -98,11 +78,10 @@ def census_sets() -> list[tuple[str, int, list[tuple[int, int]]]]:
 def run() -> dict:
     fits, lines = {}, {}
     for name, base, seeds in census_sets():
-        results, aris = [], []
-        with recorded(results, aris):
-            summary = cli.census(name, seeds)
+        summary = cli.census(name, seeds)
         lines[f"{name}@{base}"] = cli.census_line(summary)
-        for (sample_seed, fit_seed), result, ari in zip(seeds, results, aris):
+        for (sample_seed, fit_seed), result, ari in zip(seeds, summary.fits,
+                                                        summary.aris):
             fits[f"{name}/{sample_seed}/{fit_seed}"] = entry(result, ari)
     # The unig-large benchmark's data: `nigmix simulate --preset study1
     # --n 3000 --seed 1`, which draws the labels at random at that n.

@@ -67,7 +67,8 @@ def replicate_seeds(n: int) -> list[tuple[int, int]]:
 
 def census(name: str, seeds) -> SimpleNamespace:
     """Fit the simulation study ``name``, drawn with its exact counts, once
-    per (sample seed, fit seed) pair in ``seeds``, and summarize the fits."""
+    per (sample seed, fit seed) pair in ``seeds``; summarize the fits and
+    keep each one and its ARI, in seed order, as ``fits`` and ``aris``."""
     study = STUDIES[name]
     spec, counts = study.preset()
     fits, aris = [], []
@@ -81,6 +82,7 @@ def census(name: str, seeds) -> SimpleNamespace:
         g_counts=Counter(f.n_components for f in fits),
         mean_ari=np.mean(aris), sd_ari=np.std(aris),
         median_iterations=np.median([f.iterations for f in fits]),
+        fits=fits, aris=aris,
     )
 
 
