@@ -626,6 +626,13 @@ def bad_inputs(tmp_path_factory):
         study5 + ",".join(["1e200"] * 10) + ",1\n"
         + ",".join(["-1e200"] * 10) + ",2\n"
     )
+    # Every row near the largest double: no component's start covariance
+    # factors, and init_fit_m falls back to a scaled identity.  At 1e200 the
+    # covariances have an inf diagonal, which numpy's Cholesky factors.
+    far = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 2)) * 1.7e308
+    (root / "huge_all.csv").write_text("x1,x2,label\n" + "".join(
+        f"{x1!r},{x2!r},{i % 2 + 1}\n" for i, (x1, x2) in enumerate(far.tolist())
+    ))
     # A third study4 column before the label: constant, or a copy of x1.
     study4 = [line.split(",") for line in (root / "study4.csv").read_text().split()]
     for name, third in (("const4", lambda row: "3.0"), ("dup4", lambda row: row[0])):
@@ -725,6 +732,8 @@ def merge_argv(groups):
     (fit_argv("short_label.csv", "--g-init", "2"), 3),
     (fit_argv("study1.csv", "--hyper-init", "inf"), 3),
     (fit_argv("study1.csv", "--prune-threshold", "inf"), 3),
+    (fit_argv("huge_all.csv", "--model", "mnig", "--init-mode", "random",
+              "--g-init", "5"), 4),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,

@@ -1,8 +1,5 @@
 """Clustering-comparison utilities, including an exhaustive small-n sweep."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
@@ -12,37 +9,7 @@ from nigmix.evaluation import (
     cross_tab,
     merge_labels,
 )
-
-
-def set_partitions(n):
-    """All set partitions of range(n) as label vectors (restricted growth)."""
-    def rec(prefix, k):
-        i = len(prefix)
-        if i == n:
-            yield list(prefix)
-            return
-        for lab in range(k + 1):
-            yield from rec(prefix + [lab], max(k, lab + 1))
-    yield from rec([], 0)
-
-
-def ari_pair_oracle(a, b):
-    """ARI from explicit enumeration of all observation pairs."""
-    n = len(a)
-    both = same_a = same_b = 0
-    pairs = 0
-    for i, j in itertools.combinations(range(n), 2):
-        pairs += 1
-        sa = a[i] == a[j]
-        sb = b[i] == b[j]
-        both += sa and sb
-        same_a += sa
-        same_b += sb
-    expected = same_a * same_b / pairs
-    max_index = 0.5 * (same_a + same_b)
-    if max_index == expected:
-        return 0.0
-    return (both - expected) / (max_index - expected)
+from tests_support_naive import ari_pair_oracle, set_partitions
 
 
 class TestCanonicalize:

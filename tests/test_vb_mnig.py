@@ -26,6 +26,7 @@ from nigmix.vb_mnig import (
 )
 import tests_support_naive
 from tests_support_naive import (
+    assert_stacks_equal,
     expectations_loop,
     expectations_one_m,
     first_sweep_state,
@@ -228,12 +229,6 @@ def sweep_states():
         res = fit_m(s.observations, FitConfig(model="mnig", g_init=10, max_iter=15))
         resp, lat, _ = update_responsibilities_m(s.observations, res.bundles)
         yield s.observations, resp, lat, take(priors, np.arange(len(res.surviving)))
-
-
-def assert_stacks_equal(got, ref):
-    for field in dataclasses.fields(got):
-        name = field.name
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 class TestStackedSteps:

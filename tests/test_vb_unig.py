@@ -34,6 +34,7 @@ from nigmix.vb_unig import (
 )
 import tests_support_naive
 from tests_support_naive import (
+    assert_stacks_equal,
     expectations_loop,
     expectations_one,
     first_sweep_state,
@@ -275,12 +276,6 @@ def unig_states():
         yield y, resp, lat, take(priors, np.arange(len(res.surviving)))
 
 
-def assert_stacks_equal(got, ref):
-    for field in dataclasses.fields(got):
-        name = field.name
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-
-
 class TestStackedSteps:
     """The stacked hyper step and the row-by-row expectation step take each
     component's floating-point steps one for one, so they equal the
@@ -467,6 +462,15 @@ class TestPrune:
         out, keep = prune(resp, 1.0)
         assert keep == [0, 1]
         assert out is resp
+
+    def test_row_on_a_pruned_column_becomes_uniform(self):
+        # The last row's whole mass is on column 2, which is pruned.
+        resp = np.array([[0.7, 0.3, 0.0]] * 9 + [[0.0, 0.0, 1.0]])
+        out, keep = prune(resp, 2.0)
+        assert keep == [0, 1]
+        assert out[-1].tolist() == [0.5, 0.5]
+        assert np.allclose(out[:-1], [0.7, 0.3])
+        assert np.allclose(out.sum(axis=1), 1.0)
 
     def test_all_pruned_raises(self):
         resp = np.full((3, 2), 0.1)

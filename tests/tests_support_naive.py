@@ -37,6 +37,13 @@ def rows(stack):
     return [row(stack, g) for g in range(len(getattr(stack, fields(stack)[0].name)))]
 
 
+def assert_stacks_equal(got, ref):
+    """Every field of two stacks equal, bit for bit."""
+    for field in fields(got):
+        name = field.name
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def stack(cls, components):
     """The stack of ``cls`` whose rows are the namespaces ``components``."""
     return cls(*(np.array([getattr(c, f.name) for c in components])
@@ -474,6 +481,7 @@ def update_responsibilities_m_loop(data, bundles):
 
 
 def set_partitions(n):
+    """All set partitions of range(n) as label vectors (restricted growth)."""
     def rec(prefix, k):
         i = len(prefix)
         if i == n:
@@ -485,6 +493,7 @@ def set_partitions(n):
 
 
 def ari_pair_oracle(a, b):
+    """ARI from explicit enumeration of all observation pairs."""
     n = len(a)
     both = same_a = same_b = 0
     pairs = 0
