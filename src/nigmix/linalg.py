@@ -57,14 +57,18 @@ def as_spd(m) -> np.ndarray:
 
 def _factors(stack: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factors of a (k, d, d) stack, or None unless every
-    pivot is > 0.  numpy raises on a non-positive pivot but lets a NaN
-    pivot through, so the least diagonal entry, NaN if any is, is checked
-    as well."""
+    pivot is finite and > 0.  numpy raises on a non-positive pivot but
+    lets NaN and inf pivots through, so the diagonal is checked as well: a
+    non-finite entry of the factor makes the pivot of its row, or of a
+    later row, non-finite."""
     try:
         L = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
-    return L if L.diagonal(0, -2, -1).min(initial=np.inf) > 0.0 else None
+    pivots = L.diagonal(0, -2, -1)
+    if pivots.min(initial=np.inf) > 0.0 and pivots.max(initial=0.0) < np.inf:
+        return L
+    return None
 
 
 def _first_bad_pivot(stack: np.ndarray) -> int:

@@ -22,55 +22,89 @@ overflows, is recomputed in arbitrary precision.
 This is also the one module that names scipy.  The engines need seven of
 its special functions (``k0e``, ``k1e`` and ``erfcx`` here, ``gammaincinv``,
 ``gammaln``, ``psi`` and ``xlogy`` in ``vb_unig``, ``psi`` in ``vb_mnig``),
-each a compiled ufunc of the extension module ``scipy.special._ufuncs``.
-Importing that module runs its package's ``__init__`` first, and
-``scipy.special``'s init loads scipy's array-API layer: about 280 modules
-(``numpy.testing``, ``numpy.f2py``, ``email``, ...) that nigmix never
-calls.  On scipy 1.17.1 (2-core host, Python 3.11) a process running only
-``import numpy, scipy, nigmix`` peaks at about 37.5 MB RSS and takes
-0.15 s without that init, against 53.9 MB and 0.32 s with it.
+each a compiled ufunc that scipy 1.17 defines in the extension module
+``scipy.special._special_ufuncs``; ``scipy.special._ufuncs`` and the
+package only re-export those objects.  Importing the extension the usual
+way runs ``scipy.special``'s ``__init__`` first, which loads scipy's
+array-API layer (about 280 modules nigmix never calls), ``_ufuncs`` with
+its helpers and scipy's own second OpenBLAS; with OpenBLAS threading at
+its default, that OpenBLAS starts nproc - 1 idle threads.
 
-So when ``scipy.special`` is not imported yet, an unexecuted module built
-from its own spec (scipy's ``__path__`` and ``__spec__``) stands in for it
-in ``sys.modules``, only during the one import statement below, at
-nigmix's first import.  Every entry that statement added, the stand-in and
-the extension modules loaded under it, is dropped again after it, so a
-later ``import scipy.special`` runs its init as usual and binds the same
-ufunc objects.  nigmix thus calls the same functions in either import
-order, and ``scipy.special.seterr`` governs both.  A scipy whose
-``_ufuncs`` lacks one of the seven names fails here, at import.  Another
-thread that imports ``scipy.special`` while that statement runs gets the
-empty stand-in, so a threaded program imports nigmix before it starts
-such threads.
+So the extension is loaded straight from its file, under its full name:
+``importlib.util.find_spec("scipy")`` gives scipy's directory without
+importing scipy, ``PathFinder`` finds the file in ``special/`` and an
+``ExtensionFileLoader`` named ``scipy.special._special_ufuncs`` loads it.
+The extension links only the C and C++ runtimes.  CPython's single-phase
+init of such a module records it under that name in ``sys.modules`` and
+in its own cache of extensions; the ``sys.modules`` entry alone is
+removed again.  A later ``import scipy.special`` then loads the extension
+itself, from that cache, which gives it the same ufunc objects, and binds
+it as a package attribute, which ``scipy.special.seterr`` reads (left in
+place, the entry keeps the attribute from being set, and ``seterr``
+raises).  So nigmix calls the same functions in either import order, and
+``seterr`` governs both.  When ``scipy.special`` was imported first, the
+module it holds is reused.  An older scipy whose ``_special_ufuncs`` is
+missing or lacks one of the seven names gets a plain
+``import scipy.special`` instead.
+
+On scipy 1.17.1 (2-core host, Python 3.11, ``OPENBLAS_NUM_THREADS``
+unset) a process running only ``import numpy, nigmix`` peaks at about
+33.6 MB RSS and runs 2 OS threads, numpy's OpenBLAS ones; through
+``scipy.special._ufuncs`` it peaked at 37.4 MB with 3 threads, and with
+the package init at about 54 MB.  During the load the ``sys.modules``
+entry is visible to other threads for a few microseconds: a thread that
+imports ``scipy.special`` in that window may bind a package without the
+extension attribute, so a threaded program imports nigmix before it
+starts threads that import ``scipy.special``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 
 import numpy as np
 
-_loaded = set(sys.modules)
-if "scipy.special" not in _loaded:
-    sys.modules["scipy.special"] = importlib.util.module_from_spec(
-        importlib.util.find_spec("scipy.special")
-    )
-try:
-    from scipy.special import _ufuncs
-finally:
-    for _name in set(sys.modules) - _loaded:
-        del sys.modules[_name]
-    del _loaded
+_UFUNCS = ("erfcx", "gammaincinv", "gammaln", "k0e", "k1e", "psi", "xlogy")
 
-erfcx = _ufuncs.erfcx
-gammaincinv = _ufuncs.gammaincinv
-gammaln = _ufuncs.gammaln
-k0e = _ufuncs.k0e
-k1e = _ufuncs.k1e
-psi = _ufuncs.psi
-xlogy = _ufuncs.xlogy
+
+def _special_ufuncs():
+    """scipy's ``special._special_ufuncs`` extension, loaded without its
+    package (see the module docstring), or None when scipy has no such
+    extension with all seven ufuncs."""
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            "_special_ufuncs",
+            [os.path.join(path, "special") for path in scipy.submodule_search_locations],
+        )
+        if spec is None:
+            return None
+        loader = importlib.machinery.ExtensionFileLoader(name, spec.origin)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, spec.origin, loader=loader)
+        )
+        if sys.modules.get(name) is module:
+            del sys.modules[name]
+    return module if all(hasattr(module, attr) for attr in _UFUNCS) else None
+
+
+_scipy = _special_ufuncs()
+if _scipy is None:
+    import scipy.special as _scipy
+
+erfcx = _scipy.erfcx
+gammaincinv = _scipy.gammaincinv
+gammaln = _scipy.gammaln
+k0e = _scipy.k0e
+k1e = _scipy.k1e
+psi = _scipy.psi
+xlogy = _scipy.xlogy
 
 __all__ = [
     "log_bessel_k",
