@@ -140,6 +140,6 @@ def spd_inverse_logdet_jittered(m):
                     raise NotPositiveDefinite(exc.pivot_index, row) from None
             return inv, logdet
         eps = 1e-8 * np.trace(m) / m.shape[0]
-        if not eps > 0.0:
+        if not 0.0 < eps < np.inf:
             eps = 1e-12
         return spd_inverse_logdet(m + eps * np.eye(m.shape[0]))

@@ -627,8 +627,9 @@ def bad_inputs(tmp_path_factory):
         + ",".join(["-1e200"] * 10) + ",2\n"
     )
     # Every row near the largest double: no component's start covariance
-    # factors, and init_fit_m falls back to a scaled identity.  At 1e200 the
-    # covariances have an inf diagonal, which numpy's Cholesky factors.
+    # factors, and init_fit_m falls back to a scaled identity.  (At 1e200
+    # the covariances have an inf diagonal, and it falls back as well; see
+    # test_vb_mnig.py.)
     far = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 2)) * 1.7e308
     (root / "huge_all.csv").write_text("x1,x2,label\n" + "".join(
         f"{x1!r},{x2!r},{i % 2 + 1}\n" for i, (x1, x2) in enumerate(far.tolist())

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,24 @@ class TestCholesky:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [
+        [[np.inf, np.nan], [np.nan, np.inf]],
+        [[np.inf, 1.0], [1.0, 1.0]],
+    ])
+    def test_rejects_a_non_finite_factor(self, m):
+        # numpy factors both, with an inf first pivot.  Taken as factors,
+        # they gave the zero matrix and [[0, 0], [0, 1]] as "inverses",
+        # each with logdet inf.  No warning either: the jitter retry does
+        # not scale the identity by an inf trace.
+        m = np.array(m)
+        assert np.linalg.cholesky(m)[0, 0] == np.inf
+        for factor in (cholesky, spd_inverse_logdet, spd_inverse_logdet_jittered):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite) as exc:
+                    factor(m)
+            assert exc.value.pivot_index == 0
 
 
 class TestInverseLogdet:
@@ -156,14 +175,20 @@ class TestStacks:
 def test_scipy_linalg_and_special_never_load(tmp_path):
     # A fresh process, since this one may have imported scipy.linalg and
     # scipy.special: no command, univariate or multivariate, loads either
-    # package (nigmix reads scipy.special's compiled ufuncs only).
+    # package or the scipy.special._ufuncs extension (nigmix reads the
+    # compiled ufuncs of scipy.special._special_ufuncs only).
     script = textwrap.dedent("""
+        import os
         import sys
         from nigmix.cli import main
 
         def check(step):
             assert "scipy.linalg" not in sys.modules, step
             assert "scipy.special" not in sys.modules, step
+            assert "scipy.special._ufuncs" not in sys.modules, step
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as fh:
+                    assert not [line for line in fh if "/special/_ufuncs." in line], step
 
         check("import nigmix.cli")
         for preset in ("study1", "study4", "study5"):

@@ -308,3 +308,95 @@ def test_same_ufuncs_in_either_import_order(order):
         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("broken", ["no extension", "a ufunc missing"])
+def test_falls_back_to_the_scipy_special_package(broken):
+    # A fresh process in which nigmix's lookup of scipy's _special_ufuncs
+    # finds no file, or loads it without xlogy, as an older scipy would:
+    # nigmix then imports scipy.special and binds the package's objects.
+    script = textwrap.dedent("""
+        import importlib.machinery
+        import sys
+        import warnings
+
+        if BROKEN == "no extension":
+            find_spec = importlib.machinery.PathFinder.find_spec
+
+            def without_extension(name, path=None, target=None):
+                # Imports ask for the full name, so only nigmix's lookup fails.
+                return None if name == "_special_ufuncs" else find_spec(name, path, target)
+
+            importlib.machinery.PathFinder.find_spec = without_extension
+        else:
+            import importlib.abc  # registers the real loader class first
+
+            class WithoutXlogy(importlib.machinery.ExtensionFileLoader):
+                def create_module(self, spec):
+                    module = super().create_module(spec)
+                    del module.xlogy
+                    return module
+
+            importlib.machinery.ExtensionFileLoader = WithoutXlogy
+        import nigmix
+        assert "scipy.special" in sys.modules
+        import scipy.special
+        from nigmix import special, vb_mnig, vb_unig
+
+        for module in (special, vb_mnig, vb_unig):
+            for name in ["erfcx", "gammaincinv", "gammaln", "k0e", "k1e", "psi", "xlogy"]:
+                if hasattr(module, name):
+                    assert getattr(module, name) is getattr(scipy.special, name), name
+        scipy.special.seterr(all="warn")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            special.xlogy(1.0, -1.0 + 0j)
+            special.k0e(-1.0)
+        assert [w.category for w in caught] == [scipy.special.SpecialFunctionWarning]
+    """).replace("BROKEN", repr(broken))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_import_maps_one_scipy_extension_and_starts_no_thread():
+    # A fresh process with OpenBLAS threading at its default, so that an
+    # OpenBLAS loaded by the import would start its threads.  numpy's own
+    # starts at `import numpy`; `import nigmix` then maps no library from
+    # scipy.libs/ and no scipy extension but special/_special_ufuncs,
+    # starts no thread and leaves no scipy module in sys.modules.
+    script = textwrap.dedent("""
+        import importlib.util
+        import os
+        import sys
+
+        import numpy
+        threads = len(os.listdir("/proc/self/task"))
+        import nigmix
+
+        scipy = os.path.realpath(os.path.dirname(importlib.util.find_spec("scipy").origin))
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split(maxsplit=5)[5].strip() for line in fh
+                      if len(line.split(maxsplit=5)) == 6}
+        libs = [path for path in mapped if path.startswith(scipy + ".libs" + os.sep)]
+        assert not libs, libs
+        extensions = [os.path.relpath(path, scipy) for path in mapped
+                      if path.startswith(scipy + os.sep)]
+        assert [path.split(".")[0] for path in extensions] == ["special/_special_ufuncs"], (
+            extensions)
+        assert len(os.listdir("/proc/self/task")) == threads
+        left = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not left, left
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr

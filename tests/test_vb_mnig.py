@@ -10,10 +10,12 @@ import pytest
 from scipy.integrate import quad
 
 from nigmix import vb_mnig
+from nigmix.cli import main
 from nigmix._vbcore import normalize_log_scores, take
 from nigmix.config import FitConfig, InvalidData
 from nigmix.distributions import gig_moments, sample_mixture
 from nigmix.evaluation import adjusted_rand_index
+from nigmix.linalg import NotPositiveDefinite, spd_inverse_logdet_jittered
 from nigmix.presets import simulation_preset
 from nigmix.vb_mnig import (
     ComponentHyperM,
@@ -415,6 +417,37 @@ class TestFit:
         config = FitConfig(model="mnig", g_init=3, init_mode=init_mode)
         with pytest.raises(InvalidData):
             fit_m(data, config)
+
+    def test_start_falls_back_where_covariances_are_not_finite(
+        self, monkeypatch, tmp_path
+    ):
+        # At 1e200 every start covariance has an inf diagonal, and the
+        # 1e-10 * trace jitter puts NaN off it.  None factors, so each
+        # component starts from the scaled identity, and the fit exits 4.
+        data = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 2)) * 1e200
+        outcomes = []
+
+        def recorded(cov):
+            try:
+                out = spd_inverse_logdet_jittered(cov)
+            except NotPositiveDefinite:
+                outcomes.append("fallback")
+                raise
+            outcomes.append("factored")
+            return out
+
+        monkeypatch.setattr(vb_mnig, "spd_inverse_logdet_jittered", recorded)
+        with np.errstate(all="ignore"):
+            init_fit_m(data, np.eye(5)[np.arange(40) % 5], 1e-8)
+        assert outcomes == ["fallback"] * 5
+        outcomes.clear()
+        (tmp_path / "far.csv").write_text("x1,x2\n" + "".join(
+            f"{x1!r},{x2!r}\n" for x1, x2 in data.tolist()
+        ))
+        argv = ["fit", str(tmp_path / "far.csv"), str(tmp_path / "far.json"),
+                "--model", "mnig", "--init-mode", "random", "--g-init", "5"]
+        assert main(argv) == 4
+        assert outcomes[:5] == ["fallback"] * 5
 
     def test_init_contract(self):
         data = np.random.default_rng(0).normal(0, 1, (50, 2))
