@@ -27,7 +27,7 @@ __all__ = [
 
 
 class NotPositiveDefinite(Exception):
-    """Raised when a Cholesky pivot is not strictly positive.
+    """Raised when a Cholesky pivot is not finite and strictly positive.
 
     Recoverable by design: fitting code adds jitter and retries once, then
     prunes the component.  ``spd_inverse_logdet_jittered`` on a stack sets
@@ -59,8 +59,8 @@ def _factors(stack: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factors of a (k, d, d) stack, or None unless every
     pivot is finite and > 0.  numpy raises on a non-positive pivot but
     lets NaN and inf pivots through, so the diagonal is checked as well: a
-    non-finite entry of the factor makes the pivot of its row, or of a
-    later row, non-finite."""
+    row of the factor with a non-finite entry has a NaN or inf pivot,
+    unless numpy raised on it."""
     try:
         L = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -72,9 +72,9 @@ def _factors(stack: np.ndarray) -> np.ndarray | None:
 
 
 def _first_bad_pivot(stack: np.ndarray) -> int:
-    """The first pivot that is not > 0, in the first matrix of ``stack``
-    that does not factor: the first leading j x j block that does not
-    factor ends with it."""
+    """The first pivot that is not finite and > 0, in the first matrix of
+    ``stack`` that does not factor: the first leading j x j block that
+    does not factor ends with it."""
     blocks = ((m, j) for m in stack for j in range(1, m.shape[0] + 1))
     return next(j - 1 for m, j in blocks if _factors(m[None, :j, :j]) is None)
 
@@ -91,8 +91,8 @@ def cholesky(m) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        With the index of the first pivot that is not > 0, NaN included,
-        in the first matrix of the stack that has one.
+        With the index of the first pivot that is not finite and > 0, in
+        the first matrix of the stack that has one.
     """
     stack = _as_stack(m)
     L = _factors(stack)

@@ -47,14 +47,20 @@ module it holds is reused.  An older scipy whose ``_special_ufuncs`` is
 missing or lacks one of the seven names gets a plain
 ``import scipy.special`` instead.
 
-On scipy 1.17.1 (2-core host, Python 3.11, ``OPENBLAS_NUM_THREADS``
-unset) a process running only ``import numpy, nigmix`` peaks at about
-33.6 MB RSS and runs 2 OS threads, numpy's OpenBLAS ones; through
-``scipy.special._ufuncs`` it peaked at 37.4 MB with 3 threads, and with
-the package init at about 54 MB.  During the load the ``sys.modules``
-entry is visible to other threads for a few microseconds: a thread that
-imports ``scipy.special`` in that window may bind a package without the
-extension attribute, so a threaded program imports nigmix before it
+On scipy 1.17.1 (2-core host, Python 3.11) a process running only
+``import numpy, nigmix`` peaks at 33.6 MB RSS and imports in about
+0.08 s (medians of 10 processes).  With ``OPENBLAS_NUM_THREADS`` unset it
+runs 2 OS threads, the main one and numpy's OpenBLAS worker; loading
+``scipy.special._ufuncs`` gave 37.4 MB, 0.15 s and 3 threads, and the
+package init about 54 MB.
+
+The ``sys.modules`` entry lives from the end of the extension's init to
+its removal, a few lines of Python later.  A thread that imports
+``scipy.special`` inside that window finds it there and leaves the
+package without the attribute ``seterr`` reads.  A second thread that
+spins until the entry appears and then imports ``scipy.special`` never
+saw it in 50 runs (30 at the default switch interval, 20 at 1 us), but
+the window is not closed: a threaded program imports nigmix before it
 starts threads that import ``scipy.special``.
 """
 
