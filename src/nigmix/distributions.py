@@ -50,8 +50,9 @@ class UNIGParams:
     gamma: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and self.gamma > 0.0):
-            raise ValueError("UNIG requires delta > 0 and gamma > 0")
+        if not (math.isfinite(self.mu) and math.isfinite(self.beta)
+                and 0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError("UNIG requires finite parameters, delta > 0 and gamma > 0")
 
     @property
     def alpha(self) -> float:
@@ -80,8 +81,9 @@ class MNIGParams:
         object.__setattr__(self, "beta_t", np.asarray(self.beta_t, dtype=float))
         object.__setattr__(self, "sigma_t", as_spd(self.sigma_t))
         cholesky(self.sigma_t)
-        if not self.gamma_t > 0.0:
-            raise ValueError("MNIG requires gamma_t > 0")
+        if not (np.isfinite(self.mu_t).all() and np.isfinite(self.beta_t).all()
+                and 0.0 < self.gamma_t < math.inf):
+            raise ValueError("MNIG requires finite parameters and gamma_t > 0")
         if self.mu_t.shape != self.beta_t.shape or self.mu_t.ndim != 1:
             raise ValueError("mu_t and beta_t must be vectors of equal length")
         if self.sigma_t.shape[0] != self.mu_t.shape[0]:
@@ -105,8 +107,8 @@ class MixtureSpec:
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != w.shape[0]:
             raise ValueError("one weight per component required")
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
+        if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ValueError("weights must be finite, positive and sum to 1")
 
     @property
     def n_components(self) -> int:

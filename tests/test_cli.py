@@ -651,6 +651,19 @@ def bad_inputs(tmp_path_factory):
     (root / "dir_labels.labels.csv").mkdir()
     # A spec named as `simulate sim.csv` names its own sidecar.
     write_json(root / "sim.spec.json", mixture_spec_to_dict(spec))
+    # Specs with one parameter, or the weights, not finite.
+    for name, preset, key, value in (
+        ("spec_mu_nan", "study4", "mu_t", [0.0, math.nan]),
+        ("spec_beta_inf", "study4", "beta_t", [math.inf, 0.0]),
+        ("spec_gamma_inf", "study4", "gamma_t", math.inf),
+        ("spec_delta_inf", "study1", "delta", math.inf),
+        ("spec_mu1_nan", "study1", "mu", math.nan),
+    ):
+        bad = mixture_spec_to_dict(simulation_preset(preset)[0])
+        bad["components"][1][key] = value
+        write_json(root / f"{name}.json", bad)
+    write_json(root / "spec_weights_nan.json",
+               {**mixture_spec_to_dict(spec), "weights": [math.nan, math.nan]})
     return root
 
 
@@ -735,6 +748,12 @@ def merge_argv(groups):
     (fit_argv("study1.csv", "--prune-threshold", "inf"), 3),
     (fit_argv("huge_all.csv", "--model", "mnig", "--init-mode", "random",
               "--g-init", "5"), 4),
+    # A spec whose parameters or weights are not finite, which would
+    # otherwise simulate rows of NaN.
+    *((["simulate", "{}/sim_bad.csv", "--spec", f"{{}}/{name}.json", "--n", "50",
+        "--seed", "1"], 3)
+      for name in ("spec_mu_nan", "spec_beta_inf", "spec_gamma_inf",
+                   "spec_delta_inf", "spec_mu1_nan", "spec_weights_nan")),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,

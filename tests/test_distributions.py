@@ -269,3 +269,31 @@ class TestValidation:
     def test_mixture_weights_rejected(self):
         with pytest.raises(ValueError):
             MixtureSpec(weights=[0.7, 0.7], components=tuple(UNIG_CASES[:2]))
+
+    @pytest.mark.parametrize("field", ["mu", "beta", "delta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_unig_params_not_finite_rejected(self, field, value):
+        params = {"mu": 0.0, "beta": 0.0, "delta": 1.0, "gamma": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            UNIGParams(**params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu_t", [0.0, math.nan]),
+        ("mu_t", [-math.inf, 0.0]),
+        ("beta_t", [math.inf, 0.0]),
+        ("beta_t", [0.0, math.nan]),
+        ("gamma_t", math.inf),
+        ("gamma_t", math.nan),
+    ])
+    def test_mnig_params_not_finite_rejected(self, field, value):
+        params = {"mu_t": [0.0, 0.0], "beta_t": [0.0, 0.0],
+                  "sigma_t": np.eye(2), "gamma_t": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            MNIGParams(**params)
+
+    @pytest.mark.parametrize("weights", [
+        [math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.5], [math.inf, -math.inf],
+    ])
+    def test_mixture_weights_not_finite_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureSpec(weights=weights, components=tuple(UNIG_CASES[:2]))

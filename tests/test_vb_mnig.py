@@ -22,6 +22,7 @@ from nigmix.vb_mnig import (
     ExpectationBundleM,
     expectations_from_hypers_m,
     fit_m,
+    flat_priors_m,
     init_fit_m,
     update_hypers_m,
     update_responsibilities_m,
@@ -58,6 +59,29 @@ class TestUpdateHypers:
                 assert np.allclose(f.a1, s.a1, rtol=1e-12, atol=1e-12)
                 assert np.allclose(f.a2, s.a2, rtol=1e-12, atol=1e-12)
                 assert np.allclose(f.V, s.V, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_scale_accumulator_near_the_normal_limit(self, d):
+        # Latent scales that barely vary put D = a3 a4 - a0^2 at 1e-2 down to
+        # 1e-10 of a3 a4, where the terms of V cancel.  Against a 50-digit V
+        # from the same accumulators, each row keeps its error within
+        # 4 eps a3 a4 / D of its largest entry (0.6 of that is the most seen).
+        rng = np.random.default_rng(d)
+        n, etas = 40 * d, 10.0 ** -np.arange(1.0, 6.0)
+        k = len(etas)
+        data = rng.normal(rng.normal(0.0, 3.0, d), 2.0, (n, d))
+        resp = rng.dirichlet(np.ones(k), size=n)
+        e_u = 1.0 + etas * rng.normal(size=(n, k))
+        e_uinv = (1.0 + etas**2 * rng.uniform(0.0, 1.0, (n, k))) / e_u
+        priors = flat_priors_m(k, d, 1e-8, float(np.trace(np.cov(data.T))))
+        hypers = update_hypers_m(priors, resp, (e_u, e_uinv), data)
+        ratio = hypers.disc / (hypers.a3 * hypers.a4)
+        assert ratio.max() > 5e-3 and ratio.min() < 5e-10
+        ref = tests_support_naive.scale_accumulator_mp(
+            priors, hypers, resp * e_uinv, data
+        )
+        err = np.abs(hypers.V - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert np.all(err <= 4.0 * np.finfo(float).eps / ratio), (err, ratio)
 
     def test_scale_accumulator_symmetric(self):
         data, resp, lat, priors = random_m(3)

@@ -8,8 +8,9 @@ d = 1 tilde map of parameters and of expectations, the inverse Gaussian
 and GIG densities, a column-by-column Cholesky, log-scale Bessel K and GIG
 moments through the generic ``kve`` at three orders, and the univariate
 and multivariate log scores of one bundle written out term by term, the
-start of a fit's first sweep, and the k-means start with its Lloyd
-distances to all centres broadcast at once."""
+start of a fit's first sweep, the k-means start with its Lloyd
+distances to all centres broadcast at once, and a 50-digit mpmath scale
+accumulator of the multivariate hyper update."""
 
 import itertools
 import math
@@ -338,14 +339,16 @@ def log_score_m(data, b):
     order the engine evaluates it."""
     d = data.shape[1]
     lam = -(d + 1) / 2.0
-    centered = data - b.mu_bar
-    e_a = 1.0 + np.einsum("ij,ij->i", centered @ b.e_prec, centered) + d * b.c_mu
-    e_b = b.gamma_t_sq + float(b.beta_bar @ b.e_prec @ b.beta_bar) + d * b.c_beta
-    e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
+    centered = np.subtract(data.T, b.mu_bar[:, None], order="C")
+    drift = b.e_prec @ b.beta_bar
+    e_a = np.einsum("ij,ij->j", b.e_prec @ centered, centered) + (1.0 + d * b.c_mu)
+    e_b = b.gamma_t_sq + float(b.beta_bar @ drift) + d * b.c_beta
+    # E[c] plus the terms of the score that do not depend on the row.
+    head = drift @ centered + (
+        b.gamma_t + d * b.c_cross + b.log_pi + 0.5 * b.elog_det_prec
+    )
     score = (
-        b.log_pi
-        + 0.5 * b.elog_det_prec
-        + e_c
+        head
         + math.log(2.0)
         + 0.5 * lam * (np.log(e_a) - math.log(e_b))
         + log_bessel_k(lam, np.sqrt(e_a * e_b))
@@ -388,6 +391,31 @@ def naive_update_m(priors, resp, lat, data):
     return stack(ComponentHyperM, out)
 
 
+def scale_accumulator_mp(priors, hypers, zu_inv, data):
+    """The (k, d, d) scale accumulators V0 + S - [a3 a2 a2' - a0 (a1 a2' +
+    a2 a1') + a4 a1 a1'] / D of ``hypers``, each entry evaluated in 50
+    digits from the doubles of the prior V0, the accumulators a0..a4 and
+    the (n, k) weights ``zu_inv`` (resp times E[1/u]) of the scatter S, and
+    rounded once to a double."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    k, d = hypers.a1.shape
+    out = np.empty((k, d, d))
+    for g, h in enumerate(rows(hypers)):
+        a0, a3, a4 = mp.mpf(h.a0), mp.mpf(h.a3), mp.mpf(h.a4)
+        a1, a2 = [mp.mpf(x) for x in h.a1], [mp.mpf(x) for x in h.a2]
+        disc = a3 * a4 - a0 * a0
+        w = [mp.mpf(x) for x in zu_inv[:, g]]
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            scatter = mp.fsum(wt * mp.mpf(y[i]) * mp.mpf(y[j]) for wt, y in zip(w, data))
+            means = (a3 * a2[i] * a2[j] - a0 * (a1[i] * a2[j] + a2[i] * a1[j])
+                     + a4 * a1[i] * a1[j]) / disc
+            out[g, i, j] = out[g, j, i] = float(mp.mpf(priors.V[g, i, j]) + scatter - means)
+    return out
+
+
 def update_hypers_m_loop(priors, resp, lat, data):
     """``update_hypers_m`` one component at a time, through the products of
     one strided column of ``resp``: the steps the stacked update repeats."""
@@ -404,7 +432,7 @@ def update_hypers_m_loop(priors, resp, lat, data):
         disc = a3 * a4 - a0**2
         mu_bar = (a3 * a2 - a0 * a1) / disc
         beta_bar = (a4 * a1 - a0 * a2) / disc
-        scatter = (data * zu_inv[:, None]).T @ data
+        scatter = np.multiply(data.T, zu_inv, order="C") @ data
         V = (
             p.V
             + scatter
@@ -464,19 +492,15 @@ def update_responsibilities_m_loop(data, bundles):
     chi = np.empty((k, n))
     psi = np.empty((k, 1))
     for g, b in enumerate(rows(bundles)):
-        centered = data - b.mu_bar
-        chi[g] = (
-            1.0
-            + np.einsum("ij,ij->i", centered @ b.e_prec, centered)
-            + d * b.c_mu
+        centered = np.subtract(data.T, b.mu_bar[:, None], order="C")
+        drift = b.e_prec @ b.beta_bar
+        chi[g] = np.einsum("ij,ij->j", b.e_prec @ centered, centered) + (
+            1.0 + d * b.c_mu
         )
-        psi[g] = (
-            b.gamma_t_sq
-            + float(b.beta_bar @ b.e_prec @ b.beta_bar)
-            + d * b.c_beta
+        psi[g] = b.gamma_t_sq + float(b.beta_bar @ drift) + d * b.c_beta
+        head[g] = drift @ centered + (
+            b.gamma_t + d * b.c_cross + b.log_pi + 0.5 * b.elog_det_prec
         )
-        e_c = b.gamma_t + centered @ (b.e_prec @ b.beta_bar) + d * b.c_cross
-        head[g] = b.log_pi + 0.5 * b.elog_det_prec + e_c
     return gig_responsibilities_two_calls(-(d + 1) / 2.0, head, chi, psi)
 
 
