@@ -22,8 +22,8 @@ from nigmix.io import read_json, run_record_hash
 @pytest.mark.parametrize("preset, model, g_init, prefix", [
     ("study1", "unig", 10, "edbe629996281c7c"),
     ("study2", "unig", 10, "650316d186b550f5"),
-    ("study4", "mnig", 5, "a191b96e12ee721a"),
-    ("study5", "mnig", 10, "8e61a322f52507a7"),
+    ("study4", "mnig", 5, "82d4e1eca845cc1e"),
+    ("study5", "mnig", 10, "9c14ed3ad2b09be6"),
 ])
 def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
     code, digest = fit_record_hash(tmp_path, preset, model, g_init)
@@ -33,7 +33,7 @@ def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
 
 @pytest.mark.parametrize("preset, model, g_init, prefix", [
     ("study1", "unig", 10, "a12ab4c528b9859a"),
-    ("study4", "mnig", 5, "99bf2037bc59f914"),
+    ("study4", "mnig", 5, "d533183b52bd5a7d"),
 ])
 def test_run_record_hash_random_partition(tmp_path, preset, model, g_init, prefix):
     # The start from a seeded random partition rather than k-means.
