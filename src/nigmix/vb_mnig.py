@@ -13,11 +13,10 @@ products make the BLAS calls, over the same strides, that one column of
 the responsibilities would, and a0 is squared by ``np.float_power``, as a
 scalar ``a0**2`` is.  Per component run the expectation step's scalar
 checks of the hyper rows and the tail-weight moments, and the terms that
-are (d, n) for each component: the weighted columns of the hyper update's
-scatter and the centred columns of the score step, laid out as ``data.T``
-so that the elementwise work runs along n.  These go through buffers made
-once per call, so no step holds a (k, d, n) array.  The scale
-accumulators of the rows that pass go to one stacked
+are (d, n) for each component, in buffers made once per call and laid out
+as ``data.T`` so that elementwise work runs along n: the weighted columns
+of the hyper update's scatter and the centred columns of the score step.
+The scale accumulators of the rows that pass go to one stacked
 ``linalg.spd_inverse_logdet_jittered`` call per sweep, whose jitter retry
 is linalg's; a row that fails even so is dropped and the rest are
 inverted again.
@@ -28,7 +27,8 @@ Conventions pinned here (the displays leave them implicit):
   E[log det precision] = sum_s psi((df+1-s)/2) + d log 2 - log det V.
 * The scale-matrix accumulator V is evaluated with the current posterior
   means of location and drift plugged in, and the data term is the outer
-  product sum(z * u^{-1} * y y^T).
+  product sum(z * u^{-1} * y y^T).  Near D << a3 a4 this is more accurate
+  than V0 + S - [a3 a2a2' - a0(a1a2' + a2a1') + a4 a1a1']/D, free of means.
 * The three trace terms reduce to d times the scalars a3/D, a4/D, -a0/D
   with D = a3 a4 - a0^2, from the 2x2 block inverse of the joint normal
   precision.
@@ -165,13 +165,7 @@ def update_hypers_m(
     data: np.ndarray,
 ) -> ComponentHyperM:
     """Conjugate updates; note the scalar accumulators carry no 1/2 factors,
-    unlike their univariate counterparts.
-
-    V is the nine-term expansion at the posterior means.  It equals
-    V0 + S - [a3 a2a2' - a0(a1a2' + a2a1') + a4 a1a1'] / D, which needs no
-    means, but near the normal limit D << a3 a4 that form's cancelling
-    numerator loses digits the expansion keeps (a median 150 times the
-    error against a 50-digit V, at D / (a3 a4) = 1e-2 to 1e-10)."""
+    unlike their univariate counterparts."""
     e_u, e_uinv = lat
     z = resp.T
     # numpy sums a contiguous row pairwise, as it sums one strided column,
@@ -199,10 +193,17 @@ def update_hypers_m(
     # x_i y_j = y_j x_i, so the mirrored outer products are transposed views.
     a2_mu, beta_a1 = _outer(a2, mu_bar), _outer(beta_bar, a1)
     beta_mu = _outer(beta_bar, mu_bar)
-    V = (priors.V + scatter - a2_mu - a2_mu.transpose(0, 2, 1)
-         + c4 * _outer(mu_bar, mu_bar) - beta_a1 - beta_a1.transpose(0, 2, 1)
-         + c0 * (beta_mu + beta_mu.transpose(0, 2, 1))
-         + c3 * _outer(beta_bar, beta_bar))
+    V = (
+        priors.V
+        + scatter
+        - a2_mu
+        - a2_mu.transpose(0, 2, 1)
+        + c4 * _outer(mu_bar, mu_bar)
+        - beta_a1
+        - beta_a1.transpose(0, 2, 1)
+        + c0 * (beta_mu + beta_mu.transpose(0, 2, 1))
+        + c3 * _outer(beta_bar, beta_bar)
+    )
     h.V = 0.5 * (V + V.transpose(0, 2, 1))
     return h
 
@@ -267,13 +268,13 @@ def update_responsibilities_m(data: np.ndarray, bundles: ExpectationBundleM):
     """
     d = data.shape[1]
     e_prec, mu_bar = bundles.e_prec, bundles.mu_bar
-    # The drift E[prec] beta_bar first; psi's quadratic is beta_bar . drift.
     drift = e_prec @ bundles.beta_bar[:, :, None]
     psi = bundles.gamma_t_sq[:, None] + (bundles.beta_bar[:, None, :] @ drift)[:, :, 0]
     psi += d * bundles.c_beta[:, None]
     chi = np.empty((len(mu_bar), data.shape[0]))
     head = np.empty_like(chi)
-    centered, scaled = np.empty(data.T.shape), np.empty(data.T.shape)
+    centered = np.empty(data.T.shape)
+    scaled = np.empty(data.T.shape)
     for g in range(len(mu_bar)):
         np.subtract(data.T, mu_bar[g][:, None], out=centered)
         # e_prec is exactly symmetric (linalg forms W^T W by the symmetric

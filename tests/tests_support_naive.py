@@ -17,6 +17,7 @@ import math
 from dataclasses import fields
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 from scipy.special import erfcx, gammaincinv, gammaln, kve, psi, xlogy
 
@@ -397,22 +398,22 @@ def scale_accumulator_mp(priors, hypers, zu_inv, data):
     digits from the doubles of the prior V0, the accumulators a0..a4 and
     the (n, k) weights ``zu_inv`` (resp times E[1/u]) of the scatter S, and
     rounded once to a double."""
-    import mpmath
-
-    mp = mpmath.mp.clone()
-    mp.dps = 50
+    mpf = mpmath.mpf
     k, d = hypers.a1.shape
     out = np.empty((k, d, d))
-    for g, h in enumerate(rows(hypers)):
-        a0, a3, a4 = mp.mpf(h.a0), mp.mpf(h.a3), mp.mpf(h.a4)
-        a1, a2 = [mp.mpf(x) for x in h.a1], [mp.mpf(x) for x in h.a2]
-        disc = a3 * a4 - a0 * a0
-        w = [mp.mpf(x) for x in zu_inv[:, g]]
-        for i, j in itertools.combinations_with_replacement(range(d), 2):
-            scatter = mp.fsum(wt * mp.mpf(y[i]) * mp.mpf(y[j]) for wt, y in zip(w, data))
-            means = (a3 * a2[i] * a2[j] - a0 * (a1[i] * a2[j] + a2[i] * a1[j])
-                     + a4 * a1[i] * a1[j]) / disc
-            out[g, i, j] = out[g, j, i] = float(mp.mpf(priors.V[g, i, j]) + scatter - means)
+    with mpmath.workdps(50):
+        for g, h in enumerate(rows(hypers)):
+            a0, a3, a4 = mpf(h.a0), mpf(h.a3), mpf(h.a4)
+            a1, a2 = [mpf(x) for x in h.a1], [mpf(x) for x in h.a2]
+            disc = a3 * a4 - a0 * a0
+            w = [mpf(x) for x in zu_inv[:, g]]
+            for i, j in itertools.combinations_with_replacement(range(d), 2):
+                scatter = mpmath.fsum(wt * mpf(y[i]) * mpf(y[j])
+                                      for wt, y in zip(w, data))
+                means = (a3 * a2[i] * a2[j] - a0 * (a1[i] * a2[j] + a2[i] * a1[j])
+                         + a4 * a1[i] * a1[j]) / disc
+                v = mpf(priors.V[g, i, j]) + scatter - means
+                out[g, i, j] = out[g, j, i] = float(v)
     return out
 
 
