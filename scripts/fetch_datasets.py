@@ -99,7 +99,7 @@ def write_csv(path: Path, rows: list[dict], target: str) -> None:
 
 
 def read_csv(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return list(csv.DictReader(fh))
 
 

@@ -10,13 +10,13 @@ both engines finish with, ``prune``, and ``run_sweep``, which checks the
 shared input, draws the start (the initial partition and its latent
 moments) and runs the variational sweep with each engine's update steps.
 The responsibilities step works in place: it sums the scores into the
-engine's score head, forms the Bessel ratio in the buffer of its own log,
-and hands its buffers on to ``gig_moments`` and ``normalize_log_scores``,
-which write into them.  So a unig fit holds at most about 6.5 arrays of
-n x g_init doubles at once (tracemalloc: 1.55 MB at n = 3000 and 14.8 MB
-at n = 30000, g_init 10), and an mnig fit 7.2 (2.0 MB at n = 3500, d = 10,
-g_init 10): its (n, d) terms, and the k-means distances, are formed one
-component or centre at a time.
+engine's score head, takes the Bessel ratio with log K from
+``log_bessel_k``, and hands its buffers on to ``gig_moments`` and
+``normalize_log_scores``, which write into them.  So a unig fit holds at
+most about 6.5 arrays of n x g_init doubles at once (tracemalloc: 1.55 MB
+at n = 3000 and 14.8 MB at n = 30000, g_init 10), and an mnig fit 7.2
+(2.0 MB at n = 3500, d = 10, g_init 10): its (n, d) terms, and the
+k-means distances, are formed one component or centre at a time.
 A component stack is a dataclass whose every field has a leading axis of
 one row per component.
 """
@@ -223,10 +223,7 @@ def gig_responsibilities(lam: float, head: np.ndarray, chi: np.ndarray, psi):
         row = int(np.argmin(((omega > 0.0) & (omega < np.inf)).all(axis=1)))
         raise DegenerateComponent(row, str(exc)) from None
     scores += log_k
-    # K_|lam-1|/K_lam in the buffer of its own log; log K is then released.
-    ratio -= log_k
     del log_k
-    np.exp(ratio, out=ratio)
     # The moments come before the softmax, while no responsibilities are
     # alive yet; they are written into the buffers of omega and the ratio.
     e_u, e_uinv = gig_moments(lam, chi, psi, omega, ratio)

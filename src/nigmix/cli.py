@@ -36,7 +36,7 @@ from .io import (
     write_sample_csv,
 )
 from .linalg import NotPositiveDefinite
-from .presets import SIMULATION_PRESETS, STUDIES, simulation_preset
+from .presets import STUDIES, simulation_preset
 from .vb_mnig import fit_m
 from .vb_unig import fit
 
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a dataset from a mixture spec")
     p.add_argument("output")
     p.add_argument("--spec", help="mixture spec JSON")
-    p.add_argument("--preset", choices=list(SIMULATION_PRESETS))
+    p.add_argument("--preset", choices=[n for n, s in STUDIES.items() if s.preset])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
@@ -355,6 +355,10 @@ def main(argv=None) -> int:
     except DegenerateFit as exc:
         print(f"error: degenerate fit: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:
+        # An input too large for memory, such as a vast density-grid lattice.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

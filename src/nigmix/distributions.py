@@ -146,11 +146,12 @@ def gig_moments(lam: float, chi, psi, omega=None, ratio=None):
     function are fine.  ``chi`` and ``psi`` broadcast elementwise and are
     only read.
     ``omega`` and ``ratio``, given together, are w and
-    K_|nu-1|(w)/K_nu(w) = exp(log K_|nu-1|(w) - log K_nu(w)) as the caller
-    has already formed and checked them.  The step consumes both: the
+    K_|nu-1|(w)/K_nu(w), as the caller has already formed and checked them
+    with ``log_bessel_k(nu, w, pair=True)``.  The step consumes both: the
     moments are written into their buffers, and the caller must not read
     them afterwards.  Without them chi and psi are checked here, and w and
-    the ratio are formed in new arrays, so no argument is written.
+    the ratio are formed in new arrays by that same call, so no argument
+    is written.
 
     Returns
     -------
@@ -163,10 +164,7 @@ def gig_moments(lam: float, chi, psi, omega=None, ratio=None):
         if not (chi.min(initial=math.inf) > 0.0 and psi.min(initial=math.inf) > 0.0):
             raise ValueError("GIG moments require chi > 0 and psi > 0")
         omega = _in_place(np.sqrt, chi * psi)
-        log_k, ratio = log_bessel_k(nu, omega, pair=True)
-        ratio -= log_k
-        del log_k
-        ratio = _in_place(np.exp, ratio)
+        _, ratio = log_bessel_k(nu, omega, pair=True)
     # From here one new array, the scale: 2 nu / w goes into w's buffer.
     down = ratio
     up = _in_place(np.divide, 2.0 * nu, omega)

@@ -51,12 +51,13 @@ def ingest_csv(
     columns are rejected with the offending row index.  A label column of
     whole numbers (see ``whole_labels``) keeps its values; any other label
     column, of text or of numbers such as ``2.5`` or ``inf``, is coded
-    1..k in order of first appearance.
+    1..k in order of first appearance.  A leading UTF-8 byte-order mark
+    (Excel's "CSV UTF-8" export writes one) is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

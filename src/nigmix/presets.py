@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import MixtureSpec, MNIGParams, UNIGParams
 
-__all__ = ["simulation_preset", "SIMULATION_PRESETS", "STUDIES", "Study"]
+__all__ = ["simulation_preset", "STUDIES", "Study"]
 
 
 def _study1() -> tuple[MixtureSpec, tuple[int, ...]]:
@@ -121,16 +121,11 @@ STUDIES = {
     "enzyme": Study("unig", 5, file="enzyme.csv", columns=("activity",)),
 }
 
-SIMULATION_PRESETS = {
-    name: study.preset for name, study in STUDIES.items() if study.preset
-}
-
-
 def simulation_preset(name: str) -> tuple[MixtureSpec, tuple[int, ...]]:
-    """Mixture spec and exact per-component counts for a named preset."""
-    try:
-        return SIMULATION_PRESETS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; choose from {sorted(SIMULATION_PRESETS)}"
-        ) from None
+    """Mixture spec and exact per-component counts for a named preset: a
+    study of ``STUDIES`` with a ``preset``."""
+    study = STUDIES.get(name)
+    if study is None or study.preset is None:
+        names = sorted(n for n, s in STUDIES.items() if s.preset)
+        raise KeyError(f"unknown preset {name!r}; choose from {names}")
+    return study.preset()

@@ -134,12 +134,13 @@ def log_bessel_k(nu: float, x, pair: bool = False):
     x : float or ndarray
         Argument, strictly positive.
     pair : bool
-        Also return log K at the order ``||nu| - 1|``, which the GIG moments
-        need and the upward recurrence to ``nu`` passes through.
+        Also return K_{||nu| - 1|}(x) / K_nu(x), which the GIG moments need,
+        as exp of the difference of the two logs, so it loses digits as x
+        grows: 1e-14 relative at nu = 1, x = 1e3, and 5e-9 at x = 1e8.
 
     Returns
     -------
-    float or ndarray, or a tuple of two with ``pair``
+    float or ndarray; with ``pair``, the tuple (log K_nu(x), the ratio)
     """
     nu = abs(float(nu))
     if not (nu <= _MAX_ORDER and (2.0 * nu).is_integer()):
@@ -159,11 +160,14 @@ def log_bessel_k(nu: float, x, pair: bool = False):
         for out in logs:
             np.log(out, out=out)
             out -= x1
-    outs = []
     for order, out in zip((nu, abs(nu - 1.0)), logs):
         for i in np.flatnonzero(~np.isfinite(out)):
             out.flat[i] = _log_k_mpmath(order, float(x1.flat[i]))
-        outs.append(float(out[0]) if scalar else out.reshape(x.shape))
+    if pair:
+        # The ratio, in the buffer of the lower order's log.
+        ratio = np.subtract(logs[1], logs[0], out=logs[1])
+        np.exp(ratio, out=ratio)
+    outs = [float(out[0]) if scalar else out.reshape(x.shape) for out in logs]
     return tuple(outs) if pair else outs[0]
 
 

@@ -77,6 +77,18 @@ class TestIngest:
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "absent.csv")
 
+    def test_byte_order_mark(self, study1_csv, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8
+        # byte-order mark, which must not become part of the first name.
+        path, sample = study1_csv
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        data, labels = ingest_csv(bom, columns=["x1"], label_column="label")
+        assert np.array_equal(data, sample.observations)
+        assert np.array_equal(labels, sample.labels)
+        assert main(["fit", str(bom), str(tmp_path / "out.json"),
+                     "--columns", "x1", "--label-column", "label"]) in (0, 2)
+
     @pytest.mark.parametrize("cells, coded", [
         (["2", "1"], [2, 1]),
         (["1.0", "-3", "9007199254740991"], [1, -3, 2**53 - 1]),
@@ -375,6 +387,25 @@ class TestCliCommands:
         assert np.array_equal(np.unique(grid[:, 0]), np.linspace(-14.0, 2.0, 21))
         assert np.array_equal(np.unique(grid[:, 1]), np.linspace(-14.0, -1.0, 21))
 
+    def test_density_grid_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A lattice too large for memory ends in one error line, not a
+        # traceback.  The allocation is made to fail rather than attempted:
+        # --points 100000 asks for about 75 GiB.
+        model_path = self._fit_mnig(tmp_path, "study4", "3", "5")
+        capsys.readouterr()
+
+        def no_memory(*axes, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(np, "meshgrid", no_memory)
+        grid_path = tmp_path / "grid.csv"
+        assert main(["density-grid", str(model_path), str(grid_path),
+                     "--range", "-14", "2", "--points", "100000"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 74.5 GiB"
+        ]
+        assert not grid_path.exists()
+
     def test_density_grid_needs_two_dimensions(self, tmp_path, capsys):
         model_path = self._fit_mnig(tmp_path, "study5", "4", "10")
         capsys.readouterr()
@@ -490,6 +521,14 @@ def test_fetch_datasets_mirrors_every_real_study():
     assert files <= set(_fetch_script().SOURCES)
 
 
+@pytest.mark.parametrize("name", ["study3", "faithful"])
+def test_simulation_preset_names_the_four_presets(tmp_path, name):
+    # A real study has no preset, so it is as unknown as a name no study has.
+    with pytest.raises(KeyError, match=r"\['study1', 'study2', 'study4', 'study5'\]"):
+        simulation_preset(name)
+    assert main(["simulate", str(tmp_path / "s.csv"), "--preset", name]) == 3
+
+
 def test_fetch_datasets_convert_keeps_study_columns(tmp_path):
     # An rrcov-style fish export, with columns no study reads, converted by
     # the script run from the checkout without the package on the path.
@@ -512,6 +551,22 @@ def test_fetch_datasets_convert_keeps_study_columns(tmp_path):
     assert converted[0] == [fishcatch.label_column, *fishcatch.columns]
     assert converted[0] == ["Species", "Length3", "Height", "Width"]
     assert converted[1:] == [[r[7], r[4], r[5], r[6]] for r in raw[1:]]
+
+
+def test_fetch_datasets_convert_reads_a_byte_order_mark(tmp_path):
+    # A faithful export saved as Excel's "CSV UTF-8", which starts with a
+    # byte-order mark before the quoted first name.
+    raw = tmp_path / "faithful_raw.csv"
+    raw.write_bytes(b'\xef\xbb\xbf"eruptions","waiting"\r\n3.6,79\r\n1.8,54\r\n')
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
+    subprocess.run(
+        [sys.executable, str(script), "--convert", str(raw), "faithful.csv"],
+        env={**os.environ, "NIGMIX_DATA": str(tmp_path / "data")},
+        check=True, capture_output=True,
+    )
+    with open(tmp_path / "data" / "faithful.csv", newline="") as fh:
+        converted = list(csv.reader(fh))
+    assert converted == [["eruptions", "waiting"], ["3.6", "79"], ["1.8", "54"]]
 
 
 # The stand-ins' whole output, so that any change to the real-data path

@@ -4,7 +4,9 @@ A refactor of the engines must leave every number of a fit, and so the
 hash of its run record, exactly as it was.  Each case simulates a preset
 sample at seed 4 and fits it from the command line at seed 0, from a
 k-means start and, for one case per engine, from a random partition.  The
-hash must not depend on how many threads OpenBLAS runs either.
+hash must not depend on how many threads OpenBLAS runs either.  Test ids
+name the preset, the engine and g_init, not the pinned hash, so that a
+re-pin changes a value and not a test name.
 """
 
 import os
@@ -24,7 +26,7 @@ from nigmix.io import read_json, run_record_hash
     ("study2", "unig", 10, "650316d186b550f5"),
     ("study4", "mnig", 5, "82d4e1eca845cc1e"),
     ("study5", "mnig", 10, "9c14ed3ad2b09be6"),
-])
+], ids=["study1-unig-10", "study2-unig-10", "study4-mnig-5", "study5-mnig-10"])
 def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
     code, digest = fit_record_hash(tmp_path, preset, model, g_init)
     assert code in (0, 2)
@@ -34,7 +36,7 @@ def test_run_record_hash(tmp_path, preset, model, g_init, prefix):
 @pytest.mark.parametrize("preset, model, g_init, prefix", [
     ("study1", "unig", 10, "a12ab4c528b9859a"),
     ("study4", "mnig", 5, "d533183b52bd5a7d"),
-])
+], ids=["study1-unig-10", "study4-mnig-5"])
 def test_run_record_hash_random_partition(tmp_path, preset, model, g_init, prefix):
     # The start from a seeded random partition rather than k-means.
     code, digest = fit_record_hash(tmp_path, preset, model, g_init,
