@@ -121,9 +121,9 @@ STUDIES = {
     "enzyme": Study("unig", 5, file="enzyme.csv", columns=("activity",)),
 }
 
+
 def simulation_preset(name: str) -> tuple[MixtureSpec, tuple[int, ...]]:
-    """Mixture spec and exact per-component counts for a named preset: a
-    study of ``STUDIES`` with a ``preset``."""
+    """Mixture spec and exact per-component counts for a named preset."""
     study = STUDIES.get(name)
     if study is None or study.preset is None:
         names = sorted(n for n, s in STUDIES.items() if s.preset)

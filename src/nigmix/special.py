@@ -164,7 +164,7 @@ def log_bessel_k(nu: float, x, pair: bool = False):
         for i in np.flatnonzero(~np.isfinite(out)):
             out.flat[i] = _log_k_mpmath(order, float(x1.flat[i]))
     if pair:
-        # The ratio, in the buffer of the lower order's log.
+        # K_||nu|-1| / K_nu, in the buffer of its numerator's log.
         ratio = np.subtract(logs[1], logs[0], out=logs[1])
         np.exp(ratio, out=ratio)
     outs = [float(out[0]) if scalar else out.reshape(x.shape) for out in logs]
