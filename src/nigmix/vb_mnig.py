@@ -216,8 +216,8 @@ def expectations_from_hypers_m(
     d = h.a1.shape[1]
     live, dropped = [], []
     D = h.disc
-    checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist())
-    for g, (a0, a3, a4, disc) in enumerate(checked):
+    values = list(zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist()))
+    for g, (a0, a3, a4, disc) in enumerate(values):
         if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
             dropped.append((g, "non-positive hyperparameter"))
         elif not disc > 0.0:
@@ -242,17 +242,27 @@ def expectations_from_hypers_m(
         - logdet_v
     )
     mu_bar, beta_bar = posterior_means(h, D)
-    s = np.sqrt(1.0 / (2.0 * h.a3))
-    gamma_t, gamma_t_sq = trunc_normal_moments(h.a0 / h.a3, s)
+    # The scalars of each live row in Python floats, stacked once at the end.
+    psi_total = psi(total_count_mass)
+    rows = []
+    for g in live:
+        a0, a3, a4, disc = values[g]
+        rows += [
+            psi(a0) - psi_total, a3 / disc, a4 / disc, -a0 / disc,
+            *trunc_normal_moments(a0 / a3, math.sqrt(1.0 / (2.0 * a3))),
+        ]
+    log_pi, c_mu, c_beta, c_cross, gamma_t, gamma_t_sq = (
+        np.array(rows, dtype=float).reshape(-1, 6).T
+    )
     return ExpectationBundleM(
-        log_pi=psi(h.a0) - psi(total_count_mass),
+        log_pi=log_pi,
         elog_det_prec=elog_det_prec,
         e_prec=h.a0[:, None, None] * v_inv,
         mu_bar=mu_bar,
         beta_bar=beta_bar,
-        c_mu=h.a3 / D,
-        c_beta=h.a4 / D,
-        c_cross=-h.a0 / D,
+        c_mu=c_mu,
+        c_beta=c_beta,
+        c_cross=c_cross,
         gamma_t=gamma_t,
         gamma_t_sq=gamma_t_sq,
     ), dropped
