@@ -431,20 +431,9 @@ def update_hypers_m_loop(priors, resp, lat, data):
         a3 = p.a3 + float(z @ e_u[:, g])
         a4 = p.a4 + float(zu_inv.sum())
         disc = a3 * a4 - a0**2
-        mu_bar = (a3 * a2 - a0 * a1) / disc
-        beta_bar = (a4 * a1 - a0 * a2) / disc
         scatter = np.multiply(data.T, zu_inv, order="C") @ data
-        V = (
-            p.V
-            + scatter
-            - np.outer(a2, mu_bar)
-            - np.outer(mu_bar, a2)
-            + a4 * np.outer(mu_bar, mu_bar)
-            - np.outer(beta_bar, a1)
-            - np.outer(a1, beta_bar)
-            + a0 * (np.outer(beta_bar, mu_bar) + np.outer(mu_bar, beta_bar))
-            + a3 * np.outer(beta_bar, beta_bar)
-        )
+        w = a1 - (a0 / a4) * a2
+        V = p.V + scatter - np.outer(a2, a2) / a4 - (a4 / disc) * np.outer(w, w)
         out.append(
             SimpleNamespace(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, V=0.5 * (V + V.T))
         )
