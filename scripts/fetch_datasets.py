@@ -109,7 +109,7 @@ def download_all() -> int:
         dest = data_dir() / target
         try:
             with urllib.request.urlopen(url, timeout=30) as resp:
-                text = resp.read().decode("utf-8")
+                text = resp.read().decode("utf-8-sig")
         except OSError as exc:
             print(f"FAILED {target}: {exc}", file=sys.stderr)
             failures += 1

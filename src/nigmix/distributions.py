@@ -109,6 +109,11 @@ class MixtureSpec:
             raise ValueError("one weight per component required")
         if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be finite, positive and sum to 1")
+        # One kind and one dimension: samples fill one (n, d) array.
+        if len({type(c) for c in self.components}) > 1:
+            raise ValueError("components must be all unig or all mnig")
+        if len({c.dim for c in self.components if isinstance(c, MNIGParams)}) > 1:
+            raise ValueError("mnig components must have one dimension")
 
     @property
     def n_components(self) -> int:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -299,6 +300,23 @@ class TestCliCommands:
             assert main(["simulate", str(tmp_path / "x.csv"),
                          "--spec", str(spec_path)]) == 3
 
+    def test_simulate_rejects_mixed_components(self, tmp_path, capsys):
+        # Every sample fills one (n, d) array, so a unig component beside a
+        # 2-d mnig one, or mnig components of d = 2 and 3, are invalid.
+        unig = {"type": "unig", "mu": 0.0, "beta": 0.0, "delta": 1.0, "gamma": 1.0}
+
+        def mnig(d):
+            return {"type": "mnig", "mu_t": [0.0] * d, "beta_t": [0.0] * d,
+                    "sigma_t": np.eye(d).tolist(), "gamma_t": 1.0}
+
+        spec_path, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        for components in ([mnig(2), unig], [mnig(2), mnig(3)]):
+            write_json(spec_path, {"weights": [0.5, 0.5], "components": components})
+            assert main(["simulate", str(out), "--spec", str(spec_path),
+                         "--n", "50"]) == 3
+            assert "invalid mixture spec" in capsys.readouterr().err
+            assert not out.exists() and not out.with_suffix(".spec.json").exists()
+
     def test_simulate_requires_source(self, tmp_path):
         assert main(["simulate", str(tmp_path / "x.csv")]) == 3
 
@@ -551,6 +569,26 @@ def test_fetch_datasets_convert_keeps_study_columns(tmp_path):
     assert converted[0] == [fishcatch.label_column, *fishcatch.columns]
     assert converted[0] == ["Species", "Length3", "Height", "Width"]
     assert converted[1:] == [[r[7], r[4], r[5], r[6]] for r in raw[1:]]
+
+
+def test_fetch_datasets_download_reads_a_byte_order_mark(tmp_path, monkeypatch):
+    # A mirror that serves its CSV with a byte-order mark, without network.
+    script = _fetch_script()
+    served = []
+
+    def urlopen(url, timeout):
+        served.append(url)
+        return io.BytesIO(b'\xef\xbb\xbf"eruptions","waiting"\r\n3.6,79\r\n1.8,54\r\n')
+
+    monkeypatch.setattr(script.urllib.request, "urlopen", urlopen)
+    url = "https://mirror.invalid/faithful.csv"
+    monkeypatch.setattr(script, "SOURCES", {"faithful.csv": url})
+    monkeypatch.setenv("NIGMIX_DATA", str(tmp_path / "data"))
+    assert script.main(["--download"]) == 0
+    assert served == [url]
+    with open(tmp_path / "data" / "faithful.csv", newline="") as fh:
+        converted = list(csv.reader(fh))
+    assert converted == [["eruptions", "waiting"], ["3.6", "79"], ["1.8", "54"]]
 
 
 def test_fetch_datasets_convert_reads_a_byte_order_mark(tmp_path):
