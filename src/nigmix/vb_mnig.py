@@ -12,10 +12,11 @@ component through the floating-point steps of its own update: the batched
 products make the BLAS calls, over the same strides, that one column of
 the responsibilities would, and a0 is squared by ``np.float_power``, as a
 scalar ``a0**2`` is.  Per component run the expectation step's scalar
-checks of the hyper rows and the tail-weight moments, and the terms that
-are (d, n) for each component, in buffers made once per call and laid out
-as ``data.T`` so that elementwise work runs along n: the weighted columns
-of the hyper update's scatter and the centred columns of the score step.
+checks of the hyper rows and, in Python floats, its scalars of each live
+row (the tail-weight moments among them), and the terms that are (d, n)
+for each component, in buffers made once per call and laid out as
+``data.T`` so that elementwise work runs along n: the weighted columns of
+the hyper update's scatter and the centred columns of the score step.
 The scale accumulators of the rows that pass go to one stacked
 ``linalg.spd_inverse_logdet_jittered`` call per sweep, whose jitter retry
 is linalg's; a row that fails even so is dropped and the rest are
