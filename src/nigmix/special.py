@@ -209,23 +209,16 @@ def _log_k_mpmath(nu: float, x: float) -> float:
         return float(mp.log(mp.besselk(nu, x)))
 
 
-_TRUNC_DOMAIN = "truncated normal requires finite m and s > 0"
-_TRUNC_UNDERFLOW = "truncated normal survival mass underflowed (all mass below 0)"
-
-
 def trunc_normal_moments(m, s):
     """Mean and second moment of N(m, s^2) truncated to (0, inf).
 
     ``m`` and ``s`` are floats or ndarrays, broadcast against each other;
-    each element gets the bits of its own float computation.  Two Python
-    floats, as mnig passes for each of its few rows, take that computation
-    in floats, where a 0-d array would cost some twenty ufunc dispatches;
-    both paths apply one formula in one order and raise the same errors.
-    The inverse Mills ratio is computed through the scaled complementary
-    error function, so it does not underflow at locations many scales below
-    or above the truncation point.  The mean ``m + s * mills`` is accurate
-    for m >= 0, which every engine call passes (unig passes ratio * delta
-    and mnig passes a0 / a3, both positive).  Far below zero its two terms
+    each element gets the bits of its own float computation.  The inverse
+    Mills ratio is computed through the scaled complementary error
+    function, so it does not underflow at locations many scales below or
+    above the truncation point.  The mean ``m + s * mills`` is accurate for
+    m >= 0, which every engine call passes (unig passes ratio * delta and
+    mnig passes a0 / a3, both positive).  Far below zero its two terms
     cancel: at (m, s) = (-1e5, 1) it loses 3.4e-7 relative, and at
     (-1e8, 1) it comes out negative.
 
@@ -234,24 +227,12 @@ def trunc_normal_moments(m, s):
     (mean, second_moment), floats when both inputs are 0-d and arrays
     otherwise
     """
-    if type(m) is float and type(s) is float:
-        # Float overflow and inf * 0 carry inf and NaN silently, as below.
-        if not (math.isfinite(m) and math.isfinite(s) and s > 0.0):
-            raise ValueError(_TRUNC_DOMAIN)
-        h = m / s
-        denom = float(erfcx(-h / math.sqrt(2.0)))
-        if not denom:
-            raise FloatingPointError(_TRUNC_UNDERFLOW)
-        mills = math.sqrt(2.0 / math.pi) / denom
-        mean = m + s * mills
-        var = s * s * (1.0 - h * mills - mills * mills)
-        return mean, max(0.0, var) + mean * mean
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
     # One reduction: the engines pass a few rows, where each call costs more
     # than its arithmetic.
     if not (np.isfinite(m) & np.isfinite(s) & (s > 0.0)).all():
-        raise ValueError(_TRUNC_DOMAIN)
+        raise ValueError("truncated normal requires finite m and s > 0")
     # Overflow and inf * 0 carry inf and NaN silently, as float arithmetic
     # does: m / s can overflow, and so can the second moment.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,7 +241,9 @@ def trunc_normal_moments(m, s):
         # which leaves (m, s^2 + m^2).
         denom = erfcx(-h / math.sqrt(2.0))
         if not denom.all():
-            raise FloatingPointError(_TRUNC_UNDERFLOW)
+            raise FloatingPointError(
+                "truncated normal survival mass underflowed (all mass below 0)"
+            )
         mills = math.sqrt(2.0 / math.pi) / denom
         mean = m + s * mills
         # Var = s^2 (1 + alpha*lambda - lambda^2), alpha = -h, lambda = mills.

@@ -12,11 +12,10 @@ component through the floating-point steps of its own update: the batched
 products make the BLAS calls, over the same strides, that one column of
 the responsibilities would, and a0 is squared by ``np.float_power``, as a
 scalar ``a0**2`` is.  Per component run the expectation step's scalar
-checks of the hyper rows and, in Python floats, its scalars of each live
-row (the tail-weight moments among them), and the terms that are (d, n)
-for each component, in buffers made once per call and laid out as
-``data.T`` so that elementwise work runs along n: the weighted columns of
-the hyper update's scatter and the centred columns of the score step.
+checks of the hyper rows, and the terms that are (d, n) for each
+component, in buffers made once per call and laid out as ``data.T`` so
+that elementwise work runs along n: the weighted columns of the hyper
+update's scatter and the centred columns of the score step.
 The scale accumulators of the rows that pass go to one stacked
 ``linalg.spd_inverse_logdet_jittered`` call per sweep, whose jitter retry
 is linalg's; a row that fails even so is dropped and the rest are
@@ -103,18 +102,6 @@ class ExpectationBundleM:
     c_cross: np.ndarray
     gamma_t: np.ndarray
     gamma_t_sq: np.ndarray
-
-
-def posterior_means(
-    h: ComponentHyperM, disc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means of location and drift from the joint conditional,
-    given the rows' discriminant ``h.disc``.  Only the bundle holds them:
-    the expectation step forms them once per sweep, and V needs none."""
-    D = disc[:, None]
-    mu_bar = (h.a3[:, None] * h.a2 - h.a0[:, None] * h.a1) / D
-    beta_bar = (h.a4[:, None] * h.a1 - h.a0[:, None] * h.a2) / D
-    return mu_bar, beta_bar
 
 
 def flat_priors_m(
@@ -217,8 +204,8 @@ def expectations_from_hypers_m(
     d = h.a1.shape[1]
     live, dropped = [], []
     D = h.disc
-    values = list(zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist()))
-    for g, (a0, a3, a4, disc) in enumerate(values):
+    checked = zip(h.a0.tolist(), h.a3.tolist(), h.a4.tolist(), D.tolist())
+    for g, (a0, a3, a4, disc) in enumerate(checked):
         if not (a0 > 0.0 and a3 > 0.0 and a4 > 0.0):
             dropped.append((g, "non-positive hyperparameter"))
         elif not disc > 0.0:
@@ -242,28 +229,21 @@ def expectations_from_hypers_m(
         + d * math.log(2.0)
         - logdet_v
     )
-    mu_bar, beta_bar = posterior_means(h, D)
-    # The scalars of each live row in Python floats, stacked once at the end.
-    psi_total = psi(total_count_mass)
-    rows = []
-    for g in live:
-        a0, a3, a4, disc = values[g]
-        rows += [
-            psi(a0) - psi_total, a3 / disc, a4 / disc, -a0 / disc,
-            *trunc_normal_moments(a0 / a3, math.sqrt(1.0 / (2.0 * a3))),
-        ]
-    log_pi, c_mu, c_beta, c_cross, gamma_t, gamma_t_sq = (
-        np.array(rows, dtype=float).reshape(-1, 6).T
-    )
+    s = np.sqrt(1.0 / (2.0 * h.a3))
+    gamma_t, gamma_t_sq = trunc_normal_moments(h.a0 / h.a3, s)
+    # The posterior means of location and drift, from the joint conditional.
+    D_col = D[:, None]
+    mu_bar = (h.a3[:, None] * h.a2 - h.a0[:, None] * h.a1) / D_col
+    beta_bar = (h.a4[:, None] * h.a1 - h.a0[:, None] * h.a2) / D_col
     return ExpectationBundleM(
-        log_pi=log_pi,
+        log_pi=psi(h.a0) - psi(total_count_mass),
         elog_det_prec=elog_det_prec,
         e_prec=h.a0[:, None, None] * v_inv,
         mu_bar=mu_bar,
         beta_bar=beta_bar,
-        c_mu=c_mu,
-        c_beta=c_beta,
-        c_cross=c_cross,
+        c_mu=h.a3 / D,
+        c_beta=h.a4 / D,
+        c_cross=-h.a0 / D,
         gamma_t=gamma_t,
         gamma_t_sq=gamma_t_sq,
     ), dropped

@@ -56,8 +56,6 @@ def test_sweep_work_runs_in_traced_spans():
         FitConfig(model="mnig", g_init=10),
     )
     assert_spans_entered(tracing, tracer, res, "mnig-studies")
-    # The tail-weight moments of every live row, each sweep.
-    assert tracer.calls["special.trunc_normal_moments"] >= res.iterations
 
 
 def test_unig_sweep_work_runs_in_traced_spans():
