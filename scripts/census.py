@@ -9,8 +9,8 @@ checked on: study1 replicates 0, 1, 4, 9 and 88; study2 replicates 0..13;
 study4 and study5 replicates 0..7 at sample seeds 1000 + r and 2000 + r
 (fit seed r); and the study1 mixture at n = 3000, sample seed 1, with the
 default settings of ``nigmix fit``.  For each fit the JSON holds the
-sha256 of its sorted-key ``io.result_to_dict``, G, the iterations,
-``converged``, the ARI, the trace length and the sha256 of its labels; for
+``io.json_sha256`` of its ``io.result_to_dict``, G, the iterations,
+``converged``, the ARI, the trace length and the digest of its labels; for
 each study and seed base it holds the census line ``nigmix reproduce``
 prints.  Each fit's (n, G) responsibilities go to the ``.npz`` beside the
 JSON (NEW.npz for NEW.json), one ``np.savez_compressed`` array per fit
@@ -31,7 +31,6 @@ package, in about ten seconds on one core.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -46,27 +45,22 @@ from nigmix import cli  # noqa: E402
 from nigmix.config import FitConfig  # noqa: E402
 from nigmix.distributions import sample_mixture  # noqa: E402
 from nigmix.evaluation import adjusted_rand_index  # noqa: E402
-from nigmix.io import result_to_dict  # noqa: E402
+from nigmix.io import json_sha256, result_to_dict  # noqa: E402
 from nigmix.presets import simulation_preset  # noqa: E402
 
 # The entry fields --compare prints old and new values of.
 SHOWN = ["G", "iterations", "converged", "ari", "trace_length"]
 
 
-def _sha256(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def entry(result, ari: float) -> dict:
     return {
-        "digest": _sha256(result_to_dict(result)),
+        "digest": json_sha256(result_to_dict(result)),
         "G": result.n_components,
         "iterations": result.iterations,
         "converged": result.converged,
         "ari": float(ari),
         "trace_length": len(result.trace),
-        "labels_sha256": _sha256(result.labels.tolist()),
+        "labels_sha256": json_sha256(result.labels.tolist()),
     }
 
 

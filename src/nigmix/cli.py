@@ -34,11 +34,12 @@ from .io import (
     whole_labels,
     write_json,
     write_sample_csv,
+    write_table,
 )
 from .linalg import NotPositiveDefinite
 from .presets import STUDIES, simulation_preset
-from .vb_mnig import fit_m
-from .vb_unig import fit
+from .vb_mnig import fit_m, fitted_density_m
+from .vb_unig import fit, fitted_density
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -128,9 +129,7 @@ def cmd_fit(args) -> int:
         columns, args.label_column,
     )
     write_json(out, record)
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.write("label\n")
-        fh.writelines(f"{int(v)}\n" for v in result.labels)
+    write_table(labels_path, ["label"], [result.labels])
     print(
         f"fit: model={config.model} G={result.n_components} "
         f"iterations={result.iterations} converged={result.converged} "
@@ -214,9 +213,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_density_grid(args) -> int:
-    from .vb_mnig import fitted_density_m
-    from .vb_unig import fitted_density
-
     out = Path(args.output)
     _check_output(out, args.model_path)
     if args.points < 1:
@@ -232,12 +228,12 @@ def cmd_density_grid(args) -> int:
         raise CliError("model did not converge", EXIT_NONCONVERGENCE)
 
     if result.model == "unig":
-        ranges, header, density = [args.range], "x", fitted_density
+        ranges, header, density = [args.range], ["x"], fitted_density
     else:
         d = result.bundles.mu_bar.shape[-1]
         if d != 2:
             raise CliError(f"lattice export requires 2-dimensional models, got d={d}")
-        ranges, header = [args.range, args.range2 or args.range], "x1,x2"
+        ranges, header = [args.range, args.range2 or args.range], ["x1", "x2"]
         density = fitted_density_m
     axes = (np.linspace(lo, hi, args.points) for lo, hi in ranges)
     grid = np.column_stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")])
@@ -246,10 +242,7 @@ def cmd_density_grid(args) -> int:
     except (NotPositiveDefinite, ValueError) as exc:
         # Bundle values that no NIG density has, such as a negative scale.
         raise CliError(f"invalid model: {exc}") from exc
-    rows = np.column_stack([grid, values])
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"{header},density\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    write_table(out, [*header, "density"], [*grid.T, values])
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -255,6 +255,10 @@ def sample_ig(delta: float, gamma: float, size: int, rng: np.random.Generator):
 
     The many-to-one transform produces the two roots of the defining
     quadratic; the standard uniform acceptance step picks between them.
+    The small root is mean (1 + y - sqrt(y^2 + 2y)) with y = mean nu /
+    (2 shape); its relative error grows like y^2 eps, so past y = 100,
+    which no preset's draw nears, it is formed as
+    mean / (1 + y + sqrt(y) sqrt(y + 2)), which neither cancels nor squares y.
     """
     if not (delta > 0.0 and gamma > 0.0):
         raise ValueError("IG requires delta > 0 and gamma > 0")
@@ -264,6 +268,8 @@ def sample_ig(delta: float, gamma: float, size: int, rng: np.random.Generator):
     root = mean + mean**2 * nu / (2.0 * shape) - mean / (2.0 * shape) * np.sqrt(
         4.0 * mean * shape * nu + mean**2 * nu**2
     )
+    y = mean * nu / (2.0 * shape)
+    root = np.where(y > 100.0, mean / (1.0 + y + np.sqrt(y) * np.sqrt(y + 2.0)), root)
     accept = rng.uniform(size=size) <= mean / (mean + root)
     return np.where(accept, root, mean**2 / root)
 

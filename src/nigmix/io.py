@@ -1,9 +1,11 @@
-"""Dataset ingestion and JSON persistence for specs, fits, and run records.
+"""Every nigmix file format: CSV samples and tables, JSON specs and run
+records, and the digests of both.
 
-File conventions: matrices travel as headered CSV (UTF-8, comma separated);
-models, configurations, and run records travel as JSON with stable field
-names.  Result payload hashes exclude wall-clock timings so reruns with
-identical inputs are hash-identical.
+File conventions: matrices travel as headered CSV (UTF-8, comma separated),
+a simulated sample with CRLF rows and a table (fit labels, a density
+lattice) with LF rows; models, configurations, and run records travel as
+JSON with stable field names.  Result payload hashes exclude wall-clock
+timings so reruns with identical inputs are hash-identical.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from ._vbcore import FitResult, take
+from ._vbcore import FitResult
 from .config import FitConfig
 from .distributions import LabeledSample, MixtureSpec, MNIGParams, UNIGParams
 from .evaluation import canonicalize
@@ -27,12 +29,14 @@ __all__ = [
     "ingest_csv",
     "whole_labels",
     "write_sample_csv",
+    "write_table",
     "mixture_spec_to_dict",
     "mixture_spec_from_dict",
     "result_to_dict",
     "result_from_dict",
     "make_run_record",
     "run_record_hash",
+    "json_sha256",
     "file_fingerprint",
     "write_json",
     "read_json",
@@ -55,8 +59,6 @@ def ingest_csv(
     (Excel's "CSV UTF-8" export writes one) is skipped.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -116,7 +118,9 @@ def whole_labels(values) -> np.ndarray | None:
 
 
 def write_sample_csv(path, sample: LabeledSample) -> None:
-    """One observation per row, trailing integer label column."""
+    """One observation per row, trailing integer label column.  Rows end
+    in the csv module's CRLF, which the golden run-record hashes pin
+    through ``dataset_fingerprint``."""
     obs = np.atleast_2d(sample.observations)
     d = obs.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -124,6 +128,15 @@ def write_sample_csv(path, sample: LabeledSample) -> None:
         writer.writerow([f"x{j + 1}" for j in range(d)] + ["label"])
         for row, lab in zip(obs, sample.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+
+
+def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A headered CSV with LF line ends from equal-length 1-d ``columns``,
+    each cell the repr of its value: integers and doubles exact."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        rows = zip(*(c.tolist() for c in columns))
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # The dataclasses behind the ``type`` tag of a spec component and the
@@ -135,18 +148,15 @@ _RESULT_TYPES = {
 }
 
 
-def _fields_to_dict(obj) -> dict:
-    d = asdict(obj)
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
-
-
-def _fields_from_dict(cls, d: dict):
-    """Inverse of ``_fields_to_dict``: JSON lists become arrays again."""
-    return cls(**{k: np.array(v) if isinstance(v, list) else v for k, v in d.items()})
+def _encode(obj, row=()) -> dict:
+    """The fields of the dataclass ``obj`` as JSON values, each array taken
+    whole or, in a component stack, at one component's ``row``."""
+    return {k: v[row].tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(obj).items()}
 
 
 def _stack_from_dicts(cls, rows: list[dict]):
-    """A component stack from one ``_fields_to_dict`` dict per component."""
+    """A component stack from one ``_encode`` dict per component."""
     return cls(*(np.array([r[f.name] for r in rows], dtype=float) for f in fields(cls)))
 
 
@@ -155,21 +165,19 @@ def _stack_from_dicts(cls, rows: list[dict]):
 # ---------------------------------------------------------------------------
 
 def mixture_spec_to_dict(spec: MixtureSpec) -> dict:
-    comps = [
-        {"type": "mnig" if isinstance(c, MNIGParams) else "unig", **_fields_to_dict(c)}
-        for c in spec.components
-    ]
+    kind = "mnig" if spec.is_multivariate else "unig"
+    comps = [{"type": kind, **_encode(c)} for c in spec.components]
     return {"weights": spec.weights.tolist(), "components": comps}
 
 
 def mixture_spec_from_dict(d: dict) -> MixtureSpec:
     comps = []
     for c in d["components"]:
-        fields = dict(c)
-        kind = fields.pop("type", "unig")
+        params = dict(c)
+        kind = params.pop("type", "unig")
         if kind not in _COMPONENT_TYPES:
             raise ValueError(f"unknown component type {kind!r}")
-        comps.append(_fields_from_dict(_COMPONENT_TYPES[kind], fields))
+        comps.append(_COMPONENT_TYPES[kind](**params))
     return MixtureSpec(weights=d["weights"], components=comps)
 
 
@@ -178,35 +186,24 @@ def mixture_spec_from_dict(d: dict) -> MixtureSpec:
 # ---------------------------------------------------------------------------
 
 def result_to_dict(result: FitResult) -> dict:
+    """The fields of ``result``, its stacks as one dict per component."""
     rows = range(result.n_components)
     return {
-        "model": result.model,
-        "surviving": list(result.surviving),
-        "hypers": [_fields_to_dict(take(result.hypers, g)) for g in rows],
-        "bundles": [_fields_to_dict(take(result.bundles, g)) for g in rows],
-        "resp": result.resp.tolist(),
-        "labels": result.labels.tolist(),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "trace": result.trace,
-        "flags": list(result.flags),
+        **_encode(result),
+        "hypers": [_encode(result.hypers, g) for g in rows],
+        "bundles": [_encode(result.bundles, g) for g in rows],
     }
 
 
 def result_from_dict(d: dict) -> FitResult:
     hyper_cls, bundle_cls = _RESULT_TYPES[d["model"]]
-    return FitResult(
-        model=d["model"],
-        surviving=list(d["surviving"]),
-        hypers=_stack_from_dicts(hyper_cls, d["hypers"]),
-        bundles=_stack_from_dicts(bundle_cls, d["bundles"]),
-        resp=np.array(d["resp"]),
-        labels=np.array(d["labels"], dtype=int),
-        iterations=d["iterations"],
-        converged=d["converged"],
-        trace=list(d["trace"]),
-        flags=list(d["flags"]),
-    )
+    return FitResult(**{
+        **d,
+        "hypers": _stack_from_dicts(hyper_cls, d["hypers"]),
+        "bundles": _stack_from_dicts(bundle_cls, d["bundles"]),
+        "resp": np.array(d["resp"]),
+        "labels": np.array(d["labels"], dtype=int),
+    })
 
 
 def file_fingerprint(path) -> str:
@@ -225,7 +222,7 @@ def make_run_record(
     the CSV selection (``columns``, ``label_column``) the data were read
     with."""
     return {
-        "config": {**asdict(config), "columns": columns, "label_column": label_column},
+        "config": {**_encode(config), "columns": columns, "label_column": label_column},
         "dataset_fingerprint": fingerprint,
         "result": result_to_dict(result),
         "timings": timings,
@@ -233,14 +230,16 @@ def make_run_record(
 
 
 def run_record_hash(record: dict) -> str:
-    """Hash of the reproducible payload (everything except timings): the
-    sha256 of its compact, sorted-key JSON.  The JSON is streamed into the
-    hash chunk by chunk and never held whole, so hashing a record takes
-    next to no memory beside it."""
-    payload = {k: v for k, v in record.items() if k != "timings"}
+    """Hash of the reproducible payload (everything except timings)."""
+    return json_sha256({k: v for k, v in record.items() if k != "timings"})
+
+
+def json_sha256(obj) -> str:
+    """The sha256 of ``obj``'s compact, sorted-key JSON, streamed into the
+    hash chunk by chunk: a run record's JSON is never held whole."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256()
-    for chunk in encoder.iterencode(payload):
+    for chunk in encoder.iterencode(obj):
         digest.update(chunk.encode())
     return digest.hexdigest()
 

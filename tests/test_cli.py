@@ -37,7 +37,7 @@ from nigmix.io import (
 )
 from nigmix.presets import STUDIES, simulation_preset
 from nigmix.vb_mnig import fit_m
-from nigmix.vb_unig import fit
+from nigmix.vb_unig import fit, fitted_density
 
 
 @pytest.fixture()
@@ -202,9 +202,11 @@ class TestCliCommands:
         record = read_json(out_path)
         assert record["result"]["model"] == "unig"
         assert len(record["result"]["surviving"]) == 2
-        labels = (tmp_path / "fit.labels.csv").read_text().splitlines()
-        assert labels[0] == "label"
-        assert len(labels) == 301
+        # LF rows, one whole number each, as in the record.
+        labels = record["result"]["labels"]
+        assert len(labels) == 300
+        assert (tmp_path / "fit.labels.csv").read_bytes() == "".join(
+            f"{v}\n" for v in ["label", *labels]).encode()
 
     def test_fit_record_is_strict_json(self, tmp_path):
         # study5 at seed 4 prunes during the fit, so the trace holds entries
@@ -286,6 +288,22 @@ class TestCliCommands:
         assert data.shape == (50, 1)
         assert set(np.unique(labels)) <= {1, 2}
 
+    @pytest.mark.parametrize("preset", ["study1", "study4"])
+    def test_simulate_sidecar_spec_redraws_the_sample(self, tmp_path, preset):
+        # The spec member of a sidecar, fed back through simulate --spec
+        # with the same --n and --seed, gives the same CSV and sidecar bytes.
+        write_json(tmp_path / "spec0.json",
+                   mixture_spec_to_dict(simulation_preset(preset)[0]))
+        for i in (1, 2):
+            assert main(["simulate", str(tmp_path / f"sim{i}.csv"), "--spec",
+                         str(tmp_path / f"spec{i - 1}.json"), "--n", "200",
+                         "--seed", "7"]) == 0
+            write_json(tmp_path / f"spec{i}.json",
+                       read_json(tmp_path / f"sim{i}.spec.json")["spec"])
+        for suffix in (".csv", ".spec.json"):
+            first, second = (tmp_path / f"sim{i}{suffix}" for i in (1, 2))
+            assert first.read_bytes() == second.read_bytes()
+
     def test_simulate_invalid_spec_exits_3(self, tmp_path):
         mnig = {"type": "mnig", "mu_t": [0.0, 0.0], "beta_t": [0.0, 0.0],
                 "gamma_t": 1.0}
@@ -329,12 +347,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "ARI: 1.000000" in out
 
-    def test_evaluate_length_mismatch(self, tmp_path):
+    def test_evaluate_length_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        a.write_text("label\n1\n2\n")
-        b.write_text("label\n1\n")
+        a.write_text("label\n1\n2\n1\n")
+        b.write_text("label\n1\n2\n")
         assert main(["evaluate", str(a), str(b)]) == 3
+        assert capsys.readouterr().err == (
+            "error: label files have different lengths\n")
 
     @pytest.mark.parametrize("cell", ["2.5", "9007199254740992"])
     def test_evaluate_rejects_labels_that_are_not_whole(self, tmp_path, capsys, cell):
@@ -375,11 +395,16 @@ class TestCliCommands:
         code = main(["density-grid", str(model_path), str(grid_path),
                      "--range", "-10", "25", "--points", "101"])
         assert code == 0
-        rows = grid_path.read_text().splitlines()
+        text = grid_path.read_bytes().decode()
+        assert "\r" not in text
+        rows = text.splitlines()
         assert rows[0] == "x,density"
         assert len(rows) == 102
-        dens = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        x, dens = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
         assert np.all(dens >= 0.0)
+        # Each cell is the repr of its double, so the lattice reads back exactly.
+        result = result_from_dict(read_json(model_path)["result"])
+        assert np.array_equal(dens, fitted_density(result, x))
 
     def _fit_mnig(self, tmp_path, preset, seed, g_init):
         csv_path = tmp_path / "sim.csv"
@@ -677,8 +702,9 @@ def test_readme_quick_start_runs(capsys):
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A study1, a study4 and a study5 sample, CSVs made bad in one way
-    each, and a converged study1 and study4 fit for density-grid, with
-    copies whose first component holds a value no density has."""
+    each, a converged study1 and study4 fit for density-grid, with copies
+    whose first component holds a value no density has, and a study1 fit
+    stopped at its iteration cap."""
     root = tmp_path_factory.mktemp("bad_inputs")
     for preset in ("study1", "study4", "study5"):
         spec, counts = simulation_preset(preset)
@@ -692,6 +718,8 @@ def bad_inputs(tmp_path_factory):
     assert main(["fit", str(root / "study4.csv"), str(root / "fit4.json"),
                  "--label-column", "label", "--model", "mnig", "--g-init", "5",
                  "--init-mode", "random", "--seed", "0"]) == 0
+    assert main(["fit", str(root / "study1_1000.csv"), str(root / "capped.json"),
+                 "--label-column", "label", "--max-iter", "2"]) == 2
     for name, source, field, value in (
         ("delta_neg", "fit1", "delta", -1.0),
         ("mu_nan", "fit1", "mu", math.nan),
@@ -707,6 +735,7 @@ def bad_inputs(tmp_path_factory):
     (root / "s1.labels.csv").write_text(study1)
     lines = study1.splitlines(keepends=True)
     (root / "header.csv").write_text(lines[0])
+    (root / "empty.csv").write_text("")
     (root / "few.csv").write_text("".join(lines[:4]))
     for cell in ("nan", "inf"):
         bad_row = cell + "," + lines[4].split(",", 1)[1]
@@ -744,19 +773,27 @@ def bad_inputs(tmp_path_factory):
     (root / "dir_labels.labels.csv").mkdir()
     # A spec named as `simulate sim.csv` names its own sidecar.
     write_json(root / "sim.spec.json", mixture_spec_to_dict(spec))
-    # Specs with one parameter, or the weights, not finite.
+    # Specs with one parameter, or the weights, not finite, and specs that
+    # no mixture has: a component type nigmix does not know, mu_t and beta_t
+    # of unequal length, a sigma_t that is not square, and fewer weights
+    # than components.
     for name, preset, key, value in (
         ("spec_mu_nan", "study4", "mu_t", [0.0, math.nan]),
         ("spec_beta_inf", "study4", "beta_t", [math.inf, 0.0]),
         ("spec_gamma_inf", "study4", "gamma_t", math.inf),
         ("spec_delta_inf", "study1", "delta", math.inf),
         ("spec_mu1_nan", "study1", "mu", math.nan),
+        ("spec_type_unknown", "study4", "type", "gauss"),
+        ("spec_beta_short", "study4", "beta_t", [0.0]),
+        ("spec_sigma_wide", "study4", "sigma_t", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     ):
         bad = mixture_spec_to_dict(simulation_preset(preset)[0])
         bad["components"][1][key] = value
         write_json(root / f"{name}.json", bad)
-    write_json(root / "spec_weights_nan.json",
-               {**mixture_spec_to_dict(spec), "weights": [math.nan, math.nan]})
+    for name, weights in (("spec_weights_nan", [math.nan, math.nan]),
+                          ("spec_weights_few", [1.0])):
+        write_json(root / f"{name}.json",
+                   {**mixture_spec_to_dict(spec), "weights": weights})
     return root
 
 
@@ -842,11 +879,20 @@ def merge_argv(groups):
     (fit_argv("huge_all.csv", "--model", "mnig", "--init-mode", "random",
               "--g-init", "5"), 4),
     # A spec whose parameters or weights are not finite, which would
-    # otherwise simulate rows of NaN.
+    # otherwise simulate rows of NaN, or that no mixture has.
     *((["simulate", "{}/sim_bad.csv", "--spec", f"{{}}/{name}.json", "--n", "50",
         "--seed", "1"], 3)
       for name in ("spec_mu_nan", "spec_beta_inf", "spec_gamma_inf",
-                   "spec_delta_inf", "spec_mu1_nan", "spec_weights_nan")),
+                   "spec_delta_inf", "spec_mu1_nan", "spec_weights_nan",
+                   "spec_type_unknown", "spec_beta_short", "spec_sigma_wide",
+                   "spec_weights_few")),
+    # A label file of two columns.
+    (evaluate_argv("study1", "labels_ref"), 3),
+    # A CSV with no header, and one whose only column is the label column.
+    (fit_argv("empty.csv"), 3),
+    (fit_argv("labels_ref.csv"), 3),
+    # A model record of a fit that did not converge.
+    (["density-grid", "{}/capped.json", "{}/grid.csv", "--range", "0", "1"], 2),
 ])
 def test_invalid_input_exit_code(bad_inputs, capsys, argv, code):
     # One error line on stderr and no warning, which numpy would print there,

@@ -201,6 +201,27 @@ class TestSampling:
         )
         assert stat.pvalue > 0.01
 
+    @pytest.mark.parametrize("component, n", [
+        (UNIGParams(mu=0.0, beta=0.0, delta=1e-4, gamma=1e-4), 2000),
+        (MNIGParams(mu_t=[0.0, 0.0], beta_t=[0.0, 0.0], sigma_t=np.eye(2),
+                    gamma_t=1e-8), 10_000),
+    ], ids=["unig-delta-gamma-1e-4", "mnig-gamma_t-1e-8"])
+    def test_ig_small_root_far_from_the_mean(self, component, n):
+        # A small delta gamma puts y = mean nu / (2 shape) near 1e8, where
+        # the direct small root cancels to zero or below.  The draws stay
+        # positive and IG-distributed, and the observations finite.
+        from scipy.stats import invgauss, kstest
+
+        unig = isinstance(component, UNIGParams)
+        delta, gamma = (component.delta, component.gamma) if unig else (
+            1.0, component.gamma_t)
+        u = sample_ig(delta, gamma, n, np.random.default_rng(0))
+        assert np.isfinite(u).all() and u.min() > 0.0
+        stat = kstest(u, invgauss(delta / gamma / delta**2, scale=delta**2).cdf)
+        assert stat.pvalue > 0.01
+        spec = MixtureSpec(weights=[1.0], components=(component,))
+        assert np.isfinite(sample_mixture(spec, n, seed=0).observations).all()
+
     def test_mixture_counts_and_determinism(self):
         spec = MixtureSpec(
             weights=[0.5, 0.5],

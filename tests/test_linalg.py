@@ -176,7 +176,7 @@ def test_scipy_linalg_and_special_never_load(tmp_path):
     # A fresh process, since this one may have imported scipy.linalg and
     # scipy.special: no command, univariate or multivariate, loads either
     # package or the scipy.special._ufuncs extension (nigmix reads the
-    # compiled ufuncs of scipy.special._special_ufuncs only).
+    # compiled ufuncs of scipy.special._special_ufuncs only), or mpmath.
     script = textwrap.dedent("""
         import os
         import sys
@@ -186,6 +186,7 @@ def test_scipy_linalg_and_special_never_load(tmp_path):
             assert "scipy.linalg" not in sys.modules, step
             assert "scipy.special" not in sys.modules, step
             assert "scipy.special._ufuncs" not in sys.modules, step
+            assert "mpmath" not in sys.modules, step
             if os.path.exists("/proc/self/maps"):
                 with open("/proc/self/maps") as fh:
                     assert not [line for line in fh if "/special/_ufuncs." in line], step

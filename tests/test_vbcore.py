@@ -147,6 +147,12 @@ def test_invalid_fit_input_raises(engine, data, config):
             engine(data, config)
 
 
+@pytest.mark.parametrize("field, value", [("model", "x"), ("init_mode", "y")])
+def test_config_choices_must_be_known(field, value):
+    with pytest.raises(InvalidData, match=f"unknown {field} {value!r}"):
+        FitConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["g_init", "max_iter", "seed"])
 def test_config_counts_must_be_integers(field):
     # Caught by the config, not as a numpy TypeError inside the start.
